@@ -68,6 +68,19 @@ def _head_loss(rec, site, label, linear_class=None):
     return ad.sum_axis(ad.mul(logits, onehot))
 
 
+def _check_successor(model, site):
+    if site + 1 >= len(model.sites):
+        raise ContractError(f"site {site} has no successor block")
+
+
+def _gradient_pair(model, rec, label, site, linear_class=None):
+    """``site_gradient_pair`` on an existing ``ForwardRecord``."""
+    w1 = model.params[f"mhex{site}.w1"]
+    loss_own = _head_loss(rec, site, label, linear_class)
+    loss_next = _head_loss(rec, site + 1, label, linear_class)
+    return ad.grad_wrt(loss_own, w1).data, ad.grad_wrt(loss_next, w1).data
+
+
 def site_gradient_pair(model, x, label, site, site_mask=None, linear_class=None):
     """Gradients of the two consecutive head losses with respect to the
     measured block's shared mixer w1.
@@ -77,13 +90,9 @@ def site_gradient_pair(model, x, label, site, site_mask=None, linear_class=None)
     cross-entropy for the raw class logit (linear in the features), used by
     the additivity oracle.
     """
-    if site + 1 >= len(model.sites):
-        raise ContractError(f"site {site} has no successor block")
+    _check_successor(model, site)
     rec = model.forward_collect(x, site_mask=(site, site_mask) if site_mask is not None else None)
-    w1 = model.params[f"mhex{site}.w1"]
-    loss_own = _head_loss(rec, site, label, linear_class)
-    loss_next = _head_loss(rec, site + 1, label, linear_class)
-    return ad.grad_wrt(loss_own, w1).data, ad.grad_wrt(loss_next, w1).data
+    return _gradient_pair(model, rec, label, site, linear_class)
 
 
 def collaboration_cosine(model, x, label, site):
@@ -95,12 +104,15 @@ def collaboration_cosine(model, x, label, site):
 
 def blockwise_quality(model, x, label, grid=7, site=0):
     """Per-cell collaboration cosine with the block input masked to the
-    cell's region, as a (grid, grid) map."""
+    cell's region, as a (grid, grid) map.
+
+    The backbone runs once; each cell replays only the side chain on it."""
     if grid < 1:
         raise ConfigurationError("grid must be >= 1")
-    rec = model.forward_collect(x)
-    feat_shape = rec.site_inputs[site].data.shape[-2:]
-    h, w = feat_shape
+    _check_successor(model, site)
+    backbone = model._backbone(x)
+    # the site's block input has the shape of its backbone activation
+    h, w = backbone[0][model.sites[site]].data.shape[-2:]
     if grid > min(h, w):
         raise ConfigurationError(
             f"grid {grid} exceeds site feature resolution {h}x{w}")
@@ -111,7 +123,8 @@ def blockwise_quality(model, x, label, grid=7, site=0):
         for gj in range(grid):
             mask = np.zeros((h, w))
             mask[np.ix_(rows == gi, cols == gj)] = 1.0
-            g_ds, g_ag = site_gradient_pair(model, x, label, site, site_mask=mask)
+            rec = model.side_chain(backbone, (site, mask))
+            g_ds, g_ag = _gradient_pair(model, rec, label, site)
             out[gi, gj] = _cosine(g_ag, g_ds)
     return out
 
@@ -214,6 +227,8 @@ def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=No
     if sites is None:
         with_succ = list(range(len(model.sites) - 1))
         sites = with_succ[-3:]
+    for s in sites:
+        _check_successor(model, s)
     n = len(dataset) if n_samples is None else min(n_samples, len(dataset))
     if n < 3:
         raise ContractError("need at least 3 evaluable samples")
@@ -224,11 +239,12 @@ def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=No
         label = int(dataset.labels[i])
         smap = sal_mod.explain_image(model, image, label, wf_cfg)
         cam = sal_mod.resize_map(smap.grid, image.shape[-2:])
-        rec = met.drop_record(model, image, label, cam, sample_id=i, mode="soft")
+        drop = met.drop_record(model, image, label, cam, sample_id=i, mode="soft")
+        fwd = model.forward_collect(image)      # shared by every measured site
         for s in sites:
-            cos = collaboration_cosine(model, image, label, s)
-            records.append(CollabRecord(sample_id=i, site=s, cosine=cos,
-                                        p_orig=rec.p_orig, sad_drop=rec.drop))
+            g_ds, g_ag = _gradient_pair(model, fwd, label, s)
+            records.append(CollabRecord(sample_id=i, site=s, cosine=_cosine(g_ag, g_ds),
+                                        p_orig=drop.p_orig, sad_drop=drop.drop))
     return records
 
 

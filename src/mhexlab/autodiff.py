@@ -4,6 +4,13 @@ A ``Tensor`` wraps an ndarray together with backward closures; the recorded
 forward graph (the tape) is the DAG of parent links. The graph is retained
 after backward passes so several losses from one forward pass can each be
 differentiated with respect to the same parameter (``grad_wrt``).
+
+``backward`` sweeps every node that leads to the loss. A single-target
+gradient (``grad_wrt``, ``adjoint``) sweeps only the nodes that both
+descend from the target and lead to the loss (activity analysis, as in
+Griewank & Walther, *Evaluating Derivatives*, 2008); every other node's
+adjoint cannot reach the target. The result is bit-identical to the full
+sweep's, because the same adjoints are summed in the same order.
 """
 
 from __future__ import annotations
@@ -406,26 +413,49 @@ def _topo_order(root):
     return order  # parents before children
 
 
-def _adjoints(loss):
-    """Reverse sweep; returns {id(tensor): adjoint ndarray} without touching
-    any ``.grad`` buffer."""
+def _reverse(loss, order, marked=None):
+    """Reverse loop over ``order`` (parents before children); with
+    ``marked`` (a set of ids), adjoints flow only into marked parents."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    order = _topo_order(loss)
     adj = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         g = adj.get(id(node))
         if g is None or node._backward is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None:
-                continue
             key = id(parent)
+            if pg is None or (marked is not None and key not in marked):
+                continue
             if key in adj:
                 adj[key] = adj[key] + pg
             else:
                 adj[key] = pg
-    return adj, order
+    return adj
+
+
+def _adjoints(loss):
+    """Full reverse sweep; returns ({id(tensor): adjoint ndarray}, order)
+    without touching any ``.grad`` buffer."""
+    order = _topo_order(loss)
+    return _reverse(loss, order), order
+
+
+def adjoint(loss, target):
+    """d(loss)/d(target) as an ndarray, or ``None`` when ``target`` does not
+    influence ``loss``. ``target`` may be any node on the tape.
+
+    Only the descendants of ``target`` are swept. Every child that adds to a
+    descendant's adjoint is itself a descendant, and the loop keeps the full
+    sweep's order, so the result equals the full sweep's bit for bit.
+    """
+    marked = {id(target)}
+    path = []
+    for node in _topo_order(loss):
+        if any(id(p) in marked for p in node._parents):
+            marked.add(id(node))
+            path.append(node)
+    return _reverse(loss, path, marked).get(id(target))
 
 
 def backward(loss):
@@ -441,10 +471,11 @@ def backward(loss):
 def grad_wrt(loss, param):
     """d(loss)/d(param) without disturbing pending ``.grad`` buffers.
 
-    Returns a zero tensor when ``param`` does not influence ``loss``.
+    Sweeps only the nodes between ``param`` and ``loss`` (see ``adjoint``);
+    the result is bit-identical to the full sweep's. Returns a zero tensor
+    when ``param`` does not influence ``loss``.
     """
     if not isinstance(param, Tensor) or not param.requires_grad:
         raise ContractError("grad_wrt: param is not a differentiable tensor on the tape")
-    adj, _ = _adjoints(loss)
-    g = adj.get(id(param))
+    g = adjoint(loss, param)
     return Tensor(np.zeros_like(param.data) if g is None else g)

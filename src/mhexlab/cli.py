@@ -335,7 +335,6 @@ def build_parser():
     wf_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--samples", default=None, help="comma-separated sample ids")
-    p.add_argument("--class-id", type=int, default=None)
     p.add_argument("--grad-cam", action="store_true")
     p.set_defaults(func=cmd_explain)
 

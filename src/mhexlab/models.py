@@ -7,6 +7,14 @@ but never re-enters the backbone, so stripping every explainer parameter
 leaves the host's final head bit-identical. The side chain is what lets
 the supervision loss of block l+1 exert gradients on block l's gate mixer,
 which the collaboration analysis measures.
+
+Each host's forward pass is split to match: ``_backbone(x)`` runs the host
+alone and reads no explainer parameter, and ``side_chain(backbone_out,
+site_mask)`` runs the explainer blocks on its activations;
+``forward_collect`` is the two in turn. Because the backbone never depends
+on the side chain, one backbone result can feed several side-chain passes
+(the block-wise analysis replays it once per masked cell), and a gradient
+sweep for an explainer parameter never visits a backbone node.
 """
 
 from __future__ import annotations
@@ -270,7 +278,12 @@ class ResNetModel:
         multiplies that site's input activations (values, hence gradients)
         for the block-wise collaboration analysis.
         """
-        acts, final_feats, final_logits = self._backbone(x)
+        return self.side_chain(self._backbone(x), site_mask)
+
+    def side_chain(self, backbone_out, site_mask=None):
+        """Explainer blocks over a ``_backbone`` result, which may be shared
+        by several calls with different ``site_mask`` values."""
+        acts, final_feats, final_logits = backbone_out
         outputs, inputs, raws, globals_ = [], [], [], []
         carry = None
         for s, bidx in enumerate(self.sites):
@@ -414,7 +427,10 @@ class TransformerModel:
         return _softmax(self.forward_logits(ids).data)
 
     def forward_collect(self, ids, site_mask=None):
-        acts, final_feats, final_logits, pad_mask = self._backbone(ids)
+        return self.side_chain(self._backbone(ids), site_mask)
+
+    def side_chain(self, backbone_out, site_mask=None):
+        acts, final_feats, final_logits, pad_mask = backbone_out
         keep = ~pad_mask
         outputs, inputs, raws, globals_ = [], [], [], []
         carry = None

@@ -210,8 +210,7 @@ def gradcam_baseline(model, image, class_id):
     onehot = np.zeros(logits.data.shape)
     onehot[..., class_id] = 1.0
     target = ad.sum_axis(ad.mul(logits, onehot))
-    adj, _ = ad._adjoints(target)
-    grad = adj.get(id(final_feats))
+    grad = ad.adjoint(target, final_feats)
     feats = final_feats.data[0]
     if grad is None:
         weights = np.zeros(feats.shape[0])

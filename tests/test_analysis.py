@@ -5,6 +5,7 @@ import pytest
 
 import mhexlab as mx
 import mhexlab.analysis as A
+from mhexlab import autodiff as ad
 from mhexlab.errors import (ConfigurationError, ContractError,
                             UndefinedCorrelationError)
 
@@ -169,6 +170,132 @@ def test_blockwise_grid_contract(small_cnn):
         A.blockwise_quality(small_cnn, ds.images[0], 0, grid=0)
     with pytest.raises(ConfigurationError):
         A.blockwise_quality(small_cnn, ds.images[0], 0, grid=99)
+
+
+def _host_sample(model, seed):
+    """One input of ``model``'s host and a site mask covering part of it."""
+    if model.kind == "resnet":
+        ds = mx.gen_shapes(1, seed=seed)
+        x = ds.images[0]
+        hw = model.forward_collect(x).site_inputs[0].data.shape[-2:]
+        mask = np.zeros(hw)
+        mask[: hw[0] // 2, hw[1] // 3:] = 1.0
+    else:
+        ds = mx.gen_tokens(1, seed=seed)
+        x = ds.ids[:1]
+        mask = np.ones(x.shape[1])
+        mask[::3] = 0.0
+    return x, int(ds.labels[0]), mask
+
+
+@pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
+def test_grad_wrt_equals_full_sweep(host, request):
+    """The targeted sweep gives the full sweep's adjoint bit for bit: own
+    head, next head, and with a masked cell."""
+    model = request.getfixturevalue(host)
+    x, label, mask = _host_sample(model, seed=40)
+    w1 = model.params["mhex0.w1"]
+    for site_mask in (None, (0, mask)):
+        rec = model.forward_collect(x, site_mask=site_mask)
+        for head in (0, 1):
+            loss = A._head_loss(rec, head, label)
+            full, _ = ad._adjoints(loss)
+            assert np.array_equal(ad.grad_wrt(loss, w1).data, full[id(w1)])
+
+
+def test_grad_wrt_skips_backbone(small_cnn, monkeypatch):
+    """The own-head gradient of mhex0.w1 runs no backward closure of a
+    backbone conv2d node; the full sweep runs them."""
+    made = set()
+    conv = ad.conv2d
+
+    def recording(*args, **kwargs):
+        out = conv(*args, **kwargs)
+        made.add(id(out))
+        return out
+
+    ds = mx.gen_shapes(1, seed=41)
+    monkeypatch.setattr(ad, "conv2d", recording)
+    rec = small_cnn.forward_collect(ds.images[0])
+    monkeypatch.undo()
+    # the final logits read the backbone alone
+    backbone_convs = [n for n in ad._topo_order(rec.final_logits) if id(n) in made]
+    assert backbone_convs
+    calls = []
+
+    def counted(bw):
+        def wrapper(g):
+            calls.append(1)
+            return bw(g)
+        return wrapper
+
+    for node in backbone_convs:
+        node._backward = counted(node._backward)
+    loss_own = A._head_loss(rec, 0, int(ds.labels[0]))
+    ad.grad_wrt(loss_own, small_cnn.params["mhex0.w1"])
+    assert calls == []
+    ad._adjoints(loss_own)
+    assert len(calls) == len(backbone_convs)
+
+
+def _count_backbone(model, monkeypatch):
+    calls = []
+    backbone = model._backbone
+
+    def counting(x):
+        calls.append(1)
+        return backbone(x)
+
+    monkeypatch.setattr(model, "_backbone", counting)
+    return calls
+
+
+def test_blockwise_runs_backbone_once(small_cnn, monkeypatch):
+    ds = mx.gen_shapes(1, seed=42)
+    calls = _count_backbone(small_cnn, monkeypatch)
+    A.blockwise_quality(small_cnn, ds.images[0], int(ds.labels[0]), grid=3)
+    assert len(calls) == 1
+
+
+def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
+    ds = mx.gen_shapes(1, seed=43)
+    calls = _count_backbone(small_cnn, monkeypatch)
+    with pytest.raises(ContractError):
+        A.blockwise_quality(small_cnn, ds.images[0], 0, grid=1,
+                            site=len(small_cnn.sites) - 1)
+    assert calls == []
+
+
+def test_blockwise_equals_per_cell_pairs(small_cnn):
+    """Replaying the side chain on one backbone pass gives exactly the
+    cosines of independent masked forward passes."""
+    ds = mx.gen_shapes(1, seed=44)
+    x, label, grid, site = ds.images[0], int(ds.labels[0]), 3, 1
+    bq = A.blockwise_quality(small_cnn, x, label, grid=grid, site=site)
+    h, w = small_cnn.forward_collect(x).site_inputs[site].data.shape[-2:]
+    rows = (np.arange(h) * grid) // h
+    cols = (np.arange(w) * grid) // w
+    ref = np.empty((grid, grid))
+    for gi in range(grid):
+        for gj in range(grid):
+            mask = np.zeros((h, w))
+            mask[np.ix_(rows == gi, cols == gj)] = 1.0
+            g_ds, g_ag = A.site_gradient_pair(small_cnn, x, label, site, site_mask=mask)
+            ref[gi, gj] = A._cosine(g_ag, g_ds)
+    assert np.array_equal(bq, ref)
+
+
+def test_collab_records_equal_collaboration_cosine(small_cnn):
+    ds = mx.gen_shapes(3, seed=45)
+    records = A.collect_collab_records(small_cnn, ds, n_samples=3)
+    assert len(records) == 9
+    for r in records:
+        cos = A.collaboration_cosine(small_cnn, ds.images[r.sample_id],
+                                     int(ds.labels[r.sample_id]), r.site)
+        assert r.cosine == cos
+    with pytest.raises(ContractError):
+        A.collect_collab_records(small_cnn, ds, n_samples=3,
+                                 sites=[len(small_cnn.sites) - 1])
 
 
 def test_correlation_triangle_structure(small_cnn):

@@ -71,6 +71,24 @@ def test_explain_shapes_with_gradcam(shape_ckpt, tmp_path):
     assert (tmp_path / "sample0000_gradcam.pgm").exists()
 
 
+def test_config_with_removed_class_id_replays(shape_ckpt, tmp_path):
+    """Configs written while ``explain`` had a --class-id flag hold
+    class_id=None; replaying one skips the unknown key."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    rc = cli.main(["explain", "--dataset", "shapes", "--n-samples", "8",
+                   "--checkpoint", str(shape_ckpt), "--samples", "1",
+                   "--out", str(first)])
+    assert rc == 0
+    cfg = first / "config.txt"
+    assert "class_id" not in cfg.read_text()
+    cfg.write_text(cfg.read_text() + "class_id=None\n")
+    rc = cli.main(["explain", "--config", str(cfg), "--checkpoint", str(shape_ckpt),
+                   "--out", str(again)])
+    assert rc == 0
+    for name in ("manifest.csv", "sample0001_mhex.pgm"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_explain_workers_match_serial(shape_ckpt, tmp_path):
     serial, par = tmp_path / "s", tmp_path / "p"
     for out, workers in ((serial, "1"), (par, "2")):
