@@ -107,6 +107,8 @@ def blockwise_quality(model, x, label, grid=7, site=0):
     cell's region, as a (grid, grid) map.
 
     The backbone runs once; each cell replays only the side chain on it."""
+    if getattr(model, "kind", None) != "resnet":
+        raise ContractError("blockwise_quality supports only the CNN host")
     if grid < 1:
         raise ConfigurationError("grid must be >= 1")
     _check_successor(model, site)

@@ -236,19 +236,23 @@ def conv2d(x, w, stride=1, pad=0):
     # (N, C, oh, ow, kh, kw) view, then columns (N, C*kh*kw, oh*ow)
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
-    wmat = w.data.reshape(o, c * kh * kw)
-    out_data = np.matmul(wmat, cols).reshape(n, o, oh, ow)
+    wdat = w.data
+    out_data = np.matmul(wdat.reshape(o, c * kh * kw), cols).reshape(n, o, oh, ow)
     if squeeze:
         out_data = out_data[0]
 
     def backward(g):
         gm = (g[None] if squeeze else g).reshape(n, o, oh * ow)
-        gw = np.einsum("nol,nkl->ok", gm, cols).reshape(w.data.shape)
-        dcols = np.matmul(wmat.T, gm).reshape(n, c, kh, kw, oh, ow)
+        # einsum without optimize runs numpy's own loop, not BLAS
+        gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wdat.shape)
+        # one GEMM per kernel row, not a cols-sized one; per tap, a 1-channel
+        # input would become a matrix-vector product that rounds differently
         gxp = np.zeros_like(xp)
         for i in range(kh):
+            drow = np.matmul(wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o), gm)
+            drow = drow.reshape(n, kw, c, oh, ow)
             for j in range(kw):
-                gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
+                gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += drow[:, j]
         gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad else gxp
         return (gx[0] if squeeze else gx), gw
 

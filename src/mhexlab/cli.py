@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import analysis, metrics, saliency
 from .datasets import gen_shapes, gen_tokens, localization_score
 from .errors import MhexError
 from .models import (ResNetConfig, TransformerConfig, build_resnet,
-                     build_transformer, clone_model, load_checkpoint,
+                     build_transformer, load_checkpoint,
                      save_checkpoint, train)
 
 
@@ -133,42 +132,31 @@ def cmd_explain(args):
     ids = _sample_ids(args, dataset)
     wf = _wf_config(args, dataset.n_class)
     manifest = []
-
-    def one(i):
+    for i in ids:
         label = int(dataset.labels[i])
-        rows = []
         if args.dataset == "shapes":
             image = dataset.images[i]
             smap = saliency.explain_image(model, image, label, wf)
             p = out / f"sample{i:04d}_mhex.pgm"
             saliency.render_heatmap(smap, p)
-            rows.append((i, "mhex", p.name))
+            manifest.append((i, "mhex", p.name))
             p = out / f"sample{i:04d}_mhex_overlay.ppm"
             saliency.render_heatmap(smap, p, overlay=image)
-            rows.append((i, "mhex_overlay", p.name))
+            manifest.append((i, "mhex_overlay", p.name))
             if args.grad_cam:
                 gmap = saliency.gradcam_baseline(model, image, label)
                 p = out / f"sample{i:04d}_gradcam.pgm"
                 saliency.render_heatmap(gmap, p)
-                rows.append((i, "gradcam", p.name))
+                manifest.append((i, "gradcam", p.name))
         else:
             sal = saliency.explain_tokens(model, dataset.ids[i], label, wf)
             tokens = [f"tok{t}" for t in dataset.ids[i]]
             p = out / f"sample{i:04d}_tokens.csv"
             saliency.export_token_csv(tokens, sal, p)
-            rows.append((i, "mhex_csv", p.name))
+            manifest.append((i, "mhex_csv", p.name))
             p = out / f"sample{i:04d}_tokens.html"
             saliency.export_token_html(tokens, sal, p)
-            rows.append((i, "mhex_html", p.name))
-        return rows
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(args.workers) as pool:
-            for rows in pool.map(lambda i: one(i), ids):
-                manifest.extend(rows)
-    else:
-        for i in ids:
-            manifest.extend(one(i))
+            manifest.append((i, "mhex_html", p.name))
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "method", "artifact"])
@@ -207,20 +195,20 @@ def cmd_evaluate(args):
     if args.oracle_explainer:
         methods["oracle"] = None
 
-    def records_for(method, worker_model):
+    def records_for(method):
         recs, loc = [], []
         for i in range(n):
             label = int(dataset.labels[i])
             image = dataset.images[i]
             if method == "mhex":
-                smap = saliency.explain_image(worker_model, image, label, wf)
+                smap = saliency.explain_image(model, image, label, wf)
                 cam = saliency.resize_map(smap.grid, image.shape[-2:])
             elif method == "gradcam":
-                smap = saliency.gradcam_baseline(worker_model, image, label)
+                smap = saliency.gradcam_baseline(model, image, label)
                 cam = saliency.resize_map(smap.grid, image.shape[-2:])
             else:
                 cam = _truth_cam(dataset, i)
-            r = metrics.drop_record(worker_model, image, label, cam, sample_id=i)
+            r = metrics.drop_record(model, image, label, cam, sample_id=i)
             if args.force_area is not None:
                 r.area = args.force_area
             recs.append(r)
@@ -229,8 +217,7 @@ def cmd_evaluate(args):
 
     summary = []
     for method in methods:
-        worker = clone_model(model) if args.workers > 1 else model
-        recs, loc = records_for(method, worker)
+        recs, loc = records_for(method)
         metrics.write_drop_csv(recs, out / f"drop_{method}.csv", method=method)
         curves_del, curves_ins = [], []
         for i in range(min(n, args.curve_samples)):
@@ -311,7 +298,6 @@ def build_parser():
         p.add_argument("--dataset", choices=("shapes", "tokens"), default="shapes")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="mhex_out")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--n-samples", type=int, default=512)
         p.add_argument("--config", default=None,
                        help="key=value file of defaults (emitted by earlier runs)")

@@ -568,6 +568,8 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
                 vh = v[k] / (1 - beta2 ** step)
                 t.data -= lr * (mh / (np.sqrt(vh) + eps) + weight_decay * t.data)
             losses.append(float(loss.data))
+            # free the step's tape before the next forward or the accuracy pass
+            del rec, loss
         accs = head_accuracies(model, dataset) if eval_accuracy else []
         log.entries.append(EpochLog(epoch=epoch, loss=float(np.mean(losses)),
                                     head_accuracy=accs))
@@ -674,7 +676,7 @@ def load_checkpoint(path):
 
 
 def clone_model(model):
-    """Independent copy sharing no buffers; used for per-worker evaluation."""
+    """Independent copy sharing no buffers."""
     builder = build_resnet if model.kind == "resnet" else build_transformer
     twin = builder(model.cfg, seed=model.seed)
     for name, t in model.params.items():

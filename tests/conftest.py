@@ -1,4 +1,8 @@
+import ast
+import hashlib
+import inspect
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,8 @@ from mhexlab.models import (ResNetConfig, TransformerConfig, build_resnet,
                             save_checkpoint, train)
 
 CACHE = Path(__file__).parent / "_cache"
+SRC = Path(mx.__file__).parent
+CACHE_SOURCES = ("autodiff.py", "blocks.py", "models.py", "datasets.py")
 CACHE.mkdir(exist_ok=True)
 
 
@@ -25,18 +31,36 @@ def tokens_1000():
     return mx.gen_tokens(1000, seed=0)
 
 
+def _cache_digest(builder):
+    """Key of a cached checkpoint: the fixture's recipe (the source of its
+    build function) and every source file that training depends on. A change
+    to either retrains instead of reusing a stale model."""
+    h = hashlib.sha256(inspect.getsource(builder).encode())
+    for name in CACHE_SOURCES:
+        h.update(hashlib.sha256((SRC / name).read_bytes()).digest())
+    return h.hexdigest()
+
+
 def _cached_model(path, builder):
     ckpt = CACHE / path
-    if ckpt.exists():
+    digest_path = CACHE / (path + ".digest")
+    digest = _cache_digest(builder)
+    if not ckpt.exists():
+        reason = "no cached checkpoint"
+    elif not digest_path.exists() or digest_path.read_text().strip() != digest:
+        reason = "its recipe or the training sources changed"
+    else:
         try:
             return load_checkpoint(ckpt)
-        except Exception:
-            ckpt.unlink()
+        except Exception as exc:    # a corrupt file may fail anywhere in parsing
+            reason = f"it failed to load ({exc!r})"
+    warnings.warn(f"training {path}: {reason}", stacklevel=2)
     model, log = builder()
     save_checkpoint(model, ckpt)
     with open(CACHE / (path + ".log"), "w") as fh:
         for e in log.entries:
             fh.write(f"{e.epoch} {e.loss} {e.head_accuracy}\n")
+    digest_path.write_text(digest + "\n")
     return model
 
 
@@ -59,7 +83,7 @@ def trained_cnn_log(trained_cnn):
     if log_path.exists():
         for line in log_path.read_text().splitlines():
             epoch, loss, accs = line.split(" ", 2)
-            rows.append((int(epoch), float(loss), eval(accs)))
+            rows.append((int(epoch), float(loss), ast.literal_eval(accs)))
     return rows
 
 

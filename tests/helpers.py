@@ -49,3 +49,26 @@ def check_grads(f, params, tol=1e-4, eps=1e-6):
 
 def rng_tensor(rng, shape, scale=1.0, requires_grad=True):
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
+
+
+def conv2d_backward_reference(x, w, g, stride, pad):
+    """Gradients of ``conv2d(x, w)`` for the output adjoint ``g`` the im2col
+    way: the weight gradient as one einsum over the columns, the input
+    gradient as the full column adjoint ``dcols`` scattered back (col2im).
+    All arrays are plain (N, ...) ndarrays; returns (gx, gw)."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh, ow = g.shape[-2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    gm = g.reshape(n, o, oh * ow)
+    gw = np.einsum("nol,nkl->ok", gm, cols.reshape(n, -1, oh * ow)).reshape(w.shape)
+    dcols = np.matmul(w.reshape(o, -1).T, gm).reshape(n, c, kh, kw, oh, ow)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
+    return gxp[:, :, pad:pad + h, pad:pad + wd], gw

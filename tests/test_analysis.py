@@ -266,6 +266,14 @@ def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
     assert calls == []
 
 
+def test_blockwise_transformer_raises_before_forward(small_transformer, monkeypatch):
+    ds = mx.gen_tokens(1, seed=45)
+    calls = _count_backbone(small_transformer, monkeypatch)
+    with pytest.raises(ContractError, match="CNN host"):
+        A.blockwise_quality(small_transformer, ds.ids[0], int(ds.labels[0]), grid=2)
+    assert calls == []
+
+
 def test_blockwise_equals_per_cell_pairs(small_cnn):
     """Replaying the side chain on one backbone pass gives exactly the
     cosines of independent masked forward passes."""

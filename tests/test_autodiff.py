@@ -5,7 +5,7 @@ import mhexlab.autodiff as ad
 from mhexlab.autodiff import Tensor, backward, grad_wrt
 from mhexlab.errors import ContractError, DimensionError
 
-from helpers import check_grads, rel_err, rng_tensor
+from helpers import check_grads, conv2d_backward_reference, rel_err, rng_tensor
 
 
 def _rng(seed=0):
@@ -126,6 +126,50 @@ def test_conv_input_gradcheck():
         return ad.mean_all(ad.conv2d(x, w, stride=1, pad=1))
 
     check_grads(f, [x], tol=1e-4)
+
+
+# (x shape, w shape, stride, pad) like the CNN host's convs, at batch 3
+HOSTLIKE_CONVS = [((3, 4, 7, 7), (5, 4, 3, 3), 2, 1),     # downsampling 3x3
+                  ((3, 4, 8, 8), (5, 4, 1, 1), 2, 0),     # downsampling projection
+                  ((3, 1, 6, 6), (4, 1, 3, 3), 1, 1)]     # 1-channel stem
+
+
+@pytest.mark.parametrize("xs, ws, stride, pad", HOSTLIKE_CONVS)
+def test_conv_hostlike_gradcheck(xs, ws, stride, pad):
+    rng = _rng(11)
+    x = rng_tensor(rng, xs, 1.0)
+    w = rng_tensor(rng, ws, 0.5)
+
+    def f():
+        y = ad.conv2d(x, w, stride=stride, pad=pad)
+        return ad.mean_all(ad.mul(y, y))
+
+    check_grads(f, [x, w], tol=1e-5)
+
+
+# every conv of the default CNN host, (C, H, O, k, stride, pad), at batch 2:
+# stem, blocks, projections, then the side chain's global and carry 1x1s
+HOST_CONVS = [(1, 32, 8, 3, 1, 1), (8, 32, 8, 3, 1, 1), (8, 32, 16, 3, 2, 1),
+              (8, 32, 16, 1, 2, 0), (16, 16, 16, 3, 1, 1), (16, 16, 32, 3, 2, 1),
+              (16, 16, 32, 1, 2, 0), (32, 8, 32, 3, 1, 1), (32, 8, 64, 3, 2, 1),
+              (32, 8, 64, 1, 2, 0), (64, 4, 64, 3, 1, 1),
+              (64, 4, 16, 1, 1, 0), (64, 4, 32, 1, 1, 0), (64, 4, 64, 1, 1, 0),
+              (16, 8, 32, 1, 1, 0), (32, 4, 64, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("c, h, o, k, stride, pad", HOST_CONVS)
+def test_conv_backward_matches_col2im(c, h, o, k, stride, pad):
+    """The input gradient has the bits of the im2col reference; the weight
+    gradient sums the same products in another order."""
+    rng = _rng(12)
+    x = Tensor(rng.normal(size=(2, c, h, h)))
+    w = Tensor(rng.normal(size=(o, c, k, k)))
+    out = ad.conv2d(x, w, stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    gx, gw = out._backward(g)
+    ref_gx, ref_gw = conv2d_backward_reference(x.data, w.data, g, stride, pad)
+    assert np.array_equal(gx, ref_gx)
+    assert rel_err(gw, ref_gw) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -71,33 +71,37 @@ def test_explain_shapes_with_gradcam(shape_ckpt, tmp_path):
     assert (tmp_path / "sample0000_gradcam.pgm").exists()
 
 
-def test_config_with_removed_class_id_replays(shape_ckpt, tmp_path):
-    """Configs written while ``explain`` had a --class-id flag hold
-    class_id=None; replaying one skips the unknown key."""
+def _replay_with_removed_key(ckpt, tmp_path, line, samples):
+    """Run explain, append a key of a removed flag to its config.txt and
+    replay it; the unknown key is skipped and the artifacts are identical."""
     first, again = tmp_path / "first", tmp_path / "again"
     rc = cli.main(["explain", "--dataset", "shapes", "--n-samples", "8",
-                   "--checkpoint", str(shape_ckpt), "--samples", "1",
+                   "--checkpoint", str(ckpt), "--samples", samples,
                    "--out", str(first)])
     assert rc == 0
     cfg = first / "config.txt"
-    assert "class_id" not in cfg.read_text()
-    cfg.write_text(cfg.read_text() + "class_id=None\n")
-    rc = cli.main(["explain", "--config", str(cfg), "--checkpoint", str(shape_ckpt),
+    key = line.split("=")[0]
+    assert f"{key}=" not in cfg.read_text()
+    cfg.write_text(cfg.read_text() + line + "\n")
+    rc = cli.main(["explain", "--config", str(cfg), "--checkpoint", str(ckpt),
                    "--out", str(again)])
     assert rc == 0
-    for name in ("manifest.csv", "sample0001_mhex.pgm"):
+    names = ["manifest.csv"] + [f"sample{int(i):04d}_mhex.pgm" for i in samples.split(",")]
+    for name in names:
         assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
-def test_explain_workers_match_serial(shape_ckpt, tmp_path):
-    serial, par = tmp_path / "s", tmp_path / "p"
-    for out, workers in ((serial, "1"), (par, "2")):
-        rc = cli.main(["explain", "--dataset", "shapes", "--n-samples", "8",
-                       "--checkpoint", str(shape_ckpt), "--samples", "0,1,2",
-                       "--workers", workers, "--out", str(out)])
-        assert rc == 0
-    for name in ("sample0000_mhex.pgm", "sample0002_mhex.pgm"):
-        assert (serial / name).read_bytes() == (par / name).read_bytes()
+def test_config_with_removed_class_id_replays(shape_ckpt, tmp_path):
+    """Configs written while ``explain`` had a --class-id flag hold
+    class_id=None."""
+    _replay_with_removed_key(shape_ckpt, tmp_path, "class_id=None", "1")
+
+
+def test_config_with_removed_workers_replays(shape_ckpt, tmp_path):
+    """Configs written while every command had a --workers flag hold
+    workers=N; a replay with workers=2 runs serially."""
+    _replay_with_removed_key(shape_ckpt, tmp_path, "workers=2", "0,1,2")
+    assert "workers" not in (tmp_path / "again" / "config.txt").read_text()
 
 
 def test_evaluate_shapes(shape_ckpt, tmp_path):

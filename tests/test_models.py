@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,10 @@ from mhexlab.errors import (CheckpointFormatError, CheckpointShapeError,
                             CheckpointVersionError, ConfigurationError,
                             ContractError, DimensionError,
                             TrainingDivergedError)
-from mhexlab.models import (ResNetConfig, TransformerConfig, build_resnet,
-                            build_transformer, clone_model, count_mhex_params,
-                            head_accuracies, load_checkpoint, save_checkpoint,
-                            strip_mhex, train)
+from mhexlab.models import (EpochLog, ResNetConfig, TrainLog, TransformerConfig,
+                            build_resnet, build_transformer, clone_model,
+                            count_mhex_params, head_accuracies, load_checkpoint,
+                            save_checkpoint, strip_mhex, train)
 
 
 def test_resnet_config_validation():
@@ -157,6 +160,26 @@ def test_head_accuracies_reports_all_heads(small_cnn):
     assert all(0.0 <= a <= 1.0 for a in accs)
 
 
+def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):
+    """No tape node of the last step (activations and backward closures) is
+    alive while ``train`` runs its per-epoch accuracy pass."""
+    import mhexlab.models as models_mod
+    ds = mx.gen_shapes(16, seed=11)
+    m = build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=4)
+    params = {id(t) for t in m.params.values()}
+    live = []
+    accuracies = models_mod.head_accuracies
+
+    def counting(model, dataset, **kw):
+        live.append(sum(1 for o in gc.get_objects() if isinstance(o, ad.Tensor)
+                        and any(id(p) in params for p in o._parents)))
+        return accuracies(model, dataset, **kw)
+
+    monkeypatch.setattr(models_mod, "head_accuracies", counting)
+    train(m, ds, epochs=2, lr=1e-3, batch_size=8)
+    assert live == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -230,3 +253,32 @@ def test_clone_is_independent(small_cnn):
     twin.params["head.w"].data += 1.0
     assert not np.array_equal(twin.params["head.w"].data,
                               small_cnn.params["head.w"].data)
+
+
+def test_fixture_cache_retrains_stale_or_corrupt(tmp_path, monkeypatch):
+    """The session fixtures' checkpoint cache reloads only a checkpoint whose
+    digest matches; a stale digest or a corrupt file retrains with a notice."""
+    import conftest
+    monkeypatch.setattr(conftest, "CACHE", tmp_path)
+    builds = []
+
+    def build():
+        builds.append(1)
+        m = build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=5)
+        return m, TrainLog([EpochLog(0, 1.5, [0.25, 0.5])])
+
+    with pytest.warns(UserWarning, match="no cached checkpoint"):
+        first = conftest._cached_model("m.ckpt", build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = conftest._cached_model("m.ckpt", build)
+    assert len(builds) == 1
+    assert np.array_equal(first.params["head.w"].data, again.params["head.w"].data)
+    assert (tmp_path / "m.ckpt.log").read_text() == "0 1.5 [0.25, 0.5]\n"
+    (tmp_path / "m.ckpt.digest").write_text("0" * 64 + "\n")
+    with pytest.warns(UserWarning, match="sources changed"):
+        conftest._cached_model("m.ckpt", build)
+    (tmp_path / "m.ckpt").write_bytes(b"MHEXCKPT\x01\x00\x00\x00\x0c\x00\x00\x00kinx=resnet\n")
+    with pytest.warns(UserWarning, match="failed to load"):
+        conftest._cached_model("m.ckpt", build)
+    assert len(builds) == 3
