@@ -213,12 +213,11 @@ def matmul(a, b):
 def conv2d(x, w, stride=1, pad=0):
     """Cross-correlation with zero padding.
 
-    ``x`` is (C,H,W) or (N,C,H,W); ``w`` is (O,C,kh,kw). The output extent
-    is floor((H + 2*pad - kh) / stride) + 1.
+    ``x`` is (N,C,H,W); ``w`` is (O,C,kh,kw). The output extent is
+    floor((H + 2*pad - kh) / stride) + 1.
     """
     x, w = _as_tensor(x), _as_tensor(w)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4 or w.data.ndim != 4:
         raise DimensionError(f"conv2d expects (N,C,H,W) and (O,C,kh,kw), got {x.shape}, {w.shape}")
     n, c, h, wd_ = xd.shape
@@ -238,11 +237,9 @@ def conv2d(x, w, stride=1, pad=0):
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
     wdat = w.data
     out_data = np.matmul(wdat.reshape(o, c * kh * kw), cols).reshape(n, o, oh, ow)
-    if squeeze:
-        out_data = out_data[0]
 
     def backward(g):
-        gm = (g[None] if squeeze else g).reshape(n, o, oh * ow)
+        gm = g.reshape(n, o, oh * ow)
         # einsum without optimize runs numpy's own loop, not BLAS
         gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wdat.shape)
         # one GEMM per kernel row, not a cols-sized one; per tap, a 1-channel
@@ -254,7 +251,7 @@ def conv2d(x, w, stride=1, pad=0):
             for j in range(kw):
                 gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += drow[:, j]
         gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad else gxp
-        return (gx[0] if squeeze else gx), gw
+        return gx, gw
 
     return Tensor(out_data, _parents=(x, w), _backward=backward)
 
@@ -320,13 +317,12 @@ def softmax_last(x, additive_mask=None):
 def softmax_cross_entropy(logits, targets):
     """Mean negative log softmax probability of the target classes.
 
-    ``logits`` is (B, C) (or (C,) for a single sample); ``targets`` are class
-    indices.
+    ``logits`` is (B, C); ``targets`` are class indices.
     """
     logits = _as_tensor(logits)
-    ld = logits.data[None] if logits.data.ndim == 1 else logits.data
+    ld = logits.data
     if ld.ndim != 2:
-        raise DimensionError(f"logits must be (B,C) or (C,), got {logits.shape}")
+        raise DimensionError(f"logits must be (B,C), got {logits.shape}")
     t = np.atleast_1d(np.asarray(targets, dtype=np.intp))
     b, c = ld.shape
     if t.shape != (b,):
@@ -342,7 +338,7 @@ def softmax_cross_entropy(logits, targets):
         gl = probs.copy()
         gl[np.arange(b), t] -= 1.0
         gl *= float(g) / b
-        return (gl.reshape(logits.data.shape),)
+        return (gl,)
 
     return Tensor(loss, _parents=(logits,), _backward=backward)
 

@@ -68,22 +68,20 @@ class MhexOutput:
 
 
 def _pool(x, pad_mask=None):
-    """Channel vector from a feature tensor: spatial mean for (N,C,H,W) /
-    (C,H,W), non-pad sequence mean for (B,S,D)."""
+    """Channel vector from a feature tensor: spatial mean for (N,C,H,W),
+    non-pad sequence mean for (B,S,D)."""
     if pad_mask is not None:
         return ad.masked_seq_mean(x, ~np.asarray(pad_mask, dtype=bool))
     return ad.global_avg_pool(x)
 
 
 def _gate_broadcast(g, x):
-    """Multiply per-channel gate values onto the feature tensor."""
+    """Multiply per-channel gate values (B, C) onto the feature tensor."""
     if x.data.ndim == 4:      # (N, C, H, W)
         return ad.mul(x, ad.reshape(g, (g.data.shape[0], g.data.shape[1], 1, 1)))
-    if x.data.ndim == 3 and g.data.ndim == 2 and x.data.shape[0] == g.data.shape[0] \
+    if x.data.ndim == 3 and x.data.shape[0] == g.data.shape[0] \
             and x.data.shape[2] == g.data.shape[1]:   # tokens (B, S, D)
         return ad.mul(x, ad.reshape(g, (g.data.shape[0], 1, g.data.shape[1])))
-    if x.data.ndim == 3 and g.data.ndim == 1:          # single image (C, H, W)
-        return ad.mul(x, ad.reshape(g, (g.data.shape[0], 1, 1)))
     raise DimensionError(f"cannot broadcast gate {g.data.shape} onto {x.data.shape}")
 
 
@@ -102,13 +100,8 @@ def attention_gate(x, x_global, params, pad_mask=None):
     """Gate values g = sigmoid(w1 . pool(x + x_global)) and the gated input
     x_att = g (.) x. For token hosts the pool is the non-pad sequence mean."""
     _check_shapes(x, x_global)
-    pooled = _pool(ad.add(x, x_global), pad_mask)  # (B, C) or (C,)
-    if pooled.data.ndim == 1:
-        pooled = ad.reshape(pooled, (1, -1))
-        g = ad.sigmoid(ad.matmul(pooled, ad.transpose(params.w1, (1, 0))))
-        g = ad.reshape(g, (-1,))
-    else:
-        g = ad.sigmoid(ad.matmul(pooled, ad.transpose(params.w1, (1, 0))))
+    pooled = _pool(ad.add(x, x_global), pad_mask)  # (B, C)
+    g = ad.sigmoid(ad.matmul(pooled, ad.transpose(params.w1, (1, 0))))
     return g, _gate_broadcast(g, x)
 
 
@@ -121,15 +114,8 @@ def ds_logits(x, x_global, params, pad_mask=None):
     """
     _check_shapes(x, x_global)
     feats = ad.relu(ad.add(x, x_global))
-    pooled = _pool(feats, pad_mask)
-    single = pooled.data.ndim == 1
-    if single:
-        pooled = ad.reshape(pooled, (1, -1))
-    h = ad.matmul(pooled, ad.transpose(params.w1, (1, 0)))
-    logits = ad.matmul(h, ad.transpose(params.w2, (1, 0)))
-    if single:
-        logits = ad.reshape(logits, (-1,))
-    return logits, feats
+    h = ad.matmul(_pool(feats, pad_mask), ad.transpose(params.w1, (1, 0)))
+    return ad.matmul(h, ad.transpose(params.w2, (1, 0))), feats
 
 
 def run_block(x, x_global, params, pad_mask=None):

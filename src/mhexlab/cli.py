@@ -39,33 +39,25 @@ def _write_config(args, out_dir, name="config.txt"):
             fh.write(f"{key}={val}\n")
 
 
-def _load_config_defaults(parser, argv):
-    """--config FILE preloads key=value pairs as argument defaults."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    path = argv[i + 1]
-    overrides = {}
-    with open(path) as fh:
+def _load_config_defaults(parser, args):
+    """--config FILE makes its key=value pairs the command's defaults, so
+    argparse converts them with each flag's type and flags given on the
+    command line win. Keys no flag reads (removed flags) and ``None``
+    values are skipped."""
+    # argparse has no public accessor for a command's sub-parser
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = sub.choices[args.command]
+    defaults = {}
+    with open(args.config) as fh:
         for line in fh:
             key, _, val = line.strip().partition("=")
-            overrides[key.replace("-", "_")] = val
-    rest = argv[:i] + argv[i + 2:]
-    ns, _ = parser.parse_known_args(rest)
-    explicit = {a[2:].replace("-", "_") for a in rest if a.startswith("--")}
-    for key, val in overrides.items():
-        if key in explicit:
-            continue            # flags given on the command line win
-        if hasattr(ns, key) and val != "None":
-            cur = getattr(ns, key)
-            if isinstance(cur, bool):
-                val = val == "True"
-            elif isinstance(cur, int):
-                val = int(val)
-            elif isinstance(cur, float):
-                val = float(val)
-            setattr(ns, key, val)
-    return ns
+            key = key.replace("-", "_")
+            if key in ("command", "config", "func") or not hasattr(args, key) \
+                    or val == "None":
+                continue
+            # store_true flags: a string default would stay a (truthy) string
+            defaults[key] = val == "True" if isinstance(getattr(args, key), bool) else val
+    command.set_defaults(**defaults)
 
 
 def _make_dataset(args, n=None, seed=None):
@@ -196,7 +188,7 @@ def cmd_evaluate(args):
         methods["oracle"] = None
 
     def records_for(method):
-        recs, loc = [], []
+        recs, loc, cams = [], [], []
         for i in range(n):
             label = int(dataset.labels[i])
             image = dataset.images[i]
@@ -213,28 +205,20 @@ def cmd_evaluate(args):
                 r.area = args.force_area
             recs.append(r)
             loc.append(localization_score(cam, dataset.truth_masks[i]))
-        return recs, loc
+            cams.append(cam)
+        return recs, loc, cams
 
     summary = []
     for method in methods:
-        recs, loc = records_for(method)
+        recs, loc, cams = records_for(method)
         metrics.write_drop_csv(recs, out / f"drop_{method}.csv", method=method)
         curves_del, curves_ins = [], []
         for i in range(min(n, args.curve_samples)):
             label = int(dataset.labels[i])
             image = dataset.images[i]
-            if method == "mhex":
-                smap = saliency.explain_image(model, image, label, wf)
-                cam = saliency.resize_map(smap.grid, image.shape[-2:])
-            elif method == "gradcam":
-                cam = saliency.resize_map(
-                    saliency.gradcam_baseline(model, image, label).grid,
-                    image.shape[-2:])
-            else:
-                cam = _truth_cam(dataset, i)
-            curves_del.append(metrics.deletion_curve(model, image, cam, label,
+            curves_del.append(metrics.deletion_curve(model, image, cams[i], label,
                                                      steps=args.steps))
-            curves_ins.append(metrics.insertion_curve(model, image, cam, label,
+            curves_ins.append(metrics.insertion_curve(model, image, cams[i], label,
                                                       steps=args.steps))
         mean_del = metrics.Curve(curves_del[0].fractions,
                                  np.mean([c.confidences for c in curves_del], axis=0))
@@ -350,9 +334,9 @@ def build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        args = _load_config_defaults(parser, argv)
-    else:
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        _load_config_defaults(parser, args)
         args = parser.parse_args(argv)
     try:
         args.func(args)

@@ -10,8 +10,8 @@ which the collaboration analysis measures.
 
 Each host's forward pass is split to match: ``_backbone(x)`` runs the host
 alone and reads no explainer parameter, and ``side_chain(backbone_out,
-site_mask)`` runs the explainer blocks on its activations;
-``forward_collect`` is the two in turn. Because the backbone never depends
+site_mask)``, one loop shared by both hosts, runs the explainer blocks on
+its activations; ``forward_collect`` is the two in turn. Because the backbone never depends
 on the side chain, one backbone result can feed several side-chain passes
 (the block-wise analysis replays it once per masked cell), and a gradient
 sweep for an explainer parameter never visits a backbone node.
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .blocks import MhexParams, MhexOutput, run_block, mhex_loss
+from .blocks import MhexParams, run_block, mhex_loss
 from .errors import (CheckpointFormatError, CheckpointShapeError,
                      CheckpointVersionError, ConfigurationError,
                      ContractError, DimensionError, TrainingDivergedError)
@@ -170,18 +170,80 @@ class _ParamStore:
         return t
 
 
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+# ---------------------------------------------------------------------------
+# explainer side chain shared by both hosts
+
+
+class _Host:
+    """Explainer parameters and the side chain, common to both hosts.
+
+    A host's ``_backbone(x)`` returns ``(acts, final_feats, logits,
+    pad_mask)`` (``pad_mask`` is ``None`` on the CNN). Three hooks fit the
+    side chain to the host's activations:
+
+    - ``_global(feats, params, x_l, pad_mask)``: the final features
+      projected into site ``x_l``'s channel space, at its resolution;
+    - ``_carry(carry, params, x_l)``: the previous site's gated output
+      mapped onto ``x_l``;
+    - ``_mask(mask, x_l)``: a checked site mask as a tensor that broadcasts
+      over ``x_l``.
+    """
+
+    def mhex_params(self, s):
+        p = self.params
+        return MhexParams(
+            w1=p[f"mhex{s}.w1"], w2=p[f"mhex{s}.w2"],
+            proj_global=p[f"mhex{s}.proj_global"],
+            proj_carry=p.get(f"mhex{s}.proj_carry"))
+
+    def mhex_param_names(self):
+        return [n for n in self.params if n.startswith("mhex")]
+
+    def backbone_param_names(self):
+        return [n for n in self.params if not n.startswith("mhex")]
+
+    def side_chain(self, backbone_out, site_mask=None):
+        """Explainer blocks over a ``_backbone`` result, which may be shared
+        by several calls with different ``site_mask`` values.
+
+        ``site_mask`` is an optional ``(site_index, mask)`` pair; the mask
+        multiplies that site's whole effective input (activations plus
+        projected global features, values hence gradients), so per-cell
+        pooled contributions sum exactly to the unmasked ones.
+        """
+        acts, final_feats, final_logits, pad_mask = backbone_out
+        feats_src = final_feats.detach() if self.cfg.ds_stop_grad else final_feats
+        outputs, inputs, raws, globals_ = [], [], [], []
+        carry = None
+        for s, bidx in enumerate(self.sites):
+            params = self.mhex_params(s)
+            x_l = acts[bidx]
+            xg = self._global(feats_src, params, x_l, pad_mask)
+            u = x_l.detach() if self.cfg.ds_stop_grad else x_l
+            if carry is not None:
+                u = ad.add(u, self._carry(carry, params, x_l))
+            if site_mask is not None and site_mask[0] == s:
+                m = self._mask(np.asarray(site_mask[1], dtype=np.float64), x_l)
+                u = ad.mul(u, m)
+                xg = ad.mul(xg, m)
+            out = run_block(u, xg, params, pad_mask=pad_mask)
+            carry = out.x_att
+            outputs.append(out)
+            inputs.append(u)
+            raws.append(x_l)
+            globals_.append(xg)
+        return ForwardRecord(final_logits=final_logits, site_outputs=outputs,
+                             site_inputs=inputs, raw_activations=raws,
+                             x_globals=globals_, pad_mask=pad_mask)
 
 
 # ---------------------------------------------------------------------------
 # residual CNN host
 
 
-class ResNetModel:
+class ResNetModel(_Host):
     kind = "resnet"
+    config_class = ResNetConfig
 
     def __init__(self, cfg: ResNetConfig, seed=0):
         cfg.validate()
@@ -223,20 +285,6 @@ class ResNetModel:
         self.params = store.params
         self.sites = sites
 
-    # -- parameter access ----------------------------------------------
-    def mhex_params(self, s):
-        p = self.params
-        return MhexParams(
-            w1=p[f"mhex{s}.w1"], w2=p[f"mhex{s}.w2"],
-            proj_global=p[f"mhex{s}.proj_global"],
-            proj_carry=p.get(f"mhex{s}.proj_carry"))
-
-    def mhex_param_names(self):
-        return [n for n in self.params if n.startswith("mhex")]
-
-    def backbone_param_names(self):
-        return [n for n in self.params if not n.startswith("mhex")]
-
     # -- forward --------------------------------------------------------
     def _backbone(self, x):
         p = self.params
@@ -261,7 +309,7 @@ class ResNetModel:
         pooled = ad.global_avg_pool(h)                      # (N, C_last)
         logits = ad.add(ad.matmul(pooled, ad.transpose(p["head.w"], (1, 0))),
                         ad.reshape(p["head.b"], (1, -1)))
-        return acts, h, logits
+        return acts, h, logits, None
 
     def forward_logits(self, x):
         """Backbone-only forward; what the host computes with every explainer
@@ -269,61 +317,36 @@ class ResNetModel:
         return self._backbone(x)[2]
 
     def predict_proba(self, x):
-        return _softmax(self.forward_logits(x).data)
+        return ad.softmax_last(self.forward_logits(x)).data
 
     def forward_collect(self, x, site_mask=None):
-        """Instrumented forward pass.
-
-        ``site_mask`` is an optional ``(site_index, mask_hw)`` pair; the mask
-        multiplies that site's input activations (values, hence gradients)
-        for the block-wise collaboration analysis.
-        """
+        """Instrumented forward pass; ``site_mask`` is an optional
+        ``(site_index, mask_hw)`` pair (see ``side_chain``)."""
         return self.side_chain(self._backbone(x), site_mask)
 
-    def side_chain(self, backbone_out, site_mask=None):
-        """Explainer blocks over a ``_backbone`` result, which may be shared
-        by several calls with different ``site_mask`` values."""
-        acts, final_feats, final_logits = backbone_out
-        outputs, inputs, raws, globals_ = [], [], [], []
-        carry = None
-        for s, bidx in enumerate(self.sites):
-            params = self.mhex_params(s)
-            x_l = acts[bidx]
-            hw = x_l.data.shape[-2:]
-            feats_src = final_feats.detach() if self.cfg.ds_stop_grad else final_feats
-            xg = ad.nearest_resize(ad.conv2d(feats_src, params.proj_global, stride=1, pad=0), hw)
-            u = x_l.detach() if self.cfg.ds_stop_grad else x_l
-            if carry is not None:
-                u = ad.add(u, ad.conv2d(ad.nearest_resize(carry, hw),
-                                        params.proj_carry, stride=1, pad=0))
-            if site_mask is not None and site_mask[0] == s:
-                mask = np.asarray(site_mask[1], dtype=np.float64)
-                if mask.shape != hw:
-                    raise DimensionError(
-                        f"site mask shape {mask.shape} does not match site resolution {hw}")
-                # mask the block's whole effective input (activations plus
-                # projected global features) so per-cell pooled contributions
-                # sum exactly to the unmasked ones
-                m = Tensor(mask[None, None, :, :])
-                u = ad.mul(u, m)
-                xg = ad.mul(xg, m)
-            out = run_block(u, xg, params)
-            carry = out.x_att
-            outputs.append(out)
-            inputs.append(u)
-            raws.append(x_l)
-            globals_.append(xg)
-        return ForwardRecord(final_logits=final_logits, site_outputs=outputs,
-                             site_inputs=inputs, raw_activations=raws,
-                             x_globals=globals_)
+    def _global(self, feats, params, x_l, pad_mask):
+        xg = ad.conv2d(feats, params.proj_global, stride=1, pad=0)
+        return ad.nearest_resize(xg, x_l.data.shape[-2:])
+
+    def _carry(self, carry, params, x_l):
+        return ad.conv2d(ad.nearest_resize(carry, x_l.data.shape[-2:]),
+                         params.proj_carry, stride=1, pad=0)
+
+    def _mask(self, mask, x_l):
+        hw = x_l.data.shape[-2:]
+        if mask.shape != hw:
+            raise DimensionError(
+                f"site mask shape {mask.shape} does not match site resolution {hw}")
+        return Tensor(mask[None, None, :, :])
 
 
 # ---------------------------------------------------------------------------
 # transformer encoder host
 
 
-class TransformerModel:
+class TransformerModel(_Host):
     kind = "transformer"
+    config_class = TransformerConfig
 
     def __init__(self, cfg: TransformerConfig, seed=0):
         cfg.validate()
@@ -359,17 +382,6 @@ class TransformerModel:
             store.kaiming(f"mhex{s}.proj_global", (d, d), d)
         self.params = store.params
         self.sites = list(range(cfg.n_layers))
-
-    def mhex_params(self, s):
-        p = self.params
-        return MhexParams(w1=p[f"mhex{s}.w1"], w2=p[f"mhex{s}.w2"],
-                          proj_global=p[f"mhex{s}.proj_global"])
-
-    def mhex_param_names(self):
-        return [n for n in self.params if n.startswith("mhex")]
-
-    def backbone_param_names(self):
-        return [n for n in self.params if not n.startswith("mhex")]
 
     # -- forward --------------------------------------------------------
     def _attention(self, x, l, add_mask):
@@ -424,46 +436,34 @@ class TransformerModel:
         return self._backbone(ids)[2]
 
     def predict_proba(self, ids):
-        return _softmax(self.forward_logits(ids).data)
+        return ad.softmax_last(self.forward_logits(ids)).data
 
     def forward_collect(self, ids, site_mask=None):
         return self.side_chain(self._backbone(ids), site_mask)
 
-    def side_chain(self, backbone_out, site_mask=None):
-        acts, final_feats, final_logits, pad_mask = backbone_out
-        keep = ~pad_mask
-        outputs, inputs, raws, globals_ = [], [], [], []
-        carry = None
-        for s in self.sites:
-            params = self.mhex_params(s)
-            x_l = acts[s]
-            feats_src = final_feats.detach() if self.cfg.ds_stop_grad else final_feats
-            gvec = ad.matmul(ad.masked_seq_mean(feats_src, keep), params.proj_global)
-            xg = ad.reshape(gvec, (gvec.data.shape[0], 1, gvec.data.shape[1]))
-            u = x_l.detach() if self.cfg.ds_stop_grad else x_l
-            if carry is not None:
-                u = ad.add(u, carry)
-            if site_mask is not None and site_mask[0] == s:
-                mask = np.asarray(site_mask[1], dtype=np.float64)
-                # mask the whole effective input; the broadcast global vector
-                # becomes per-position so masked positions contribute nothing
-                m = Tensor(mask[None, :, None])
-                u = ad.mul(u, m)
-                xg = ad.mul(xg, m)
-            out = run_block(u, xg, params, pad_mask=pad_mask)
-            # stabilize the side chain as the host stabilizes its stream
-            carry = ad.layer_norm(out.x_att)
-            outputs.append(out)
-            inputs.append(u)
-            raws.append(x_l)
-            globals_.append(xg)
-        return ForwardRecord(final_logits=final_logits, site_outputs=outputs,
-                             site_inputs=inputs, raw_activations=raws,
-                             x_globals=globals_, pad_mask=pad_mask)
+    def _global(self, feats, params, x_l, pad_mask):
+        gvec = ad.matmul(ad.masked_seq_mean(feats, ~pad_mask), params.proj_global)
+        return ad.reshape(gvec, (gvec.data.shape[0], 1, gvec.data.shape[1]))
+
+    def _carry(self, carry, params, x_l):
+        # stabilize the side chain as the host stabilizes its stream
+        return ad.layer_norm(carry)
+
+    def _mask(self, mask, x_l):
+        # the broadcast global vector becomes per-position, so masked
+        # positions contribute nothing
+        if mask.shape != x_l.data.shape[1:2]:
+            raise DimensionError(
+                f"site mask shape {mask.shape} does not match sequence length "
+                f"{x_l.data.shape[1]}")
+        return Tensor(mask[None, :, None])
 
 
 # ---------------------------------------------------------------------------
 # builders and parameter accounting
+
+
+HOSTS = {"resnet": ResNetModel, "transformer": TransformerModel}
 
 
 def build_resnet(cfg: ResNetConfig, seed=0):
@@ -580,8 +580,8 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
 # checkpointing
 
 
-def _config_to_text(cfg):
-    lines = [f"kind={'resnet' if isinstance(cfg, ResNetConfig) else 'transformer'}"]
+def _config_to_text(kind, cfg):
+    lines = [f"kind={kind}"]
     for key, val in vars(cfg).items():
         if isinstance(val, (tuple, list)):
             val = ",".join(str(x) for x in val)
@@ -589,35 +589,39 @@ def _config_to_text(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _config_from_text(text):
-    kv = {}
-    for line in text.strip().splitlines():
-        key, _, val = line.partition("=")
-        kv[key] = val
-    kind = kv.pop("kind")
-    cls = ResNetConfig if kind == "resnet" else TransformerConfig
-    cfg = cls()
-    for key, val in kv.items():
-        if key == "mhex_sites":
-            if val not in ("downsample", "all"):
-                val = tuple(int(x) for x in val.split(","))
-        else:
+def _config_from_text(raw):
+    """(host class, config) from a checkpoint's config bytes; anything that
+    does not parse raises ``CheckpointFormatError``."""
+    try:
+        kv = dict(line.partition("=")[::2] for line in raw.decode().strip().splitlines())
+        host = HOSTS.get(kv.pop("kind", None))
+        if host is None:
+            raise ValueError("missing or unknown host kind")
+        cfg = host.config_class()
+        for key, val in kv.items():
+            if key not in vars(cfg):
+                raise ValueError(f"unknown key {key!r}")
             cur = getattr(cfg, key)
-            if isinstance(cur, bool):
+            if key == "mhex_sites":
+                if val not in ("downsample", "all"):
+                    val = tuple(int(x) for x in val.split(","))
+            elif isinstance(cur, bool):
                 val = val == "True"
             elif isinstance(cur, int):
                 val = int(val)
             elif isinstance(cur, (tuple, list)):
                 val = tuple(int(x) for x in val.split(","))
-        setattr(cfg, key, val)
-    return kind, cfg
+            setattr(cfg, key, val)
+    except ValueError as exc:       # UnicodeDecodeError is a ValueError
+        raise CheckpointFormatError(f"bad checkpoint config: {exc}") from None
+    return host, cfg
 
 
 def save_checkpoint(model, path):
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    cfg_bytes = _config_to_text(model.cfg).encode()
+    cfg_bytes = _config_to_text(model.kind, model.cfg).encode()
     buf.write(struct.pack("<I", len(cfg_bytes)))
     buf.write(cfg_bytes)
     buf.write(struct.pack("<I", int(model.seed) & 0xFFFFFFFF))
@@ -652,9 +656,9 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise CheckpointVersionError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        kind, cfg = _config_from_text(_read_exact(fh, cfg_len, "config").decode())
+        host, cfg = _config_from_text(_read_exact(fh, cfg_len, "config"))
         (seed,) = struct.unpack("<I", _read_exact(fh, 4, "seed"))
-        model = (build_resnet if kind == "resnet" else build_transformer)(cfg, seed=seed)
+        model = host(cfg, seed=seed)
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         table = []
         for _ in range(n_tensors):
@@ -677,8 +681,7 @@ def load_checkpoint(path):
 
 def clone_model(model):
     """Independent copy sharing no buffers."""
-    builder = build_resnet if model.kind == "resnet" else build_transformer
-    twin = builder(model.cfg, seed=model.seed)
+    twin = HOSTS[model.kind](model.cfg, seed=model.seed)
     for name, t in model.params.items():
         twin.params[name].data = t.data.copy()
     return twin

@@ -117,12 +117,9 @@ def cam_layer(w_row, features):
 
 
 def resize_map(grid, out_hw):
-    """Nearest-neighbor resize of a 2-D score grid."""
-    h, w = grid.shape
-    h2, w2 = out_hw
-    ir = (np.arange(h2) * h) // h2
-    ic = (np.arange(w2) * w) // w2
-    return grid[ir[:, None], ic[None, :]]
+    """Nearest-neighbor resize of a 2-D score grid (``ad.nearest_resize``'s
+    index rule)."""
+    return ad.nearest_resize(grid, out_hw).data
 
 
 def normalize_map(raw):
@@ -183,8 +180,7 @@ def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None)
     for s in range(len(model.sites)):
         w_eq = equivalent_matrix(model.mhex_params(s))
         w_fin = final_weights(w_eq, cfg)
-        feats = rec.site_outputs[s].relu_features.data
-        grids.append(cam_layer(w_fin[class_id], feats[0] if feats.ndim == 4 else feats))
+        grids.append(cam_layer(w_fin[class_id], rec.site_outputs[s].relu_features.data[0]))
     out = aggregate_cams(grids, cfg.layer_decay, class_id=class_id)
     return out
 
@@ -206,7 +202,7 @@ def gradcam_baseline(model, image, class_id):
     comparison plumbing, not part of the blocks' own saliency path."""
     if getattr(model, "kind", None) != "resnet":
         raise ContractError("gradcam_baseline supports only the CNN host")
-    acts, final_feats, logits = model._backbone(image)
+    _, final_feats, logits, _ = model._backbone(image)
     onehot = np.zeros(logits.data.shape)
     onehot[..., class_id] = 1.0
     target = ad.sum_axis(ad.mul(logits, onehot))

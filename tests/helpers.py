@@ -2,6 +2,8 @@
 reference implementations used to cross-check the library.
 """
 
+import struct
+
 import numpy as np
 
 from mhexlab.autodiff import Tensor, grad_wrt
@@ -72,3 +74,12 @@ def conv2d_backward_reference(x, w, g, stride, pad):
         for j in range(kw):
             gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
     return gxp[:, :, pad:pad + h, pad:pad + wd], gw
+
+
+def checkpoint_with_config(data, edit):
+    """Checkpoint bytes with the config section replaced by
+    ``edit(config_bytes)``; its length field follows the 8-byte magic and
+    the 4-byte version."""
+    (cfg_len,) = struct.unpack_from("<I", data, 12)
+    cfg = edit(data[16:16 + cfg_len])
+    return data[:12] + struct.pack("<I", len(cfg)) + cfg + data[16 + cfg_len:]

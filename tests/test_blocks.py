@@ -64,6 +64,21 @@ def test_logit_equals_mean_of_layer_cam():
         assert abs(cam.mean() - logits.data[0, cls]) < 1e-12
 
 
+@pytest.mark.parametrize("op", ["conv2d", "softmax_cross_entropy", "run_block"])
+def test_unbatched_inputs_raise(op):
+    """Primitives and blocks take batched inputs only; a single (C,H,W)
+    image or (C,) logit vector is a shape error, not a silent squeeze."""
+    rng = np.random.default_rng(6)
+    with pytest.raises(DimensionError):
+        if op == "conv2d":
+            ad.conv2d(Tensor(rng.normal(size=(2, 5, 5))), Tensor(rng.normal(size=(3, 2, 3, 3))))
+        elif op == "softmax_cross_entropy":
+            ad.softmax_cross_entropy(Tensor(rng.normal(size=(4,))), [1])
+        else:
+            x = Tensor(rng.normal(size=(6, 4, 4)))
+            run_block(x, Tensor(rng.normal(size=(6, 4, 4))), _params())
+
+
 def test_equivalent_matrix_is_product():
     p = _params()
     assert np.allclose(equivalent_matrix(p), p.w2.data @ p.w1.data)

@@ -8,6 +8,8 @@ import pytest
 from mhexlab import cli
 from mhexlab.models import save_checkpoint
 
+from helpers import checkpoint_with_config
+
 
 @pytest.fixture(scope="module")
 def token_ckpt(tmp_path_factory):
@@ -102,6 +104,45 @@ def test_config_with_removed_workers_replays(shape_ckpt, tmp_path):
     workers=N; a replay with workers=2 runs serially."""
     _replay_with_removed_key(shape_ckpt, tmp_path, "workers=2", "0,1,2")
     assert "workers" not in (tmp_path / "again" / "config.txt").read_text()
+
+
+REPLAYS = {
+    "lr": (["train", "--dataset", "tokens", "--n-samples", "32", "--epochs", "1",
+            "--lr", "0.002"], ["checkpoint.ckpt", "trainlog.csv"]),
+    "ss": (["explain", "--n-samples", "8", "--samples", "0,2", "--ss", "0.5",
+            "--grad-cam"], ["manifest.csv", "sample0000_mhex.pgm",
+                            "sample0002_mhex.pgm", "sample0002_gradcam.pgm"]),
+    "force_area": (["evaluate", "--n-samples", "4", "--curve-samples", "2",
+                    "--steps", "4", "--force-area", "0.3"],
+                   ["drop_mhex.csv", "summary.csv", "deletion_mhex.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAYS))
+def test_config_replay_converts_types(shape_ckpt, tmp_path, case):
+    """A replayed config.txt holds every value as text, including flags whose
+    default is None and store_true flags; each is converted by the flag's
+    own type, so the replay writes byte-identical artifacts."""
+    argv, names = REPLAYS[case]
+    ckpt = [] if argv[0] == "train" else ["--checkpoint", str(shape_ckpt)]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(argv + ckpt + ["--out", str(first)]) == 0
+    assert cli.main([argv[0], "--config", str(first / "config.txt")] + ckpt
+                    + ["--out", str(again)]) == 0
+    for name in names + ["config.txt"]:
+        a, b = (again / name).read_bytes(), (first / name).read_bytes()
+        assert a == b if name != "config.txt" else a.replace(b"again", b"first") == b
+
+
+def test_explain_bad_checkpoint_config_exits_1(small_transformer, tmp_path, capsys):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(small_transformer, path)
+    path.write_bytes(checkpoint_with_config(
+        path.read_bytes(), lambda c: c.replace(b"kind=transformer", b"kind=mlp")))
+    rc = cli.main(["explain", "--dataset", "tokens", "--n-samples", "8",
+                   "--checkpoint", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_evaluate_shapes(shape_ckpt, tmp_path):

@@ -15,6 +15,8 @@ from mhexlab.models import (EpochLog, ResNetConfig, TrainLog, TransformerConfig,
                             count_mhex_params, head_accuracies, load_checkpoint,
                             save_checkpoint, strip_mhex, train)
 
+from helpers import checkpoint_with_config
+
 
 def test_resnet_config_validation():
     with pytest.raises(ConfigurationError):
@@ -96,6 +98,14 @@ def test_input_shape_contract(small_cnn, small_transformer):
         small_transformer.forward_collect(np.ones((1, 99), dtype=np.intp) * 2)
     with pytest.raises(ContractError):
         small_transformer.forward_collect(np.ones((1, 4), dtype=np.intp))  # all pad
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_transformer_site_mask_shape_contract(small_transformer, length):
+    """A token site mask must hold one value per position."""
+    ids = mx.gen_tokens(2, seed=5).ids
+    with pytest.raises(DimensionError):
+        small_transformer.forward_collect(ids, site_mask=(1, np.ones(length)))
 
 
 def test_head_removal_bit_identical(small_cnn, small_transformer):
@@ -245,6 +255,27 @@ def test_checkpoint_shape_mismatch(tmp_path, small_cnn):
     struct.pack_into("<I", bad, dim_off, 9999)
     p.write_bytes(bytes(bad))
     with pytest.raises(CheckpointShapeError):
+        load_checkpoint(p)
+
+
+BAD_CONFIGS = {
+    "missing_kind": lambda c: c.replace(b"kind=transformer\n", b""),
+    "non_integer": lambda c: c.replace(b"n_class=4", b"n_class=four"),
+    "unknown_key": lambda c: c + b"colour=red\n",
+    "non_utf8": lambda c: c.replace(b"pad_id=1", b"pad_id=\xff"),
+    "unknown_kind": lambda c: c.replace(b"kind=transformer", b"kind=mlp"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_checkpoint_bad_config(tmp_path, small_transformer, case):
+    p = tmp_path / "t.ckpt"
+    save_checkpoint(small_transformer, p)
+    data = p.read_bytes()
+    bad = checkpoint_with_config(data, BAD_CONFIGS[case])
+    assert bad != data
+    p.write_bytes(bad)
+    with pytest.raises(CheckpointFormatError):
         load_checkpoint(p)
 
 
