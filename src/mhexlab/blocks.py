@@ -42,22 +42,6 @@ class MhexParams:
             raise DimensionError(
                 f"w2 columns ({self.w2.data.shape[1]}) must match w1 size ({c1})")
 
-    @property
-    def n_channels(self):
-        return self.w1.data.shape[0]
-
-    @property
-    def n_class(self):
-        return self.w2.data.shape[0]
-
-    def tensors(self):
-        out = [self.w1, self.w2]
-        if self.proj_global is not None:
-            out.append(self.proj_global)
-        if self.proj_carry is not None:
-            out.append(self.proj_carry)
-        return out
-
 
 @dataclass
 class MhexOutput:

@@ -39,14 +39,17 @@ def _write_config(args, out_dir, name="config.txt"):
             fh.write(f"{key}={val}\n")
 
 
+def _command_parser(parser, command):
+    # argparse has no public accessor for a command's sub-parser
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
 def _load_config_defaults(parser, args):
     """--config FILE makes its key=value pairs the command's defaults, so
     argparse converts them with each flag's type and flags given on the
     command line win. Keys no flag reads (removed flags) and ``None``
     values are skipped."""
-    # argparse has no public accessor for a command's sub-parser
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = sub.choices[args.command]
     defaults = {}
     with open(args.config) as fh:
         for line in fh:
@@ -57,18 +60,16 @@ def _load_config_defaults(parser, args):
                 continue
             # store_true flags: a string default would stay a (truthy) string
             defaults[key] = val == "True" if isinstance(getattr(args, key), bool) else val
-    command.set_defaults(**defaults)
+    _command_parser(parser, args.command).set_defaults(**defaults)
 
 
-def _make_dataset(args, n=None, seed=None):
-    n = n if n is not None else args.n_samples
-    seed = seed if seed is not None else args.seed
+def _make_dataset(args):
     if args.dataset == "shapes":
-        return gen_shapes(n, seed=seed)
-    return gen_tokens(n, seed=seed)
+        return gen_shapes(args.n_samples, seed=args.seed)
+    return gen_tokens(args.n_samples, seed=args.seed)
 
 
-def _wf_config(args, n_class):
+def _wf_config(args):
     return saliency.WeightFilterConfig(
         neg_mix=args.alpha,
         ss_threshold=args.ss,
@@ -122,7 +123,7 @@ def cmd_explain(args):
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
     ids = _sample_ids(args, dataset)
-    wf = _wf_config(args, dataset.n_class)
+    wf = _wf_config(args)
     manifest = []
     for i in ids:
         label = int(dataset.labels[i])
@@ -166,7 +167,7 @@ def cmd_evaluate(args):
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
     n = min(args.n_samples, len(dataset))
-    wf = _wf_config(args, dataset.n_class)
+    wf = _wf_config(args)
 
     if args.dataset == "tokens":
         records = []
@@ -200,10 +201,7 @@ def cmd_evaluate(args):
                 cam = saliency.resize_map(smap.grid, image.shape[-2:])
             else:
                 cam = _truth_cam(dataset, i)
-            r = metrics.drop_record(model, image, label, cam, sample_id=i)
-            if args.force_area is not None:
-                r.area = args.force_area
-            recs.append(r)
+            recs.append(metrics.drop_record(model, image, label, cam, sample_id=i))
             loc.append(localization_score(cam, dataset.truth_masks[i]))
             cams.append(cam)
         return recs, loc, cams
@@ -303,7 +301,7 @@ def build_parser():
     p = sub.add_parser("explain", help="emit saliency artifacts")
     common(p)
     wf_flags(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", help="required unless --config holds it")
     p.add_argument("--samples", default=None, help="comma-separated sample ids")
     p.add_argument("--grad-cam", action="store_true")
     p.set_defaults(func=cmd_explain)
@@ -311,19 +309,17 @@ def build_parser():
     p = sub.add_parser("evaluate", help="saliency-quality metric tables")
     common(p)
     wf_flags(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", help="required unless --config holds it")
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--top-frac", type=float, default=0.10)
     p.add_argument("--grad-cam", action="store_true")
     p.add_argument("--oracle-explainer", action="store_true")
-    p.add_argument("--force-area", type=float, default=None,
-                   help="test flag: override every record's area")
     p.add_argument("--curve-samples", type=int, default=16)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="collaboration and entropy analysis")
     common(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", help="required unless --config holds it")
     p.add_argument("--grid", type=int, default=7)
     p.add_argument("--block-samples", type=int, default=4)
     p.add_argument("--entropy-n", type=int, default=1_000_000)
@@ -338,6 +334,10 @@ def main(argv=None):
     if args.config is not None:
         _load_config_defaults(parser, args)
         args = parser.parse_args(argv)
+    # checked after the config defaults apply, which may supply it
+    if args.command != "train" and args.checkpoint is None:
+        _command_parser(parser, args.command).error(
+            "the following arguments are required: --checkpoint")
     try:
         args.func(args)
     except (MhexError, OSError) as exc:

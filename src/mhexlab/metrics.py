@@ -59,21 +59,19 @@ def _check_cam(image, cam):
     return image, cam
 
 
-def soft_mask(image, cam, mu=None):
+def soft_mask(image, cam):
     """Convex per-pixel blend toward the mean intensity: the stronger the
     saliency, the more of the pixel is replaced."""
     image, cam = _check_cam(image, cam)
-    mu = mean_intensity(image) if mu is None else np.asarray(mu, dtype=np.float64)
-    mu = mu.reshape(-1, 1, 1) if mu.ndim else mu
+    mu = mean_intensity(image)[..., None, None]
     return image * (1.0 - cam) + mu * cam
 
 
-def hard_mask(image, cam, threshold=0.5, fill=None):
-    """Replace pixels whose saliency reaches ``threshold`` by ``fill``
-    (default: per-channel mean intensity)."""
+def hard_mask(image, cam, threshold=0.5):
+    """Replace pixels whose saliency reaches ``threshold`` by the
+    per-channel mean intensity."""
     image, cam = _check_cam(image, cam)
-    fill = mean_intensity(image) if fill is None else np.asarray(fill, dtype=np.float64)
-    fill = fill.reshape(-1, 1, 1) if fill.ndim else fill
+    fill = mean_intensity(image)[..., None, None]
     keep = cam < threshold
     return np.where(keep, image, np.broadcast_to(fill, image.shape))
 
@@ -88,18 +86,17 @@ def saliency_area(cam, threshold=0.5):
 # drop metrics
 
 
-def drop_record(model_or_fn, image, label, cam, sample_id=0, mode="hard",
-                threshold=0.5):
+def drop_record(model_or_fn, image, label, cam, sample_id=0, mode="hard"):
     """Confidence drop for one sample under hard (mean-fill) or soft
     (convex-blend) removal of the salient region."""
     predict = _predictor(model_or_fn)
     image = np.asarray(image, dtype=np.float64)
     p_orig = _probs_for(predict, image[None] if image.ndim == 3 else image, label)
-    masked = hard_mask(image, cam, threshold) if mode == "hard" else soft_mask(image, cam)
+    masked = hard_mask(image, cam) if mode == "hard" else soft_mask(image, cam)
     p_mask = _probs_for(predict, masked[None] if masked.ndim == 3 else masked, label)
     drop = max(0.0, (p_orig - p_mask) / p_orig) if p_orig > 0 else 0.0
     return DropRecord(sample_id=sample_id, p_orig=p_orig, p_mask=p_mask,
-                      drop=drop, area=saliency_area(cam, threshold))
+                      drop=drop, area=saliency_area(cam))
 
 
 def avg_drop(records):

@@ -48,7 +48,6 @@ class ResNetConfig:
     image_size: int = 32
     n_class: int = 4
     mhex_sites: object = "downsample"   # "downsample" | "all" | explicit indices
-    ds_stop_grad: bool = False
 
     def validate(self):
         ch = tuple(self.stage_channels)
@@ -101,20 +100,16 @@ class TransformerConfig:
     n_layers: int = 4
     max_seq: int = 16
     n_class: int = 4
-    saliency_layers: int = 3
     ffn_mult: int = 2
     pad_id: int = 1
-    ds_stop_grad: bool = False
 
     def validate(self):
-        if self.n_layers < 1:
-            raise ConfigurationError("n_layers must be >= 1")
-        if self.d_model < 1 or self.d_model % self.n_heads:
+        if self.n_layers < 1 or self.ffn_mult < 1:
+            raise ConfigurationError("n_layers and ffn_mult must be >= 1")
+        if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads:
             raise ConfigurationError("d_model must be a positive multiple of n_heads")
         if self.n_class < 2:
             raise ConfigurationError("n_class must be >= 2")
-        if not 1 <= self.saliency_layers <= self.n_layers:
-            raise ConfigurationError("saliency_layers must be in [1, n_layers]")
         if self.vocab_size < self.n_class + 2:
             raise ConfigurationError("vocab_size too small")
         if self.max_seq < 1:
@@ -130,9 +125,6 @@ class ForwardRecord:
 
     final_logits: Tensor
     site_outputs: list          # MhexOutput per site
-    site_inputs: list           # block input (backbone activation + carry)
-    raw_activations: list       # backbone activation at each site
-    x_globals: list
     pad_mask: np.ndarray | None = None
 
     def head_logits(self):
@@ -212,14 +204,12 @@ class _Host:
         pooled contributions sum exactly to the unmasked ones.
         """
         acts, final_feats, final_logits, pad_mask = backbone_out
-        feats_src = final_feats.detach() if self.cfg.ds_stop_grad else final_feats
-        outputs, inputs, raws, globals_ = [], [], [], []
+        outputs = []
         carry = None
         for s, bidx in enumerate(self.sites):
             params = self.mhex_params(s)
-            x_l = acts[bidx]
-            xg = self._global(feats_src, params, x_l, pad_mask)
-            u = x_l.detach() if self.cfg.ds_stop_grad else x_l
+            x_l = u = acts[bidx]
+            xg = self._global(final_feats, params, x_l, pad_mask)
             if carry is not None:
                 u = ad.add(u, self._carry(carry, params, x_l))
             if site_mask is not None and site_mask[0] == s:
@@ -229,12 +219,8 @@ class _Host:
             out = run_block(u, xg, params, pad_mask=pad_mask)
             carry = out.x_att
             outputs.append(out)
-            inputs.append(u)
-            raws.append(x_l)
-            globals_.append(xg)
         return ForwardRecord(final_logits=final_logits, site_outputs=outputs,
-                             site_inputs=inputs, raw_activations=raws,
-                             x_globals=globals_, pad_mask=pad_mask)
+                             pad_mask=pad_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +575,11 @@ def _config_to_text(kind, cfg):
     return "\n".join(lines) + "\n"
 
 
+# keys of removed config fields that older checkpoints still hold; neither
+# field changed a forward value or an explainer gradient
+REMOVED_CONFIG_KEYS = ("saliency_layers", "ds_stop_grad")
+
+
 def _config_from_text(raw):
     """(host class, config) from a checkpoint's config bytes; anything that
     does not parse raises ``CheckpointFormatError``."""
@@ -599,14 +590,14 @@ def _config_from_text(raw):
             raise ValueError("missing or unknown host kind")
         cfg = host.config_class()
         for key, val in kv.items():
+            if key in REMOVED_CONFIG_KEYS:
+                continue
             if key not in vars(cfg):
                 raise ValueError(f"unknown key {key!r}")
             cur = getattr(cfg, key)
             if key == "mhex_sites":
                 if val not in ("downsample", "all"):
                     val = tuple(int(x) for x in val.split(","))
-            elif isinstance(cur, bool):
-                val = val == "True"
             elif isinstance(cur, int):
                 val = int(val)
             elif isinstance(cur, (tuple, list)):
@@ -648,7 +639,12 @@ def _read_exact(fh, n, what):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
+    """Model from a checkpoint file. A corrupt or truncated file raises a
+    ``CheckpointError`` and nothing else; opening the path may raise
+    ``OSError``."""
+    # parse from memory, so a corrupt length field cannot make a read
+    # reserve more than the file holds
+    with open(path, "rb") as f, io.BytesIO(f.read()) as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"bad magic bytes in {path}")
@@ -658,12 +654,18 @@ def load_checkpoint(path):
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
         host, cfg = _config_from_text(_read_exact(fh, cfg_len, "config"))
         (seed,) = struct.unpack("<I", _read_exact(fh, 4, "seed"))
-        model = host(cfg, seed=seed)
+        try:
+            model = host(cfg, seed=seed)
+        except ConfigurationError as exc:
+            raise CheckpointFormatError(f"bad checkpoint config: {exc}") from None
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         table = []
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode()
+            try:
+                name = _read_exact(fh, name_len, "name").decode()
+            except UnicodeDecodeError:
+                raise CheckpointFormatError("a tensor name is not UTF-8") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, "dim"))[0]
                           for _ in range(ndim))

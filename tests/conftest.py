@@ -11,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import mhexlab as mx
+from mhexlab.errors import CheckpointError
 from mhexlab.models import (ResNetConfig, TransformerConfig, build_resnet,
                             build_transformer, load_checkpoint,
                             save_checkpoint, train)
@@ -52,7 +53,7 @@ def _cached_model(path, builder):
     else:
         try:
             return load_checkpoint(ckpt)
-        except Exception as exc:    # a corrupt file may fail anywhere in parsing
+        except CheckpointError as exc:
             reason = f"it failed to load ({exc!r})"
     warnings.warn(f"training {path}: {reason}", stacklevel=2)
     model, log = builder()

@@ -250,22 +250,12 @@ def test_criterion_09_metric_ordering(capsys, trained_cnn, heldout_shapes):
             losses += 1
     p_sign = A.sign_test_p(wins, losses)
 
-    # mean deletion curves, batched over samples per step
     def mean_del_auc(maps):
-        confs = np.zeros(steps)
-        fracs = np.linspace(0.0, 1.0, steps)
-        imgs = heldout_shapes.images[:n]
-        mus = M.mean_intensity(imgs.reshape(n, 1, 32, 32)).reshape(n, 1, 1, 1)
-        orders = [M._pixel_order(m) for m in maps]
-        for si, frac in enumerate(fracs):
-            k = int(round(frac * 32 * 32))
-            batch = imgs.copy().reshape(n, 1, -1)
-            for i in range(n):
-                batch[i, :, orders[i][:k]] = mus[i, 0, 0, 0]
-            probs = trained_cnn.predict_proba(batch.reshape(n, 1, 32, 32))
-            confs[si] = float(np.mean(
-                probs[np.arange(n), heldout_shapes.labels[:n]]))
-        return M.auc(M.Curve(fracs, confs))
+        curves = [M.deletion_curve(trained_cnn, heldout_shapes.images[i], maps[i],
+                                   int(heldout_shapes.labels[i]), steps=steps)
+                  for i in range(n)]
+        return M.auc(M.Curve(curves[0].fractions,
+                             np.mean([c.confidences for c in curves], axis=0)))
 
     auc_m = mean_del_auc(cams)
     auc_r = mean_del_auc(rand_cams)

@@ -132,7 +132,7 @@ def test_blockwise_zero_cell(small_cnn):
     ds = mx.gen_shapes(1, seed=32)
     label = int(ds.labels[0])
     rec = small_cnn.forward_collect(ds.images[0])
-    hw = rec.site_inputs[0].data.shape[-2:]
+    hw = rec.site_outputs[0].relu_features.data.shape[-2:]
     mask = np.zeros(hw)
     g_ds, g_ag = A.site_gradient_pair(small_cnn, ds.images[0], label, 0,
                                       site_mask=mask)
@@ -145,7 +145,7 @@ def test_blockwise_additive_for_linear_head(small_cnn):
     ds = mx.gen_shapes(1, seed=33)
     label = int(ds.labels[0])
     rec = small_cnn.forward_collect(ds.images[0])
-    hw = rec.site_inputs[0].data.shape[-2:]
+    hw = rec.site_outputs[0].relu_features.data.shape[-2:]
     grid = 2
     total = np.zeros_like(small_cnn.params["mhex0.w1"].data)
     rows = (np.arange(hw[0]) * grid) // hw[0]
@@ -177,7 +177,7 @@ def _host_sample(model, seed):
     if model.kind == "resnet":
         ds = mx.gen_shapes(1, seed=seed)
         x = ds.images[0]
-        hw = model.forward_collect(x).site_inputs[0].data.shape[-2:]
+        hw = model.forward_collect(x).site_outputs[0].relu_features.data.shape[-2:]
         mask = np.zeros(hw)
         mask[: hw[0] // 2, hw[1] // 3:] = 1.0
     else:
@@ -280,7 +280,7 @@ def test_blockwise_equals_per_cell_pairs(small_cnn):
     ds = mx.gen_shapes(1, seed=44)
     x, label, grid, site = ds.images[0], int(ds.labels[0]), 3, 1
     bq = A.blockwise_quality(small_cnn, x, label, grid=grid, site=site)
-    h, w = small_cnn.forward_collect(x).site_inputs[site].data.shape[-2:]
+    h, w = small_cnn.forward_collect(x).site_outputs[site].relu_features.data.shape[-2:]
     rows = (np.arange(h) * grid) // h
     cols = (np.arange(w) * grid) // w
     ref = np.empty((grid, grid))

@@ -59,7 +59,7 @@ def test_logit_equals_mean_of_layer_cam():
     xg = Tensor(rng.normal(size=(1, 6, 4, 4)))
     logits, feats = ds_logits(x, xg, p)
     w_eq = equivalent_matrix(p)
-    for cls in range(p.n_class):
+    for cls in range(p.w2.data.shape[0]):
         cam = np.tensordot(w_eq[cls], feats.data[0], axes=(0, 0))
         assert abs(cam.mean() - logits.data[0, cls]) < 1e-12
 

@@ -73,22 +73,23 @@ def test_explain_shapes_with_gradcam(shape_ckpt, tmp_path):
     assert (tmp_path / "sample0000_gradcam.pgm").exists()
 
 
-def _replay_with_removed_key(ckpt, tmp_path, line, samples):
-    """Run explain, append a key of a removed flag to its config.txt and
+def _explain_argv(samples):
+    return ["explain", "--dataset", "shapes", "--n-samples", "8", "--samples", samples]
+
+
+def _replay_with_removed_key(ckpt, tmp_path, line, argv, names):
+    """Run a command, append a key of a removed flag to its config.txt and
     replay it; the unknown key is skipped and the artifacts are identical."""
     first, again = tmp_path / "first", tmp_path / "again"
-    rc = cli.main(["explain", "--dataset", "shapes", "--n-samples", "8",
-                   "--checkpoint", str(ckpt), "--samples", samples,
-                   "--out", str(first)])
+    rc = cli.main(argv + ["--checkpoint", str(ckpt), "--out", str(first)])
     assert rc == 0
     cfg = first / "config.txt"
     key = line.split("=")[0]
     assert f"{key}=" not in cfg.read_text()
     cfg.write_text(cfg.read_text() + line + "\n")
-    rc = cli.main(["explain", "--config", str(cfg), "--checkpoint", str(ckpt),
+    rc = cli.main([argv[0], "--config", str(cfg), "--checkpoint", str(ckpt),
                    "--out", str(again)])
     assert rc == 0
-    names = ["manifest.csv"] + [f"sample{int(i):04d}_mhex.pgm" for i in samples.split(",")]
     for name in names:
         assert (again / name).read_bytes() == (first / name).read_bytes()
 
@@ -96,14 +97,47 @@ def _replay_with_removed_key(ckpt, tmp_path, line, samples):
 def test_config_with_removed_class_id_replays(shape_ckpt, tmp_path):
     """Configs written while ``explain`` had a --class-id flag hold
     class_id=None."""
-    _replay_with_removed_key(shape_ckpt, tmp_path, "class_id=None", "1")
+    _replay_with_removed_key(shape_ckpt, tmp_path, "class_id=None", _explain_argv("1"),
+                             ["manifest.csv", "sample0001_mhex.pgm"])
 
 
 def test_config_with_removed_workers_replays(shape_ckpt, tmp_path):
     """Configs written while every command had a --workers flag hold
     workers=N; a replay with workers=2 runs serially."""
-    _replay_with_removed_key(shape_ckpt, tmp_path, "workers=2", "0,1,2")
+    _replay_with_removed_key(shape_ckpt, tmp_path, "workers=2", _explain_argv("0,1,2"),
+                             ["manifest.csv"] + [f"sample000{i}_mhex.pgm" for i in range(3)])
     assert "workers" not in (tmp_path / "again" / "config.txt").read_text()
+
+
+def test_config_with_removed_force_area_replays(shape_ckpt, tmp_path):
+    """Configs written while ``evaluate`` had a --force-area flag may hold
+    force_area=0.3; the replay keeps every record's own area."""
+    _replay_with_removed_key(shape_ckpt, tmp_path, "force_area=0.3",
+                             ["evaluate", "--n-samples", "4", "--curve-samples", "2",
+                              "--steps", "4"],
+                             ["drop_mhex.csv", "summary.csv", "deletion_mhex.csv"])
+
+
+def test_config_replay_supplies_checkpoint(shape_ckpt, tmp_path):
+    """A replayed config.txt holds checkpoint=...; no --checkpoint is needed."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(_explain_argv("0,2") + ["--checkpoint", str(shape_ckpt),
+                                            "--out", str(first)]) == 0
+    assert cli.main(["explain", "--config", str(first / "config.txt"),
+                     "--out", str(again)]) == 0
+    for name in ["manifest.csv", "sample0000_mhex.pgm", "sample0002_mhex.pgm"]:
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    assert (again / "config.txt").read_text().replace("again", "first") == \
+        (first / "config.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate", "analyze"])
+def test_missing_checkpoint_exits_2(tmp_path, capsys, command):
+    """Neither --checkpoint nor a config holding it: a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--checkpoint" in capsys.readouterr().err
 
 
 REPLAYS = {
@@ -112,9 +146,9 @@ REPLAYS = {
     "ss": (["explain", "--n-samples", "8", "--samples", "0,2", "--ss", "0.5",
             "--grad-cam"], ["manifest.csv", "sample0000_mhex.pgm",
                             "sample0002_mhex.pgm", "sample0002_gradcam.pgm"]),
-    "force_area": (["evaluate", "--n-samples", "4", "--curve-samples", "2",
-                    "--steps", "4", "--force-area", "0.3"],
-                   ["drop_mhex.csv", "summary.csv", "deletion_mhex.csv"]),
+    "evaluate_ss": (["evaluate", "--n-samples", "4", "--curve-samples", "2",
+                     "--steps", "4", "--ss", "0.5"],
+                    ["drop_mhex.csv", "summary.csv", "deletion_mhex.csv"]),
 }
 
 

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mhexlab as mx
 import mhexlab.autodiff as ad
-from mhexlab.errors import (CheckpointFormatError, CheckpointShapeError,
-                            CheckpointVersionError, ConfigurationError,
-                            ContractError, DimensionError,
+from mhexlab.errors import (CheckpointError, CheckpointFormatError,
+                            CheckpointShapeError, CheckpointVersionError,
+                            ConfigurationError, ContractError, DimensionError,
                             TrainingDivergedError)
 from mhexlab.models import (EpochLog, ResNetConfig, TrainLog, TransformerConfig,
                             build_resnet, build_transformer, clone_model,
@@ -33,7 +34,9 @@ def test_transformer_config_validation():
     with pytest.raises(ConfigurationError):
         TransformerConfig(d_model=30, n_heads=4).validate()
     with pytest.raises(ConfigurationError):
-        TransformerConfig(saliency_layers=9).validate()
+        TransformerConfig(n_heads=0).validate()
+    with pytest.raises(ConfigurationError):
+        TransformerConfig(ffn_mult=0).validate()
     with pytest.raises(ConfigurationError):
         TransformerConfig(vocab_size=3).validate()
 
@@ -277,6 +280,58 @@ def test_checkpoint_bad_config(tmp_path, small_transformer, case):
     p.write_bytes(bad)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
+def test_checkpoint_with_removed_config_keys_loads(tmp_path, request, host):
+    """Checkpoints written while the configs had ``saliency_layers`` and
+    ``ds_stop_grad`` fields hold both keys; they load to the same model."""
+    model = request.getfixturevalue(host)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    p.write_bytes(checkpoint_with_config(
+        p.read_bytes(), lambda c: c + b"saliency_layers=3\nds_stop_grad=True\n"))
+    twin = load_checkpoint(p)
+    assert twin.cfg == model.cfg
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, twin.params[name].data), name
+    x = mx.gen_shapes(2, seed=11).images if host == "small_cnn" else mx.gen_tokens(2, seed=11).ids
+    for a, b in zip(model.forward_collect(x).head_logits(), twin.forward_collect(x).head_logits()):
+        assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
+def test_checkpoint_corruption_raises_only_checkpoint_error(tmp_path, request, host):
+    """A bit flip anywhere in the header either still loads or raises a
+    ``CheckpointError``; a truncated file always raises one. (Flips in the
+    tensor data go undetected: format v1 has no checksum.)"""
+    model = request.getfixturevalue(host)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    data = p.read_bytes()
+    # magic, version, config, seed and shape table: all but the tensor data
+    header = len(data) - 8 * sum(t.data.size for t in model.params.values())
+
+    @settings(deadline=None, derandomize=True, max_examples=150, database=None)
+    @given(st.integers(0, 8 * header - 1))
+    def check_flip(bit):
+        bad = bytearray(data)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        p.write_bytes(bytes(bad))
+        try:
+            load_checkpoint(p)
+        except CheckpointError:
+            pass
+
+    @settings(deadline=None, derandomize=True, max_examples=50, database=None)
+    @given(st.integers(0, len(data) - 1))
+    def check_truncation(n):
+        p.write_bytes(data[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+
+    check_flip()
+    check_truncation()
 
 
 def test_clone_is_independent(small_cnn):
