@@ -226,6 +226,8 @@ def pearson(x, y):
 def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
     measured sites (the last three blocks having a successor by default)."""
+    if getattr(model, "kind", None) != "resnet" or not hasattr(dataset, "images"):
+        raise ContractError("the collaboration analysis supports only the CNN host on images")
     if sites is None:
         with_succ = list(range(len(model.sites) - 1))
         sites = with_succ[-3:]

@@ -11,21 +11,41 @@ descend from the target and lead to the loss (activity analysis, as in
 Griewank & Walther, *Evaluating Derivatives*, 2008); every other node's
 adjoint cannot reach the target. The result is bit-identical to the full
 sweep's, because the same adjoints are summed in the same order.
+
+Inside ``no_grad()`` nothing is recorded: a new tensor keeps no parents and
+no closure, so a forward-only pass frees each intermediate (and the im2col
+columns a conv closure would hold) once the next op has read it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DimensionError, ConfigurationError
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape for the tensors built inside the block (nests)."""
+    global _recording
+    prev, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prev
+
 
 class Tensor:
     """Node of the differentiation tape.
 
     ``data`` is always float64. ``grad`` stays ``None`` until ``backward``
-    populates it; repeated backward calls accumulate.
+    populates it; repeated backward calls accumulate. Under ``no_grad`` the
+    parents and the backward closure are dropped here, for every primitive.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -34,8 +54,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(_parents)
-        self._backward = _backward
+        self._parents = tuple(_parents) if _recording else ()
+        self._backward = _backward if _recording else None
 
     @property
     def shape(self):
@@ -197,7 +217,10 @@ def conv2d(x, w, stride=1, pad=0):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd_ + 2 * pad - kw) // stride + 1
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    xp = xd
+    if pad:     # np.pad's own overhead outweighs a batch-1 GEMM
+        xp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + wd_] = xd
     # (N, C, oh, ow, kh, kw) view, then columns (N, C*kh*kw, oh*ow)
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
@@ -243,9 +266,10 @@ def layer_norm(x, gamma=None, beta=None, eps=1e-5):
     x = _as_tensor(x)
     d = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)     # np.var's own steps
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     gdat = gamma.data if gamma is not None else np.ones(d)
     bdat = beta.data if beta is not None else np.zeros(d)
     out_data = xhat * gdat + bdat

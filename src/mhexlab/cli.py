@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, metrics, saliency
 from .datasets import gen_shapes, gen_tokens, localization_score
-from .errors import MhexError
+from .errors import ConfigurationError, MhexError
 from .models import (ResNetConfig, TransformerConfig, build_resnet,
                      build_transformer, load_checkpoint,
                      save_checkpoint, train)
@@ -163,6 +163,8 @@ def _truth_cam(dataset, i):
 
 
 def cmd_evaluate(args):
+    if args.dataset == "tokens" and (args.grad_cam or args.oracle_explainer):
+        raise ConfigurationError("--grad-cam and --oracle-explainer need --dataset shapes")
     out = _resolve_out(args)
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)

@@ -303,7 +303,8 @@ class ResNetModel(_Host):
         return self._backbone(x)[2]
 
     def predict_proba(self, x):
-        return ad.softmax_last(self.forward_logits(x)).data
+        with ad.no_grad():
+            return ad.softmax_last(self.forward_logits(x)).data
 
     def forward_collect(self, x, site_mask=None):
         """Instrumented forward pass; ``site_mask`` is an optional
@@ -422,7 +423,8 @@ class TransformerModel(_Host):
         return self._backbone(ids)[2]
 
     def predict_proba(self, ids):
-        return ad.softmax_last(self.forward_logits(ids)).data
+        with ad.no_grad():
+            return ad.softmax_last(self.forward_logits(ids)).data
 
     def forward_collect(self, ids, site_mask=None):
         return self.side_chain(self._backbone(ids), site_mask)
@@ -505,12 +507,13 @@ def _dataset_arrays(dataset):
 
 def head_accuracies(model, dataset, batch_size=128):
     """Fraction correct per head (auxiliary heads in site order, final head
-    last)."""
+    last); the forwards record no tape."""
     xs, ys = _dataset_arrays(dataset)
     n = len(ys)
     correct = None
     for lo in range(0, n, batch_size):
-        rec = model.forward_collect(xs[lo:lo + batch_size])
+        with ad.no_grad():
+            rec = model.forward_collect(xs[lo:lo + batch_size])
         preds = [h.data.argmax(axis=1) for h in rec.head_logits()]
         hits = np.array([(p == ys[lo:lo + batch_size]).sum() for p in preds], dtype=float)
         correct = hits if correct is None else correct + hits

@@ -175,7 +175,8 @@ def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None)
     """Full image pipeline: instrumented forward, filtered weights per site,
     per-site grids, decay-weighted aggregation."""
     cfg = cfg or WeightFilterConfig()
-    rec = model.forward_collect(image)
+    with ad.no_grad():
+        rec = model.forward_collect(image)
     grids = []
     for s in range(len(model.sites)):
         w_eq = equivalent_matrix(model.mhex_params(s))
@@ -188,7 +189,8 @@ def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None)
 def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
     cfg = cfg or WeightFilterConfig()
     ids = np.atleast_2d(np.asarray(ids, dtype=np.intp))
-    rec = model.forward_collect(ids)
+    with ad.no_grad():
+        rec = model.forward_collect(ids)
     keep = ~rec.pad_mask[0]
     acts = [o.relu_features.data[0][keep] for o in rec.site_outputs]
     w_eqs = [equivalent_matrix(model.mhex_params(s)) for s in range(len(model.sites))]

@@ -5,6 +5,7 @@ reference implementations used to cross-check the library.
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mhexlab.autodiff import Tensor, grad_wrt
 
@@ -51,6 +52,18 @@ def check_grads(f, params, tol=1e-4, eps=1e-6):
 
 def rng_tensor(rng, shape, scale=1.0, requires_grad=True):
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
+
+
+def conv2d_forward_reference(x, w, stride, pad):
+    """``conv2d``'s forward on ndarrays with the input padded by ``np.pad``;
+    the same im2col columns and GEMM otherwise."""
+    n, c = x.shape[:2]
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = win.shape[2:4]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
+    return np.matmul(w.reshape(o, -1), cols).reshape(n, o, oh, ow)
 
 
 def conv2d_backward_reference(x, w, g, stride, pad):

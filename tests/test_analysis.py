@@ -246,7 +246,9 @@ def _count_backbone(model, monkeypatch):
         calls.append(1)
         return backbone(x)
 
-    monkeypatch.setattr(model, "_backbone", counting)
+    # setitem, so the undo deletes the instance attribute instead of leaving
+    # a bound method on the shared fixture
+    monkeypatch.setitem(vars(model), "_backbone", counting)
     return calls
 
 
@@ -324,6 +326,6 @@ def test_write_correlation_csv(tmp_path, small_cnn):
     ds = mx.gen_shapes(4, seed=36)
     rows, _ = A.correlation_triangle(small_cnn, ds, n_samples=4)
     p = A.write_correlation_csv(rows, tmp_path / "corr.csv")
-    lines = open(p).read().strip().splitlines()
+    lines = p.read_text().strip().splitlines()
     assert lines[0] == "pair,site,r,t,p,n"
     assert len(lines) == 8

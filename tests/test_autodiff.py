@@ -5,7 +5,8 @@ import mhexlab.autodiff as ad
 from mhexlab.autodiff import Tensor, backward, grad_wrt
 from mhexlab.errors import ContractError, DimensionError
 
-from helpers import check_grads, conv2d_backward_reference, rel_err, rng_tensor
+from helpers import (check_grads, conv2d_backward_reference, conv2d_forward_reference,
+                     rel_err, rng_tensor)
 
 
 def _rng(seed=0):
@@ -158,6 +159,16 @@ HOST_CONVS = [(1, 32, 8, 3, 1, 1), (8, 32, 8, 3, 1, 1), (8, 32, 16, 3, 2, 1),
 
 
 @pytest.mark.parametrize("c, h, o, k, stride, pad", HOST_CONVS)
+def test_conv_forward_matches_np_pad(c, h, o, k, stride, pad):
+    """The zero-buffer padding gives the bits of ``np.pad``'s."""
+    rng = _rng(13)
+    x = rng.normal(size=(2, c, h, h))
+    w = rng.normal(size=(o, c, k, k))
+    out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
+    assert np.array_equal(out, conv2d_forward_reference(x, w, stride, pad))
+
+
+@pytest.mark.parametrize("c, h, o, k, stride, pad", HOST_CONVS)
 def test_conv_backward_matches_col2im(c, h, o, k, stride, pad):
     """The input gradient has the bits of the im2col reference; the weight
     gradient sums the same products in another order."""
@@ -170,6 +181,25 @@ def test_conv_backward_matches_col2im(c, h, o, k, stride, pad):
     ref_gx, ref_gw = conv2d_backward_reference(x.data, w.data, g, stride, pad)
     assert np.array_equal(gx, ref_gx)
     assert rel_err(gw, ref_gw) <= 1e-12
+
+
+def _records(t):
+    return bool(t._parents) and t._backward is not None
+
+
+def test_no_grad_restores_on_exit_exception_and_nesting():
+    a, b = Tensor([1.0], requires_grad=True), Tensor([2.0])
+    assert _records(ad.add(a, b))
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            assert not _records(ad.add(a, b))
+            raise KeyError("inside")
+    assert _records(ad.add(a, b))
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert not _records(ad.mul(a, b))
+    assert _records(ad.mul(a, b))
 
 
 @pytest.mark.parametrize("seed", range(3))

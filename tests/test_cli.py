@@ -11,6 +11,11 @@ from mhexlab.models import save_checkpoint
 from helpers import checkpoint_with_config
 
 
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 @pytest.fixture(scope="module")
 def token_ckpt(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_train")
@@ -32,7 +37,7 @@ def test_train_artifacts(token_ckpt):
     ckpt, out = token_ckpt
     assert ckpt.exists()
     assert (out / "config.txt").exists()
-    rows = list(csv.reader(open(out / "trainlog.csv")))
+    rows = _rows(out / "trainlog.csv")
     assert rows[0] == ["epoch", "loss", "head_accuracies"]
     assert len(rows) == 2
 
@@ -56,7 +61,7 @@ def test_explain_tokens(token_ckpt, tmp_path):
                    "--checkpoint", str(ckpt), "--samples", "0,3",
                    "--out", str(tmp_path)])
     assert rc == 0
-    rows = list(csv.reader(open(tmp_path / "manifest.csv")))
+    rows = _rows(tmp_path / "manifest.csv")
     assert rows[0] == ["sample", "method", "artifact"]
     assert len(rows) == 5       # 2 samples x (csv + html)
     for row in rows[1:]:
@@ -184,11 +189,11 @@ def test_evaluate_shapes(shape_ckpt, tmp_path):
                    "--curve-samples", "2", "--steps", "5",
                    "--checkpoint", str(shape_ckpt), "--out", str(tmp_path)])
     assert rc == 0
-    rows = list(csv.reader(open(tmp_path / "summary.csv")))
+    rows = _rows(tmp_path / "summary.csv")
     assert rows[0] == ["method", "avg_drop", "ead", "deletion_auc",
                        "insertion_auc", "localization"]
     assert rows[1][0] == "mhex"
-    drops = list(csv.reader(open(tmp_path / "drop_mhex.csv")))
+    drops = _rows(tmp_path / "drop_mhex.csv")
     assert len(drops) == 8      # header + 6 samples + summary
 
 
@@ -198,6 +203,23 @@ def test_evaluate_tokens(token_ckpt, tmp_path):
                    "--checkpoint", str(ckpt), "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "token_drop.csv").exists()
+    # configs hold grad_cam=False and oracle_explainer=False, which replay
+    again = tmp_path / "again"
+    assert cli.main(["evaluate", "--config", str(tmp_path / "config.txt"),
+                     "--out", str(again)]) == 0
+    assert (again / "token_drop.csv").read_bytes() == \
+        (tmp_path / "token_drop.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--grad-cam", "--oracle-explainer"])
+def test_evaluate_tokens_rejects_image_flags(token_ckpt, tmp_path, capsys, flag):
+    """Both flags name image explainers; the token path would ignore them."""
+    ckpt, _ = token_ckpt
+    rc = cli.main(["evaluate", "--dataset", "tokens", "--n-samples", "6", flag,
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze(shape_ckpt, tmp_path):
@@ -206,12 +228,23 @@ def test_analyze(shape_ckpt, tmp_path):
                    "--entropy-n", "100000",
                    "--checkpoint", str(shape_ckpt), "--out", str(tmp_path)])
     assert rc == 0
-    rows = list(csv.reader(open(tmp_path / "correlation.csv")))
+    rows = _rows(tmp_path / "correlation.csv")
     assert rows[0] == ["pair", "site", "r", "t", "p", "n"]
     assert len(rows) == 8
     assert (tmp_path / "sample0000_blockwise.pgm").exists()
     assert (tmp_path / "entropy.txt").read_text().startswith(
         "entropy_drop_estimate=")
+
+
+def test_analyze_tokens_exits_1(token_ckpt, tmp_path, capsys):
+    """The collaboration analysis has no token path: an error message, not an
+    AttributeError from inside it."""
+    ckpt, _ = token_ckpt
+    rc = cli.main(["analyze", "--dataset", "tokens", "--n-samples", "8",
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: the collaboration analysis supports only the CNN host" in \
+        capsys.readouterr().err
 
 
 def test_out_env_override(token_ckpt, tmp_path, monkeypatch):

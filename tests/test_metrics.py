@@ -173,9 +173,9 @@ def test_csv_exports(tmp_path):
     recs = [M.DropRecord(0, 0.8, 0.4, 0.5, 0.25),
             M.DropRecord(1, 0.6, 0.6, 0.0, 0.10)]
     p = M.write_drop_csv(recs, tmp_path / "d.csv", method="mhex")
-    lines = open(p).read().strip().splitlines()
+    lines = p.read_text().strip().splitlines()
     assert lines[0] == "id,p_orig,p_mask,drop,area,f_area"
     assert len(lines) == 4 and lines[-1].startswith("summary:mhex")
     c = M.Curve(np.linspace(0, 1, 3), np.array([0.9, 0.5, 0.1]))
     p2 = M.write_curve_csv(c, tmp_path / "c.csv")
-    assert open(p2).read().startswith("fraction,confidence")
+    assert p2.read_text().startswith("fraction,confidence")

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,6 +172,65 @@ def test_head_accuracies_reports_all_heads(small_cnn):
     accs = head_accuracies(small_cnn, ds)
     assert len(accs) == 5
     assert all(0.0 <= a <= 1.0 for a in accs)
+
+
+@pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
+def test_no_grad_forward_holds_no_tape(request, host):
+    """Under ``no_grad`` no output node keeps a parent or a backward closure,
+    and the head logits equal the taped forward's bit for bit."""
+    m = request.getfixturevalue(host)
+    x = mx.gen_shapes(2, seed=6).images if m.kind == "resnet" else mx.gen_tokens(2, seed=6).ids
+    with ad.no_grad():
+        rec = m.forward_collect(x)
+    taped = m.forward_collect(x)
+    outputs = [rec.final_logits] + [t for o in rec.site_outputs for t in vars(o).values()
+                                    if isinstance(t, ad.Tensor)]
+    assert len(outputs) == 1 + 4 * len(m.sites)
+    for t in outputs:
+        assert all(not n._parents and n._backward is None for n in ad._topo_order(t))
+    for h, t in zip(rec.head_logits(), taped.head_logits()):
+        assert np.array_equal(h.data, t.data)
+        assert t._backward is not None
+
+
+def test_forward_only_callers_record_no_tape(monkeypatch, small_cnn, small_transformer):
+    """Each forward-only caller runs its backbone under ``no_grad``; the
+    gradient callers keep the tape."""
+    taped = []
+    for m in (small_cnn, small_transformer):
+        def backbone(x, _orig=m._backbone):
+            out = _orig(x)
+            taped.append(out[2]._backward is not None)
+            return out
+        monkeypatch.setitem(vars(m), "_backbone", backbone)
+    shapes, tokens = mx.gen_shapes(2, seed=7), mx.gen_tokens(2, seed=7)
+    small_cnn.predict_proba(shapes.images)
+    mx.saliency.explain_image(small_cnn, shapes.images[0], 0)
+    head_accuracies(small_cnn, shapes)
+    small_transformer.predict_proba(tokens.ids)
+    mx.saliency.explain_tokens(small_transformer, tokens.ids[0], 0)
+    head_accuracies(small_transformer, tokens)
+    assert taped == [False] * 6
+    mx.saliency.gradcam_baseline(small_cnn, shapes.images[0], 0)
+    small_transformer.forward_collect(tokens.ids)
+    assert taped[6:] == [True, True]
+
+
+def test_head_accuracies_peak_below_quarter_of_taped_forward(small_cnn):
+    """The accuracy pass holds no tape: its tracemalloc peak on 128 images is
+    under a quarter of one taped forward of the same batch."""
+    ds = mx.gen_shapes(128, seed=12)
+    tracemalloc.start()
+    try:
+        rec = small_cnn.forward_collect(ds.images)
+        taped = tracemalloc.get_traced_memory()[1]
+        del rec
+        tracemalloc.reset_peak()
+        head_accuracies(small_cnn, ds, batch_size=128)
+        untaped = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert untaped < taped / 4, (untaped, taped)
 
 
 def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):

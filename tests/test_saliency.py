@@ -216,9 +216,9 @@ def test_token_exports(tmp_path):
                           positions=np.array([0, 1, 2]))
     tokens = ["alpha", "<beta>", "gamma"]
     csv_path = S.export_token_csv(tokens, sal, tmp_path / "t.csv")
-    lines = open(csv_path).read().strip().splitlines()
+    lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "token,position,score"
     assert len(lines) == 4
     html_path = S.export_token_html(tokens, sal, tmp_path / "t.html")
-    doc = open(html_path).read()
+    doc = html_path.read_text()
     assert "&lt;beta&gt;" in doc and "alpha" in doc
