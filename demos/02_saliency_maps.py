@@ -56,9 +56,8 @@ tfm = build_transformer(TransformerConfig(vocab_size=tokens.vocab_size,
 train(tfm, tokens, mode="finetune", epochs=3, lr=2e-3, seed=0,
       eval_accuracy=False)
 sample = mx.gen_tokens(3, seed=9)
-for i in range(3):
-    label = int(sample.labels[i])
-    sal = S.explain_tokens(tfm, sample.ids[i], label)
+# one batched call: a single forward, one TokenSaliency per row
+for i, sal in enumerate(S.explain_tokens(tfm, sample.ids, sample.labels)):
     top = sal.positions[np.argsort(-sal.scores)][:2]
     truth = np.flatnonzero(sample.truth_masks[i])
     print(f"token sample {i}: top-2 positions {sorted(top.tolist())}, "

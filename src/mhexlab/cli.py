@@ -18,8 +18,8 @@ import numpy as np
 from . import analysis, metrics, saliency
 from .datasets import gen_shapes, gen_tokens, localization_score
 from .errors import ConfigurationError, MhexError
-from .models import (ResNetConfig, TransformerConfig, build_resnet,
-                     build_transformer, load_checkpoint,
+from .models import (EVAL_BATCH_SIZE, ResNetConfig, TransformerConfig,
+                     build_resnet, build_transformer, load_checkpoint,
                      save_checkpoint, train)
 
 
@@ -118,6 +118,12 @@ def _sample_ids(args, dataset):
     return list(range(min(8, len(dataset))))
 
 
+def _chunks(ids):
+    """Consecutive slices of at most ``EVAL_BATCH_SIZE`` sample ids."""
+    ids = list(ids)
+    return [ids[lo:lo + EVAL_BATCH_SIZE] for lo in range(0, len(ids), EVAL_BATCH_SIZE)]
+
+
 def cmd_explain(args):
     out = _resolve_out(args)
     model = load_checkpoint(args.checkpoint)
@@ -125,9 +131,21 @@ def cmd_explain(args):
     ids = _sample_ids(args, dataset)
     wf = _wf_config(args)
     manifest = []
-    for i in ids:
-        label = int(dataset.labels[i])
-        if args.dataset == "shapes":
+    if args.dataset == "tokens":
+        for chunk in _chunks(ids):
+            sals = saliency.explain_tokens(model, dataset.ids[chunk],
+                                           dataset.labels[chunk], wf)
+            for i, sal in zip(chunk, sals):
+                tokens = [f"tok{t}" for t in dataset.ids[i]]
+                p = out / f"sample{i:04d}_tokens.csv"
+                saliency.export_token_csv(tokens, sal, p)
+                manifest.append((i, "mhex_csv", p.name))
+                p = out / f"sample{i:04d}_tokens.html"
+                saliency.export_token_html(tokens, sal, p)
+                manifest.append((i, "mhex_html", p.name))
+    else:
+        for i in ids:
+            label = int(dataset.labels[i])
             image = dataset.images[i]
             smap = saliency.explain_image(model, image, label, wf)
             p = out / f"sample{i:04d}_mhex.pgm"
@@ -141,15 +159,6 @@ def cmd_explain(args):
                 p = out / f"sample{i:04d}_gradcam.pgm"
                 saliency.render_heatmap(gmap, p)
                 manifest.append((i, "gradcam", p.name))
-        else:
-            sal = saliency.explain_tokens(model, dataset.ids[i], label, wf)
-            tokens = [f"tok{t}" for t in dataset.ids[i]]
-            p = out / f"sample{i:04d}_tokens.csv"
-            saliency.export_token_csv(tokens, sal, p)
-            manifest.append((i, "mhex_csv", p.name))
-            p = out / f"sample{i:04d}_tokens.html"
-            saliency.export_token_html(tokens, sal, p)
-            manifest.append((i, "mhex_html", p.name))
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "method", "artifact"])
@@ -173,12 +182,12 @@ def cmd_evaluate(args):
 
     if args.dataset == "tokens":
         records = []
-        for i in range(n):
-            label = int(dataset.labels[i])
-            sal = saliency.explain_tokens(model, dataset.ids[i], label, wf)
-            records.append(metrics.token_perturb_drop(
-                model, dataset.ids[i], sal, label, top_frac=args.top_frac,
-                mask_token=dataset.mask_id, pad_id=dataset.pad_id, sample_id=i))
+        for chunk in _chunks(range(n)):
+            ids, labels = dataset.ids[chunk], dataset.labels[chunk]
+            sals = saliency.explain_tokens(model, ids, labels, wf)
+            records += metrics.token_perturb_drop(
+                model, ids, sals, labels, top_frac=args.top_frac,
+                mask_token=dataset.mask_id, pad_id=dataset.pad_id, sample_id=chunk[0])
         metrics.write_drop_csv(records, out / "token_drop.csv", method="mhex")
         _write_config(args, out)
         print(f"token mean drop: {np.mean([r.drop for r in records]):.4f}")
@@ -312,11 +321,14 @@ def build_parser():
     common(p)
     wf_flags(p)
     p.add_argument("--checkpoint", help="required unless --config holds it")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=int, default=20,
+                   help="deletion/insertion curve steps (images only; the token "
+                        "evaluation draws no curves)")
     p.add_argument("--top-frac", type=float, default=0.10)
     p.add_argument("--grad-cam", action="store_true")
     p.add_argument("--oracle-explainer", action="store_true")
-    p.add_argument("--curve-samples", type=int, default=16)
+    p.add_argument("--curve-samples", type=int, default=16,
+                   help="samples averaged into the curves (images only)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="collaboration and entropy analysis")

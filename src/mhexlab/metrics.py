@@ -192,25 +192,41 @@ def auc(curve: Curve):
 def token_perturb_drop(model_or_fn, ids, sal, label, top_frac=0.10, mask_token=0,
                        pad_id=1, sample_id=0):
     """Replace the ceil(top_frac * length) highest-saliency tokens with the
-    mask token and record the confidence drop."""
+    mask token and record the confidence drop.
+
+    ``ids`` is a ``(B, S)`` batch with ``B`` saliencies and labels; one
+    prediction covers the originals and their masked copies, and row ``b``
+    gets ``sample_id + b``. A ``(S,)`` sequence with one saliency and an int
+    label is the batch of one and returns its single ``DropRecord``."""
     predict = _predictor(model_or_fn)
-    ids = np.asarray(ids, dtype=np.intp).reshape(-1)
-    keep = ids != pad_id
-    n = int(keep.sum())
-    if n == 0:
-        raise ContractError("token_perturb_drop: empty sequence")
-    positions = np.asarray(sal.positions)
-    scores = np.asarray(sal.scores, dtype=np.float64)
-    k = math.ceil(top_frac * n)
+    ids = np.asarray(ids, dtype=np.intp)
+    single = ids.ndim == 1
+    ids = np.atleast_2d(ids)
+    sals = [sal] if single else list(sal)
+    labels = np.atleast_1d(label)
+    if not len(sals) == len(labels) == len(ids):
+        raise DimensionError(
+            f"token_perturb_drop needs one saliency and label per row, got "
+            f"{len(sals)} and {len(labels)} for {len(ids)} rows")
     masked = ids.copy()
-    if k > 0:
-        top = positions[np.argsort(-scores, kind="stable")[:k]]
-        masked[top] = mask_token
-    p_orig = _probs_for(predict, ids[None], label)
-    p_mask = _probs_for(predict, masked[None], label)
-    drop = max(0.0, (p_orig - p_mask) / p_orig) if p_orig > 0 else 0.0
-    return DropRecord(sample_id=sample_id, p_orig=p_orig, p_mask=p_mask,
-                      drop=drop, area=k / n)
+    areas = []
+    for row, s in zip(masked, sals):
+        n = int((row != pad_id).sum())
+        if n == 0:
+            raise ContractError("token_perturb_drop: empty sequence")
+        k = math.ceil(top_frac * n)
+        if k > 0:
+            order = np.argsort(-np.asarray(s.scores, dtype=np.float64), kind="stable")
+            row[np.asarray(s.positions)[order[:k]]] = mask_token
+        areas.append(k / n)
+    p = np.asarray(predict(np.concatenate([ids, masked])), dtype=np.float64)
+    p = p.reshape(2, len(ids), -1)[:, np.arange(len(ids)), labels]
+    records = []
+    for b, (p_orig, p_mask) in enumerate(p.T.tolist()):
+        drop = max(0.0, (p_orig - p_mask) / p_orig) if p_orig > 0 else 0.0
+        records.append(DropRecord(sample_id=sample_id + b, p_orig=p_orig, p_mask=p_mask,
+                                  drop=drop, area=areas[b]))
+    return records[0] if single else records
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,10 @@ from .errors import (CheckpointFormatError, CheckpointShapeError,
                      ContractError, DimensionError, TrainingDivergedError)
 
 CHECKPOINT_MAGIC = b"MHEXCKPT"
-CHECKPOINT_VERSION = 1
+# v2 appends a CRC32 of everything after the magic; v1 files still load
+CHECKPOINT_VERSION = 2
+# sequences or images per no-grad forward in the accuracy and token passes
+EVAL_BATCH_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +509,7 @@ def _dataset_arrays(dataset):
     return dataset.ids, dataset.labels
 
 
-def head_accuracies(model, dataset, batch_size=128):
+def head_accuracies(model, dataset, batch_size=EVAL_BATCH_SIZE):
     """Fraction correct per head (auxiliary heads in site order, final head
     last); the forwards record no tape."""
     xs, ys = _dataset_arrays(dataset)
@@ -630,6 +634,7 @@ def save_checkpoint(model, path):
             buf.write(struct.pack("<I", d))
     for _, t in items:
         buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    buf.write(struct.pack("<I", zlib.crc32(buf.getbuffer()[len(CHECKPOINT_MAGIC):])))
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
@@ -645,15 +650,27 @@ def load_checkpoint(path):
     """Model from a checkpoint file. A corrupt or truncated file raises a
     ``CheckpointError`` and nothing else; opening the path may raise
     ``OSError``."""
+    with open(path, "rb") as f:
+        data = f.read()
+    head = len(CHECKPOINT_MAGIC) + 4
+    if data[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError(f"bad magic bytes in {path}")
+    if len(data) < head:
+        raise CheckpointFormatError("truncated checkpoint while reading version")
+    (version,) = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC))
+    if version == CHECKPOINT_VERSION:
+        # checked before any field is parsed, so a corrupt config cannot
+        # build a model
+        data, crc = data[:-4], data[-4:]
+        if len(data) < head or \
+                struct.pack("<I", zlib.crc32(data[len(CHECKPOINT_MAGIC):])) != crc:
+            raise CheckpointFormatError(f"checksum mismatch in {path}")
+    elif version != 1:
+        raise CheckpointVersionError(f"unsupported checkpoint version {version}")
     # parse from memory, so a corrupt length field cannot make a read
     # reserve more than the file holds
-    with open(path, "rb") as f, io.BytesIO(f.read()) as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"bad magic bytes in {path}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(f"unsupported checkpoint version {version}")
+    with io.BytesIO(data) as fh:
+        fh.seek(head)
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
         host, cfg = _config_from_text(_read_exact(fh, cfg_len, "config"))
         (seed,) = struct.unpack("<I", _read_exact(fh, 4, "seed"))
@@ -681,6 +698,8 @@ def load_checkpoint(path):
             count = int(np.prod(shape)) if shape else 1
             raw = _read_exact(fh, count * 8, f"data for {name}")
             model.params[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.tell() != len(data):
+            raise CheckpointFormatError(f"{len(data) - fh.tell()} trailing bytes in {path}")
     return model
 
 

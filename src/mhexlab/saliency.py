@@ -150,14 +150,22 @@ def token_saliency(w_equivs, activations, class_id, cfg: WeightFilterConfig):
     ``activations[l]`` holds the (J, D) rectified token features of site l;
     per-layer scores reuse the grid kernel on a 1 x J "image".
     """
+    return _token_scores(_token_weights(w_equivs, cfg), activations, class_id, cfg)
+
+
+def _token_weights(w_equivs, cfg):
+    """Filtered weights of the first ``cfg.token_layers`` sites."""
     L = cfg.token_layers
-    if L > len(activations):
+    if L > len(w_equivs):
         raise ConfigurationError(
-            f"token_layers {L} exceeds available sites {len(activations)}")
+            f"token_layers {L} exceeds available sites {len(w_equivs)}")
+    return [final_weights(w, cfg) for w in w_equivs[:L]]
+
+
+def _token_scores(w_finals, activations, class_id, cfg):
     layer_scores = []
     total = None
-    for l in range(L):
-        w_final = final_weights(w_equivs[l], cfg)
+    for l, w_final in enumerate(w_finals):
         feats = np.asarray(activations[l], dtype=np.float64)   # (J, D)
         grid = cam_layer(w_final[class_id], feats.T[:, None, :])  # (D,1,J) -> (1,J)
         scores = (cfg.layer_decay ** (l + 1)) * grid[0]
@@ -187,16 +195,31 @@ def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None)
 
 
 def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
+    """Token pipeline over a ``(B, S)`` batch with ``B`` class ids: one
+    forward, the filtered weights once, and one ``TokenSaliency`` per row,
+    scoring that row's non-pad tokens. A ``(S,)`` sequence with an int
+    class id is the batch of one and returns its single ``TokenSaliency``."""
     cfg = cfg or WeightFilterConfig()
-    ids = np.atleast_2d(np.asarray(ids, dtype=np.intp))
+    ids = np.asarray(ids, dtype=np.intp)
+    single = ids.ndim == 1
+    ids = np.atleast_2d(ids)
+    class_ids = np.atleast_1d(class_id)
+    if class_ids.shape != ids.shape[:1]:
+        raise DimensionError(
+            f"explain_tokens needs one class id per row, got {class_ids.shape[0]} "
+            f"for {ids.shape[0]} rows")
+    w_fins = _token_weights(
+        [equivalent_matrix(model.mhex_params(s)) for s in range(len(model.sites))], cfg)
     with ad.no_grad():
         rec = model.forward_collect(ids)
-    keep = ~rec.pad_mask[0]
-    acts = [o.relu_features.data[0][keep] for o in rec.site_outputs]
-    w_eqs = [equivalent_matrix(model.mhex_params(s)) for s in range(len(model.sites))]
-    sal = token_saliency(w_eqs, acts, class_id, cfg)
-    sal.positions = np.flatnonzero(keep)
-    return sal
+    keep = ~rec.pad_mask
+    out = []
+    for b, c in enumerate(class_ids):
+        acts = [o.relu_features.data[b][keep[b]] for o in rec.site_outputs[:len(w_fins)]]
+        sal = _token_scores(w_fins, acts, int(c), cfg)
+        sal.positions = np.flatnonzero(keep[b])
+        out.append(sal)
+    return out[0] if single else out
 
 
 def gradcam_baseline(model, image, class_id):

@@ -3,6 +3,7 @@ reference implementations used to cross-check the library.
 """
 
 import struct
+import zlib
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -92,7 +93,35 @@ def conv2d_backward_reference(x, w, g, stride, pad):
 def checkpoint_with_config(data, edit):
     """Checkpoint bytes with the config section replaced by
     ``edit(config_bytes)``; its length field follows the 8-byte magic and
-    the 4-byte version."""
+    the 4-byte version. The checksum is resealed, so the loader parses the
+    edited config."""
     (cfg_len,) = struct.unpack_from("<I", data, 12)
     cfg = edit(data[16:16 + cfg_len])
-    return data[:12] + struct.pack("<I", len(cfg)) + cfg + data[16 + cfg_len:]
+    return reseal(data[:12] + struct.pack("<I", len(cfg)) + cfg + data[16 + cfg_len:])
+
+
+def reseal(data):
+    """Format-v2 checkpoint bytes with the trailing CRC32 of everything
+    after the 8-byte magic recomputed, as if the edit had been written."""
+    data = bytes(data[:-4])
+    return data + struct.pack("<I", zlib.crc32(data[8:]))
+
+
+def as_format_v1(data):
+    """The format-v1 file of a format-v2 checkpoint: version 1 and no
+    trailing checksum."""
+    return data[:8] + struct.pack("<I", 1) + data[12:-4]
+
+
+def count_backbone(host_class, monkeypatch):
+    """List that gains one entry per ``_backbone`` call of any instance of
+    ``host_class``, including models loaded inside a CLI command."""
+    calls = []
+    backbone = host_class._backbone
+
+    def counting(self, x):
+        calls.append(1)
+        return backbone(self, x)
+
+    monkeypatch.setattr(host_class, "_backbone", counting)
+    return calls

@@ -15,9 +15,9 @@ import mhexlab.autodiff as ad
 import mhexlab.metrics as M
 import mhexlab.saliency as S
 from mhexlab.autodiff import Tensor
-from mhexlab.models import (ResNetConfig, clone_model, count_mhex_params,
-                            head_accuracies, load_checkpoint, save_checkpoint,
-                            strip_mhex)
+from mhexlab.models import (EVAL_BATCH_SIZE, ResNetConfig, clone_model,
+                            count_mhex_params, head_accuracies, load_checkpoint,
+                            save_checkpoint, strip_mhex)
 
 from helpers import check_grads
 
@@ -317,20 +317,20 @@ def test_criterion_12_token_pipeline(capsys, trained_transformer,
     n = 200
     hits = 0
     drops = []
-    for i in range(n):
-        label = int(heldout_tokens.labels[i])
-        ids = heldout_tokens.ids[i]
-        sal = S.explain_tokens(trained_transformer, ids, label)
-        truth = np.flatnonzero(heldout_tokens.truth_masks[i])
-        k = len(truth)
-        top = sal.positions[np.argsort(-sal.scores, kind="stable")[:k]]
-        if set(top.tolist()) == set(truth.tolist()):
-            hits += 1
-        rec = M.token_perturb_drop(trained_transformer, ids, sal, label,
-                                   top_frac=0.10,
-                                   mask_token=heldout_tokens.mask_id,
-                                   pad_id=heldout_tokens.pad_id, sample_id=i)
-        drops.append(rec.drop)
+    for lo in range(0, n, EVAL_BATCH_SIZE):
+        rows = slice(lo, min(n, lo + EVAL_BATCH_SIZE))
+        ids, labels = heldout_tokens.ids[rows], heldout_tokens.labels[rows]
+        sals = S.explain_tokens(trained_transformer, ids, labels)
+        for sal, truth_mask in zip(sals, heldout_tokens.truth_masks[rows]):
+            truth = np.flatnonzero(truth_mask)
+            top = sal.positions[np.argsort(-sal.scores, kind="stable")[:len(truth)]]
+            if set(top.tolist()) == set(truth.tolist()):
+                hits += 1
+        recs = M.token_perturb_drop(trained_transformer, ids, sals, labels,
+                                    top_frac=0.10,
+                                    mask_token=heldout_tokens.mask_id,
+                                    pad_id=heldout_tokens.pad_id, sample_id=lo)
+        drops += [r.drop for r in recs]
     hit_rate = hits / n
     mean_drop = float(np.mean(drops))
     ok = hit_rate >= 0.80 and mean_drop > 0.2

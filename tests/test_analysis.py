@@ -9,6 +9,8 @@ from mhexlab import autodiff as ad
 from mhexlab.errors import (ConfigurationError, ContractError,
                             UndefinedCorrelationError)
 
+from helpers import count_backbone
+
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -238,30 +240,16 @@ def test_grad_wrt_skips_backbone(small_cnn, monkeypatch):
     assert len(calls) == len(backbone_convs)
 
 
-def _count_backbone(model, monkeypatch):
-    calls = []
-    backbone = model._backbone
-
-    def counting(x):
-        calls.append(1)
-        return backbone(x)
-
-    # setitem, so the undo deletes the instance attribute instead of leaving
-    # a bound method on the shared fixture
-    monkeypatch.setitem(vars(model), "_backbone", counting)
-    return calls
-
-
 def test_blockwise_runs_backbone_once(small_cnn, monkeypatch):
     ds = mx.gen_shapes(1, seed=42)
-    calls = _count_backbone(small_cnn, monkeypatch)
+    calls = count_backbone(type(small_cnn), monkeypatch)
     A.blockwise_quality(small_cnn, ds.images[0], int(ds.labels[0]), grid=3)
     assert len(calls) == 1
 
 
 def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
     ds = mx.gen_shapes(1, seed=43)
-    calls = _count_backbone(small_cnn, monkeypatch)
+    calls = count_backbone(type(small_cnn), monkeypatch)
     with pytest.raises(ContractError):
         A.blockwise_quality(small_cnn, ds.images[0], 0, grid=1,
                             site=len(small_cnn.sites) - 1)
@@ -270,7 +258,7 @@ def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
 
 def test_blockwise_transformer_raises_before_forward(small_transformer, monkeypatch):
     ds = mx.gen_tokens(1, seed=45)
-    calls = _count_backbone(small_transformer, monkeypatch)
+    calls = count_backbone(type(small_transformer), monkeypatch)
     with pytest.raises(ContractError, match="CNN host"):
         A.blockwise_quality(small_transformer, ds.ids[0], int(ds.labels[0]), grid=2)
     assert calls == []

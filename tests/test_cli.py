@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 from pathlib import Path
 
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 
 from mhexlab import cli
-from mhexlab.models import save_checkpoint
+from mhexlab.models import TransformerModel, save_checkpoint
 
-from helpers import checkpoint_with_config
+from helpers import checkpoint_with_config, count_backbone
 
 
 def _rows(path):
@@ -209,6 +210,40 @@ def test_evaluate_tokens(token_ckpt, tmp_path):
                      "--out", str(again)]) == 0
     assert (again / "token_drop.csv").read_bytes() == \
         (tmp_path / "token_drop.csv").read_bytes()
+
+
+def test_evaluate_tokens_forwards_per_chunk(token_ckpt, tmp_path, monkeypatch):
+    """One forward per chunk for the saliencies and one for the drops,
+    instead of three per sequence."""
+    ckpt, _ = token_ckpt
+    calls = count_backbone(TransformerModel, monkeypatch)
+    rc = cli.main(["evaluate", "--dataset", "tokens", "--n-samples", "130",
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(_rows(tmp_path / "token_drop.csv")) == 132    # header + 130 + summary
+    assert len(calls) <= 2 * math.ceil(130 / cli.EVAL_BATCH_SIZE)
+
+
+def test_token_chunk_boundary_changes_no_output(token_ckpt, tmp_path, monkeypatch):
+    """130 sequences in chunks of 128 and 2 write the same files as one
+    chunk of 130."""
+    ckpt, _ = token_ckpt
+    samples = ",".join(str(i) for i in range(130))
+
+    def run(out):
+        assert cli.main(["evaluate", "--dataset", "tokens", "--n-samples", "130",
+                         "--checkpoint", str(ckpt), "--out", str(out / "eval")]) == 0
+        assert cli.main(["explain", "--dataset", "tokens", "--n-samples", "130",
+                         "--samples", samples, "--checkpoint", str(ckpt),
+                         "--out", str(out / "explain")]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*.*")
+                if p.name != "config.txt"}
+
+    chunked = run(tmp_path / "chunked")
+    monkeypatch.setattr(cli, "EVAL_BATCH_SIZE", 130)
+    whole = run(tmp_path / "whole")
+    assert len(chunked) == 1 + 1 + 2 * 130      # token_drop, manifest, csv + html
+    assert chunked == whole
 
 
 @pytest.mark.parametrize("flag", ["--grad-cam", "--oracle-explainer"])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import mhexlab as mx
 import mhexlab.metrics as M
+import mhexlab.saliency as S
 from mhexlab.errors import ConfigurationError, ContractError, DimensionError
 
 
@@ -167,6 +169,34 @@ def test_token_perturb_drop():
     assert r.drop > 0.8                          # keyword removed
     with pytest.raises(ContractError):
         M.token_perturb_drop(predict, np.array([1, 1]), sal, 0)
+
+
+def test_token_perturb_drop_batch_matches_rows(small_transformer):
+    """One prediction over a batch and its masked copies gives each row's
+    single-sequence record, numbered from ``sample_id``."""
+    td = mx.gen_tokens(12, seed=26)
+    sals = S.explain_tokens(small_transformer, td.ids, td.labels)
+    kw = dict(top_frac=0.25, mask_token=td.mask_id, pad_id=td.pad_id)
+    batch = M.token_perturb_drop(small_transformer, td.ids, sals, td.labels,
+                                 sample_id=40, **kw)
+    assert [r.sample_id for r in batch] == list(range(40, 52))
+    for b, r in enumerate(batch):
+        one = M.token_perturb_drop(small_transformer, td.ids[b], sals[b],
+                                   int(td.labels[b]), sample_id=40 + b, **kw)
+        assert r.sample_id == one.sample_id and r.area == one.area
+        for f in ("p_orig", "p_mask", "drop"):
+            assert getattr(r, f) == pytest.approx(getattr(one, f), rel=1e-12, abs=0)
+
+
+def test_token_perturb_drop_batch_contracts(small_transformer):
+    td = mx.gen_tokens(3, seed=27)
+    sals = S.explain_tokens(small_transformer, td.ids, td.labels)
+    ids = td.ids.copy()
+    ids[2] = td.pad_id
+    with pytest.raises(ContractError):
+        M.token_perturb_drop(small_transformer, ids, sals, td.labels)
+    with pytest.raises(DimensionError):
+        M.token_perturb_drop(small_transformer, td.ids, sals[:2], td.labels)
 
 
 def test_csv_exports(tmp_path):

@@ -17,7 +17,7 @@ from mhexlab.models import (EpochLog, ResNetConfig, TrainLog, TransformerConfig,
                             count_mhex_params, head_accuracies, load_checkpoint,
                             save_checkpoint, strip_mhex, train)
 
-from helpers import checkpoint_with_config
+from helpers import as_format_v1, checkpoint_with_config, reseal
 
 
 def test_resnet_config_validation():
@@ -316,7 +316,7 @@ def test_checkpoint_shape_mismatch(tmp_path, small_cnn):
     dim_off = off + 2 + name_len + 1
     bad = bytearray(data)
     struct.pack_into("<I", bad, dim_off, 9999)
-    p.write_bytes(bytes(bad))
+    p.write_bytes(reseal(bad))
     with pytest.raises(CheckpointShapeError):
         load_checkpoint(p)
 
@@ -360,28 +360,40 @@ def test_checkpoint_with_removed_config_keys_loads(tmp_path, request, host):
         assert np.array_equal(a.data, b.data)
 
 
+def _header_bits(model, data):
+    """Bit count of a v2 file's magic, version, config, seed and shape
+    table: all but the tensor data and the checksum."""
+    return 8 * (len(data) - 4 - 8 * sum(t.data.size for t in model.params.values()))
+
+
+def _flip_raises(path, data, bit):
+    bad = bytearray(data)
+    bad[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
 def test_checkpoint_corruption_raises_only_checkpoint_error(tmp_path, request, host):
-    """A bit flip anywhere in the header either still loads or raises a
-    ``CheckpointError``; a truncated file always raises one. (Flips in the
-    tensor data go undetected: format v1 has no checksum.)"""
+    """A bit flip in the header or the tensor data, a truncation and
+    trailing bytes all raise a ``CheckpointError``: format v2 carries a
+    CRC32 of everything after the magic."""
     model = request.getfixturevalue(host)
     p = tmp_path / "m.ckpt"
     save_checkpoint(model, p)
     data = p.read_bytes()
-    # magic, version, config, seed and shape table: all but the tensor data
-    header = len(data) - 8 * sum(t.data.size for t in model.params.values())
+    header = _header_bits(model, data)
 
     @settings(deadline=None, derandomize=True, max_examples=150, database=None)
-    @given(st.integers(0, 8 * header - 1))
-    def check_flip(bit):
-        bad = bytearray(data)
-        bad[bit // 8] ^= 1 << (bit % 8)
-        p.write_bytes(bytes(bad))
-        try:
-            load_checkpoint(p)
-        except CheckpointError:
-            pass
+    @given(st.integers(0, header - 1))
+    def check_header_flip(bit):
+        _flip_raises(p, data, bit)
+
+    @settings(deadline=None, derandomize=True, max_examples=100, database=None)
+    @given(st.integers(header, 8 * len(data) - 1))
+    def check_data_flip(bit):
+        _flip_raises(p, data, bit)
 
     @settings(deadline=None, derandomize=True, max_examples=50, database=None)
     @given(st.integers(0, len(data) - 1))
@@ -390,8 +402,44 @@ def test_checkpoint_corruption_raises_only_checkpoint_error(tmp_path, request, h
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
-    check_flip()
+    check_header_flip()
+    check_data_flip()
     check_truncation()
+    p.write_bytes(data + b"\x00")
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("model", [
+    build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=5),
+    build_transformer(TransformerConfig(d_model=8, n_heads=2, n_layers=2), seed=5),
+], ids=["cnn", "transformer"])
+def test_checkpoint_every_header_bit_flip_raises(tmp_path, model):
+    """Every single-bit flip before the tensor data raises a
+    ``CheckpointError`` (hosts small enough to try them all)."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    data = p.read_bytes()
+    for bit in range(_header_bits(model, data)):
+        _flip_raises(p, data, bit)
+
+
+@pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
+def test_checkpoint_format_v1_still_loads(tmp_path, request, host):
+    """A format-v1 file (no checksum) loads to equal parameters, and bytes
+    after its tensor data are rejected."""
+    model = request.getfixturevalue(host)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    v1 = as_format_v1(p.read_bytes())
+    p.write_bytes(v1)
+    twin = load_checkpoint(p)
+    assert twin.cfg == model.cfg and twin.seed == model.seed
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, twin.params[name].data), name
+    p.write_bytes(v1 + b"\x00" * 4)
+    with pytest.raises(CheckpointFormatError, match="trailing"):
+        load_checkpoint(p)
 
 
 def test_clone_is_independent(small_cnn):

@@ -170,6 +170,50 @@ def test_token_saliency_shares_cam_kernel():
     assert np.allclose(sal.scores, ref)
 
 
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_explain_tokens_batch_rows_match_single_calls(trained_transformer):
+    """Each row of a mixed-length batch matches its own call on the padded
+    row and on the row without its pad tail: the batched matmuls change only
+    rounding, never positions or rankings."""
+    td = mx.gen_tokens(24, seed=23)
+    assert len(set((td.ids != td.pad_id).sum(axis=1).tolist())) > 1
+    batch = S.explain_tokens(trained_transformer, td.ids, td.labels)
+    assert len(batch) == len(td)
+    for row, label, sal in zip(td.ids, td.labels, batch):
+        for ids in (row, row[row != td.pad_id]):
+            one = S.explain_tokens(trained_transformer, ids, int(label))
+            assert sal.class_id == one.class_id == label
+            assert np.array_equal(sal.positions, one.positions)
+            assert _rel(sal.scores, one.scores) <= 1e-12
+            for a, b in zip(sal.layer_scores, one.layer_scores):
+                assert _rel(a, b) <= 1e-12
+            assert np.array_equal(np.argsort(-sal.scores, kind="stable"),
+                                  np.argsort(-one.scores, kind="stable"))
+
+
+def test_explain_tokens_batch_of_one_is_the_single_call(small_transformer):
+    td = mx.gen_tokens(1, seed=24)
+    one = S.explain_tokens(small_transformer, td.ids[0], int(td.labels[0]))
+    (batch,) = S.explain_tokens(small_transformer, td.ids, td.labels)
+    assert batch.class_id == one.class_id
+    assert np.array_equal(batch.positions, one.positions)
+    assert np.array_equal(batch.scores, one.scores)
+    assert all(np.array_equal(a, b) for a, b in zip(batch.layer_scores, one.layer_scores))
+
+
+def test_explain_tokens_batch_contracts(small_transformer):
+    td = mx.gen_tokens(3, seed=25)
+    ids = td.ids.copy()
+    ids[1] = td.pad_id
+    with pytest.raises(ContractError):
+        S.explain_tokens(small_transformer, ids, td.labels)
+    with pytest.raises(DimensionError):
+        S.explain_tokens(small_transformer, td.ids, td.labels[:2])
+
+
 def test_gradcam_baseline(small_cnn, small_transformer):
     ds = mx.gen_shapes(1, seed=23)
     gmap = S.gradcam_baseline(small_cnn, ds.images[0], 0)
