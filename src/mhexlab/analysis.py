@@ -23,6 +23,7 @@ from .errors import (ConfigurationError, ContractError,
                      UndefinedCorrelationError)
 
 COSINE_EPS = 1e-8
+ENTROPY_BINS = 200          # histogram bins of the ReLU entropy estimate
 
 
 @dataclass
@@ -106,7 +107,7 @@ def blockwise_quality(model, x, label, grid=7, site=0):
     """Per-cell collaboration cosine with the block input masked to the
     cell's region, as a (grid, grid) map.
 
-    The backbone runs once; each cell replays only the side chain on it."""
+    The backbone runs once; each cell replays the side chain up to block ``site + 1``."""
     if getattr(model, "kind", None) != "resnet":
         raise ContractError("blockwise_quality supports only the CNN host")
     if grid < 1:
@@ -225,7 +226,9 @@ def pearson(x, y):
 
 def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
-    measured sites (the last three blocks having a successor by default)."""
+    measured sites (the last three blocks having a successor by default).
+    One taped forward per sample feeds the map, ``p_orig`` and the gradient
+    pairs; only the soft-masked copy needs a second forward."""
     if getattr(model, "kind", None) != "resnet" or not hasattr(dataset, "images"):
         raise ContractError("the collaboration analysis supports only the CNN host on images")
     if sites is None:
@@ -241,14 +244,16 @@ def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=No
     for i in range(n):
         image = dataset.images[i]
         label = int(dataset.labels[i])
-        smap = sal_mod.explain_image(model, image, label, wf_cfg)
-        cam = sal_mod.resize_map(smap.grid, image.shape[-2:])
-        drop = met.drop_record(model, image, label, cam, sample_id=i, mode="soft")
-        fwd = model.forward_collect(image)      # shared by every measured site
+        fwd = model.forward_collect(image)
+        cam = sal_mod.resize_map(sal_mod.image_map(model, fwd, label, wf_cfg).grid,
+                                 image.shape[-2:])
+        p_orig = float(ad.softmax_last(fwd.final_logits).data[0, label])
+        p_mask = float(model.predict_proba(met.soft_mask(image, cam)[None])[0, label])
+        drop = met.DropRecord.of(i, p_orig, p_mask, met.saliency_area(cam)).drop
         for s in sites:
             g_ds, g_ag = _gradient_pair(model, fwd, label, s)
             records.append(CollabRecord(sample_id=i, site=s, cosine=_cosine(g_ag, g_ds),
-                                        p_orig=drop.p_orig, sad_drop=drop.drop))
+                                        p_orig=p_orig, sad_drop=drop))
     return records
 
 
@@ -295,7 +300,7 @@ def _hist_entropy(samples, bins):
     return float(-(p[nz] * np.log(p[nz] / widths[nz])).sum())
 
 
-def relu_entropy_drop(n_samples=1_000_000, bins=200, seed=0):
+def relu_entropy_drop(n_samples=1_000_000, seed=0):
     """Monte-Carlo estimate of the entropy removed by rectifying a standard
     normal: differential entropy of the input minus the mixed entropy
     (point mass at zero plus truncated continuous part) of the output."""
@@ -304,10 +309,10 @@ def relu_entropy_drop(n_samples=1_000_000, bins=200, seed=0):
         raise ConfigurationError("relu_entropy_drop needs n_samples >= 1e5")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     z = rng.standard_normal(n_samples)
-    h_in = _hist_entropy(z, bins)
+    h_in = _hist_entropy(z, ENTROPY_BINS)
     p0 = float((z <= 0).mean())
     h_discrete = -p0 * math.log(p0)
-    h_continuous = _hist_entropy(z[z > 0], bins)
+    h_continuous = _hist_entropy(z[z > 0], ENTROPY_BINS)
     return h_in - (h_discrete + h_continuous)
 
 

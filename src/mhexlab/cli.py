@@ -110,7 +110,10 @@ def cmd_train(args):
 
 def _sample_ids(args, dataset):
     if args.samples:
-        ids = [int(s) for s in args.samples.split(",")]
+        try:
+            ids = [int(s) for s in args.samples.split(",")]
+        except ValueError:
+            raise ConfigurationError(f"--samples takes integer ids, got {args.samples!r}") from None
         for i in ids:
             if not 0 <= i < len(dataset):
                 raise MhexError(f"unknown sample id {i} (dataset has {len(dataset)})")
@@ -167,13 +170,11 @@ def cmd_explain(args):
     print(f"wrote {len(manifest)} artifacts to {out}")
 
 
-def _truth_cam(dataset, i):
-    return dataset.truth_masks[i].astype(np.float64)
-
-
 def cmd_evaluate(args):
     if args.dataset == "tokens" and (args.grad_cam or args.oracle_explainer):
         raise ConfigurationError("--grad-cam and --oracle-explainer need --dataset shapes")
+    if args.dataset == "shapes" and args.curve_samples < 1:
+        raise ConfigurationError(f"--curve-samples must be >= 1, got {args.curve_samples}")
     out = _resolve_out(args)
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
@@ -193,50 +194,35 @@ def cmd_evaluate(args):
         print(f"token mean drop: {np.mean([r.drop for r in records]):.4f}")
         return
 
-    methods = {"mhex": None}
-    if args.grad_cam:
-        methods["gradcam"] = None
-    if args.oracle_explainer:
-        methods["oracle"] = None
-
-    def records_for(method):
+    methods = [m for m, on in (("mhex", True), ("gradcam", args.grad_cam),
+                               ("oracle", args.oracle_explainer)) if on]
+    summary = []
+    for method in methods:
         recs, loc, cams = [], [], []
         for i in range(n):
             label = int(dataset.labels[i])
             image = dataset.images[i]
-            if method == "mhex":
-                smap = saliency.explain_image(model, image, label, wf)
-                cam = saliency.resize_map(smap.grid, image.shape[-2:])
-            elif method == "gradcam":
-                smap = saliency.gradcam_baseline(model, image, label)
-                cam = saliency.resize_map(smap.grid, image.shape[-2:])
+            if method == "oracle":
+                cam = dataset.truth_masks[i].astype(np.float64)
             else:
-                cam = _truth_cam(dataset, i)
+                smap = (saliency.explain_image(model, image, label, wf) if method == "mhex"
+                        else saliency.gradcam_baseline(model, image, label))
+                cam = saliency.resize_map(smap.grid, image.shape[-2:])
             recs.append(metrics.drop_record(model, image, label, cam, sample_id=i))
             loc.append(localization_score(cam, dataset.truth_masks[i]))
             cams.append(cam)
-        return recs, loc, cams
-
-    summary = []
-    for method in methods:
-        recs, loc, cams = records_for(method)
         metrics.write_drop_csv(recs, out / f"drop_{method}.csv", method=method)
-        curves_del, curves_ins = [], []
-        for i in range(min(n, args.curve_samples)):
-            label = int(dataset.labels[i])
-            image = dataset.images[i]
-            curves_del.append(metrics.deletion_curve(model, image, cams[i], label,
-                                                     steps=args.steps))
-            curves_ins.append(metrics.insertion_curve(model, image, cams[i], label,
-                                                      steps=args.steps))
-        mean_del = metrics.Curve(curves_del[0].fractions,
-                                 np.mean([c.confidences for c in curves_del], axis=0))
-        mean_ins = metrics.Curve(curves_ins[0].fractions,
-                                 np.mean([c.confidences for c in curves_ins], axis=0))
-        metrics.write_curve_csv(mean_del, out / f"deletion_{method}.csv")
-        metrics.write_curve_csv(mean_ins, out / f"insertion_{method}.csv")
-        summary.append((method, metrics.avg_drop(recs), metrics.ead(recs),
-                        metrics.auc(mean_del), metrics.auc(mean_ins),
+        aucs = []
+        for name, curve_fn in (("deletion", metrics.deletion_curve),
+                               ("insertion", metrics.insertion_curve)):
+            curves = [curve_fn(model, dataset.images[i], cams[i], int(dataset.labels[i]),
+                               steps=args.steps)
+                      for i in range(min(n, args.curve_samples))]
+            mean = metrics.Curve(curves[0].fractions,
+                                 np.mean([c.confidences for c in curves], axis=0))
+            metrics.write_curve_csv(mean, out / f"{name}_{method}.csv")
+            aucs.append(metrics.auc(mean))
+        summary.append((method, metrics.avg_drop(recs), metrics.ead(recs), *aucs,
                         float(np.mean(loc))))
 
     with open(out / "summary.csv", "w", newline="") as fh:

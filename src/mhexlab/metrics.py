@@ -23,6 +23,12 @@ class DropRecord:
     drop: float          # max(0, (p_orig - p_mask) / p_orig)
     area: float          # fraction of the map counted as salient
 
+    @classmethod
+    def of(cls, sample_id, p_orig, p_mask, area):
+        """The record with its drop; 0 when ``p_orig`` is not positive."""
+        drop = max(0.0, (p_orig - p_mask) / p_orig) if p_orig > 0 else 0.0
+        return cls(sample_id=sample_id, p_orig=p_orig, p_mask=p_mask, drop=drop, area=area)
+
 
 @dataclass
 class Curve:
@@ -94,9 +100,7 @@ def drop_record(model_or_fn, image, label, cam, sample_id=0, mode="hard"):
     p_orig = _probs_for(predict, image[None] if image.ndim == 3 else image, label)
     masked = hard_mask(image, cam) if mode == "hard" else soft_mask(image, cam)
     p_mask = _probs_for(predict, masked[None] if masked.ndim == 3 else masked, label)
-    drop = max(0.0, (p_orig - p_mask) / p_orig) if p_orig > 0 else 0.0
-    return DropRecord(sample_id=sample_id, p_orig=p_orig, p_mask=p_mask,
-                      drop=drop, area=saliency_area(cam))
+    return DropRecord.of(sample_id, p_orig, p_mask, saliency_area(cam))
 
 
 def avg_drop(records):
@@ -108,7 +112,7 @@ def avg_drop(records):
     skipped = len(records) - len(usable)
     if skipped:
         warnings.warn(f"avg_drop: excluded {skipped} records with p_orig == 0")
-    return float(np.mean([max(0.0, (r.p_orig - r.p_mask) / r.p_orig) for r in usable]))
+    return float(np.mean([r.drop for r in usable]))
 
 
 def area_weight(x):
@@ -198,6 +202,8 @@ def token_perturb_drop(model_or_fn, ids, sal, label, top_frac=0.10, mask_token=0
     prediction covers the originals and their masked copies, and row ``b``
     gets ``sample_id + b``. A ``(S,)`` sequence with one saliency and an int
     label is the batch of one and returns its single ``DropRecord``."""
+    if not 0.0 < top_frac <= 1.0:
+        raise ConfigurationError(f"top_frac must be in (0, 1], got {top_frac}")
     predict = _predictor(model_or_fn)
     ids = np.asarray(ids, dtype=np.intp)
     single = ids.ndim == 1
@@ -215,17 +221,13 @@ def token_perturb_drop(model_or_fn, ids, sal, label, top_frac=0.10, mask_token=0
         if n == 0:
             raise ContractError("token_perturb_drop: empty sequence")
         k = math.ceil(top_frac * n)
-        if k > 0:
-            order = np.argsort(-np.asarray(s.scores, dtype=np.float64), kind="stable")
-            row[np.asarray(s.positions)[order[:k]]] = mask_token
+        order = np.argsort(-np.asarray(s.scores, dtype=np.float64), kind="stable")
+        row[np.asarray(s.positions)[order[:k]]] = mask_token
         areas.append(k / n)
     p = np.asarray(predict(np.concatenate([ids, masked])), dtype=np.float64)
     p = p.reshape(2, len(ids), -1)[:, np.arange(len(ids)), labels]
-    records = []
-    for b, (p_orig, p_mask) in enumerate(p.T.tolist()):
-        drop = max(0.0, (p_orig - p_mask) / p_orig) if p_orig > 0 else 0.0
-        records.append(DropRecord(sample_id=sample_id + b, p_orig=p_orig, p_mask=p_mask,
-                                  drop=drop, area=areas[b]))
+    records = [DropRecord.of(sample_id + b, p_orig, p_mask, areas[b])
+               for b, (p_orig, p_mask) in enumerate(p.T.tolist())]
     return records[0] if single else records
 
 

@@ -195,9 +195,6 @@ class _Host:
     def mhex_param_names(self):
         return [n for n in self.params if n.startswith("mhex")]
 
-    def backbone_param_names(self):
-        return [n for n in self.params if not n.startswith("mhex")]
-
     def side_chain(self, backbone_out, site_mask=None):
         """Explainer blocks over a ``_backbone`` result, which may be shared
         by several calls with different ``site_mask`` values.
@@ -205,12 +202,15 @@ class _Host:
         ``site_mask`` is an optional ``(site_index, mask)`` pair; the mask
         multiplies that site's whole effective input (activations plus
         projected global features, values hence gradients), so per-cell
-        pooled contributions sum exactly to the unmasked ones.
+        pooled contributions sum exactly to the unmasked ones. A masked pass
+        stops after block ``site_index + 1``, the last head that the two
+        losses read, so its record holds ``site_index + 2`` site outputs.
         """
         acts, final_feats, final_logits, pad_mask = backbone_out
         outputs = []
         carry = None
-        for s, bidx in enumerate(self.sites):
+        stop = len(self.sites) if site_mask is None else site_mask[0] + 2
+        for s, bidx in enumerate(self.sites[:stop]):
             params = self.mhex_params(s)
             x_l = u = acts[bidx]
             xg = self._global(final_feats, params, x_l, pad_mask)
@@ -498,10 +498,6 @@ class EpochLog:
 class TrainLog:
     entries: list = field(default_factory=list)
 
-    @property
-    def final_head_accuracy(self):
-        return self.entries[-1].head_accuracy[-1] if self.entries else None
-
 
 def _dataset_arrays(dataset):
     if hasattr(dataset, "images"):
@@ -525,14 +521,16 @@ def head_accuracies(model, dataset, batch_size=EVAL_BATCH_SIZE):
 
 
 def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
-          batch_size=64, weight_decay=0.01, eval_accuracy=True):
+          batch_size=64, eval_accuracy=True):
     """Minimize the combined head loss with a constant-rate AdamW-style
     update. Deterministic for fixed (seed, config, dataset)."""
     if len(dataset) == 0:
         raise ContractError("train: dataset is empty")
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     xs, ys = _dataset_arrays(dataset)
     n = len(ys)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
     m = {k: np.zeros_like(t.data) for k, t in model.params.items()}
     v = {k: np.zeros_like(t.data) for k, t in model.params.items()}
     step = 0

@@ -180,18 +180,21 @@ def _token_scores(w_finals, activations, class_id, cfg):
 
 
 def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None):
-    """Full image pipeline: instrumented forward, filtered weights per site,
-    per-site grids, decay-weighted aggregation."""
-    cfg = cfg or WeightFilterConfig()
+    """Full image pipeline: an instrumented forward without a tape, then ``image_map``."""
     with ad.no_grad():
         rec = model.forward_collect(image)
+    return image_map(model, rec, class_id, cfg)
+
+
+def image_map(model, rec, class_id, cfg: WeightFilterConfig | None = None):
+    """The map of the first image of an unmasked ``ForwardRecord``: filtered
+    weights per site, per-site grids, decay-weighted aggregation."""
+    cfg = cfg or WeightFilterConfig()
     grids = []
     for s in range(len(model.sites)):
-        w_eq = equivalent_matrix(model.mhex_params(s))
-        w_fin = final_weights(w_eq, cfg)
+        w_fin = final_weights(equivalent_matrix(model.mhex_params(s)), cfg)
         grids.append(cam_layer(w_fin[class_id], rec.site_outputs[s].relu_features.data[0]))
-    out = aggregate_cams(grids, cfg.layer_decay, class_id=class_id)
-    return out
+    return aggregate_cams(grids, cfg.layer_decay, class_id=class_id)
 
 
 def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):

@@ -113,15 +113,17 @@ def as_format_v1(data):
     return data[:8] + struct.pack("<I", 1) + data[12:-4]
 
 
-def count_backbone(host_class, monkeypatch):
-    """List that gains one entry per ``_backbone`` call of any instance of
-    ``host_class``, including models loaded inside a CLI command."""
+def count_calls(owner, name, monkeypatch):
+    """List that gains one entry per call of attribute ``name`` of a class or
+    module ``owner``: a class's method counts the calls of every instance
+    (models loaded inside a CLI command too), a module's function the calls
+    made through that module's name."""
     calls = []
-    backbone = host_class._backbone
+    fn = getattr(owner, name)
 
-    def counting(self, x):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return backbone(self, x)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(host_class, "_backbone", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls

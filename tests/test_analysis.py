@@ -5,11 +5,14 @@ import pytest
 
 import mhexlab as mx
 import mhexlab.analysis as A
+import mhexlab.metrics as M
+import mhexlab.models as models
+import mhexlab.saliency as S
 from mhexlab import autodiff as ad
 from mhexlab.errors import (ConfigurationError, ContractError,
                             UndefinedCorrelationError)
 
-from helpers import count_backbone
+from helpers import count_calls
 
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_special = pytest.importorskip("scipy.special")
@@ -242,14 +245,22 @@ def test_grad_wrt_skips_backbone(small_cnn, monkeypatch):
 
 def test_blockwise_runs_backbone_once(small_cnn, monkeypatch):
     ds = mx.gen_shapes(1, seed=42)
-    calls = count_backbone(type(small_cnn), monkeypatch)
+    calls = count_calls(type(small_cnn), "_backbone", monkeypatch)
     A.blockwise_quality(small_cnn, ds.images[0], int(ds.labels[0]), grid=3)
     assert len(calls) == 1
 
 
+def test_blockwise_replays_only_site_and_successor(small_cnn, monkeypatch):
+    """Each of the 9 cells runs blocks 0 and 1 only, not all four."""
+    ds = mx.gen_shapes(1, seed=42)
+    calls = count_calls(models, "run_block", monkeypatch)
+    A.blockwise_quality(small_cnn, ds.images[0], int(ds.labels[0]), grid=3, site=0)
+    assert len(calls) == 9 * 2
+
+
 def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
     ds = mx.gen_shapes(1, seed=43)
-    calls = count_backbone(type(small_cnn), monkeypatch)
+    calls = count_calls(type(small_cnn), "_backbone", monkeypatch)
     with pytest.raises(ContractError):
         A.blockwise_quality(small_cnn, ds.images[0], 0, grid=1,
                             site=len(small_cnn.sites) - 1)
@@ -258,7 +269,7 @@ def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
 
 def test_blockwise_transformer_raises_before_forward(small_transformer, monkeypatch):
     ds = mx.gen_tokens(1, seed=45)
-    calls = count_backbone(type(small_transformer), monkeypatch)
+    calls = count_calls(type(small_transformer), "_backbone", monkeypatch)
     with pytest.raises(ContractError, match="CNN host"):
         A.blockwise_quality(small_transformer, ds.ids[0], int(ds.labels[0]), grid=2)
     assert calls == []
@@ -294,6 +305,27 @@ def test_collab_records_equal_collaboration_cosine(small_cnn):
     with pytest.raises(ContractError):
         A.collect_collab_records(small_cnn, ds, n_samples=3,
                                  sites=[len(small_cnn.sites) - 1])
+
+
+def test_collab_records_one_backbone_per_forward(small_cnn, monkeypatch):
+    """One taped forward per sample feeds the map, p_orig and the gradient
+    pairs; the soft-masked copy is the only other forward."""
+    ds = mx.gen_shapes(3, seed=45)
+    calls = count_calls(type(small_cnn), "_backbone", monkeypatch)
+    A.collect_collab_records(small_cnn, ds, n_samples=3)
+    assert len(calls) <= 2 * 3
+
+
+def test_collab_records_drop_equals_explain_and_drop_record(small_cnn):
+    """p_orig and sad_drop are those of explain_image, resize_map and a
+    soft drop_record, bit for bit."""
+    ds = mx.gen_shapes(4, seed=46)
+    records = A.collect_collab_records(small_cnn, ds, n_samples=4)
+    for r in records:
+        image, label = ds.images[r.sample_id], int(ds.labels[r.sample_id])
+        cam = S.resize_map(S.explain_image(small_cnn, image, label).grid, image.shape[-2:])
+        ref = M.drop_record(small_cnn, image, label, cam, sample_id=r.sample_id, mode="soft")
+        assert (r.p_orig, r.sad_drop) == (ref.p_orig, ref.drop)
 
 
 def test_correlation_triangle_structure(small_cnn):

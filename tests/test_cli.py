@@ -9,7 +9,7 @@ import pytest
 from mhexlab import cli
 from mhexlab.models import TransformerModel, save_checkpoint
 
-from helpers import checkpoint_with_config, count_backbone
+from helpers import checkpoint_with_config, count_calls
 
 
 def _rows(path):
@@ -216,7 +216,7 @@ def test_evaluate_tokens_forwards_per_chunk(token_ckpt, tmp_path, monkeypatch):
     """One forward per chunk for the saliencies and one for the drops,
     instead of three per sequence."""
     ckpt, _ = token_ckpt
-    calls = count_backbone(TransformerModel, monkeypatch)
+    calls = count_calls(TransformerModel, "_backbone", monkeypatch)
     rc = cli.main(["evaluate", "--dataset", "tokens", "--n-samples", "130",
                    "--checkpoint", str(ckpt), "--out", str(tmp_path)])
     assert rc == 0
@@ -304,6 +304,30 @@ def test_errors_exit_nonzero(tmp_path, capsys):
                    "--grid", "99", "--checkpoint", str(tmp_path / "missing.ckpt"),
                    "--out", str(tmp_path)])
     assert rc == 1
+
+
+BAD_INPUTS = {
+    "samples_not_int": ["explain", "--dataset", "tokens", "--samples", "1,a"],
+    "batch_size_0": ["train", "--dataset", "tokens", "--batch-size", "0"],
+    "curve_samples_0": ["evaluate", "--curve-samples", "0"],
+    "top_frac_2": ["evaluate", "--dataset", "tokens", "--top-frac", "2"],
+    "top_frac_negative": ["evaluate", "--dataset", "tokens", "--top-frac", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_and_writes_nothing(token_ckpt, shape_ckpt, tmp_path,
+                                              capsys, case):
+    """An invalid value prints an error line instead of a traceback, and
+    leaves no artifact behind."""
+    argv = BAD_INPUTS[case]
+    if argv[0] != "train":
+        argv = argv + ["--checkpoint", str(token_ckpt[0] if "tokens" in argv else shape_ckpt)]
+    out = tmp_path / "out"
+    rc = cli.main(argv + ["--n-samples", "8", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_bad_sample_id(token_ckpt, tmp_path):

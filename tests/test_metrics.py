@@ -76,6 +76,12 @@ def test_drop_clamped_at_zero():
     assert M.avg_drop([r]) == 0.0
 
 
+def test_drop_record_of_owns_the_drop():
+    assert M.DropRecord.of(3, 0.5, 0.125, 0.5) == M.DropRecord(3, 0.5, 0.125, 0.75, 0.5)
+    assert M.DropRecord.of(0, 0.2, 0.9, 0.1).drop == 0.0       # clamped
+    assert M.DropRecord.of(0, 0.0, 0.0, 0.1).drop == 0.0       # no confidence
+
+
 def test_avg_drop_excludes_zero_confidence():
     good = M.DropRecord(0, 0.5, 0.25, 0.5, 0.1)
     dead = M.DropRecord(1, 0.0, 0.0, 0.0, 0.1)
@@ -169,6 +175,23 @@ def test_token_perturb_drop():
     assert r.drop > 0.8                          # keyword removed
     with pytest.raises(ContractError):
         M.token_perturb_drop(predict, np.array([1, 1]), sal, 0)
+
+
+@pytest.mark.parametrize("top_frac", [0.0, -1.0, 1.5, 2.0, float("nan")])
+def test_token_perturb_drop_rejects_top_frac(top_frac):
+    """A fraction outside (0, 1] raises before any prediction; 2 used to
+    pass through to an area of 2, which only area_weight rejected."""
+    calls = []
+
+    def predict(ids):
+        calls.append(1)
+        return np.full((len(ids), 2), 0.5)
+
+    sal = type("S", (), {"positions": np.arange(4), "scores": np.ones(4)})()
+    with pytest.raises(ConfigurationError, match="top_frac"):
+        M.token_perturb_drop(predict, np.arange(2, 6), sal, 0, top_frac=top_frac)
+    assert calls == []
+    assert M.token_perturb_drop(predict, np.arange(2, 6), sal, 0, top_frac=1.0).area == 1.0
 
 
 def test_token_perturb_drop_batch_matches_rows(small_transformer):

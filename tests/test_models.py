@@ -104,6 +104,28 @@ def test_input_shape_contract(small_cnn, small_transformer):
         small_transformer.forward_collect(np.ones((1, 4), dtype=np.intp))  # all pad
 
 
+@pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
+def test_masked_record_stops_after_successor(host, request):
+    """A record masked at site s holds the s + 2 site outputs its two
+    losses read, all of them at the last site; those outputs equal the
+    ones of a pass that runs every block."""
+    model = request.getfixturevalue(host)
+    if model.kind == "resnet":
+        x = mx.gen_shapes(1, seed=8).images[0]
+    else:
+        x = mx.gen_tokens(1, seed=8).ids[:1]
+    backbone = model._backbone(x)
+    full = model.side_chain(backbone)
+    n_sites = len(model.sites)
+    for s in range(n_sites):
+        shape = backbone[0][model.sites[s]].data.shape
+        mask = np.ones(shape[-2:] if model.kind == "resnet" else shape[1:2])
+        rec = model.forward_collect(x, site_mask=(s, mask))
+        assert len(rec.site_outputs) == min(s + 2, n_sites)
+        for a, b in zip(rec.site_outputs, full.site_outputs):
+            assert np.array_equal(a.ds_logits.data, b.ds_logits.data)
+
+
 @pytest.mark.parametrize("length", [1, 3])
 def test_transformer_site_mask_shape_contract(small_transformer, length):
     """A token site mask must hold one value per position."""

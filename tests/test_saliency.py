@@ -136,6 +136,15 @@ def test_explain_image_shapes(small_cnn):
     assert all(g.shape == (16, 16) for g in smap.layer_grids)
 
 
+def test_image_map_reads_a_taped_record(small_cnn):
+    """The map read from a taped record is explain_image's bit for bit."""
+    ds = mx.gen_shapes(1, seed=21)
+    label = int(ds.labels[0])
+    smap = S.image_map(small_cnn, small_cnn.forward_collect(ds.images[0]), label)
+    ref = S.explain_image(small_cnn, ds.images[0], label)
+    assert np.array_equal(smap.raw, ref.raw) and np.array_equal(smap.grid, ref.grid)
+
+
 def test_explain_tokens_shapes(small_transformer):
     td = mx.gen_tokens(2, seed=20)
     sal = S.explain_tokens(small_transformer, td.ids[0], int(td.labels[0]))
