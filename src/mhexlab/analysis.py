@@ -224,13 +224,19 @@ def pearson(x, y):
 # triangle report
 
 
+def check_collab_inputs(model, dataset):
+    """Raise ``ContractError`` unless ``model`` is the CNN host and
+    ``dataset`` holds images, the only pair the collaboration analysis reads."""
+    if getattr(model, "kind", None) != "resnet" or not hasattr(dataset, "images"):
+        raise ContractError("the collaboration analysis supports only the CNN host on images")
+
+
 def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
     measured sites (the last three blocks having a successor by default).
     One taped forward per sample feeds the map, ``p_orig`` and the gradient
     pairs; only the soft-masked copy needs a second forward."""
-    if getattr(model, "kind", None) != "resnet" or not hasattr(dataset, "images"):
-        raise ContractError("the collaboration analysis supports only the CNN host on images")
+    check_collab_inputs(model, dataset)
     if sites is None:
         with_succ = list(range(len(model.sites) - 1))
         sites = with_succ[-3:]

@@ -12,9 +12,15 @@ Griewank & Walther, *Evaluating Derivatives*, 2008); every other node's
 adjoint cannot reach the target. The result is bit-identical to the full
 sweep's, because the same adjoints are summed in the same order.
 
+The tape holds the activations and little else. ``conv2d`` builds its
+im2col columns in chunks of samples of at most ``_COLS_BYTES`` and rebuilds
+them in its backward closure instead of keeping them (the recomputation trade
+of Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016). The
+reverse sweep drops each adjoint once the node's closure has consumed it.
+
 Inside ``no_grad()`` nothing is recorded: a new tensor keeps no parents and
-no closure, so a forward-only pass frees each intermediate (and the im2col
-columns a conv closure would hold) once the next op has read it.
+no closure, so a forward-only pass frees each intermediate once the next op
+has read it.
 """
 
 from __future__ import annotations
@@ -22,11 +28,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DimensionError, ConfigurationError
 
 _recording = True
+# im2col columns of one conv2d chunk; a fresh array above glibc's mmap
+# threshold page-faults on every call, 2 MB chunks reuse heap pages
+_COLS_BYTES = 1 << 21
 
 
 @contextmanager
@@ -196,6 +205,24 @@ def matmul(a, b):
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
 
+def _columns(x, kh, kw, stride, pad):
+    """im2col columns (N, C*kh*kw, oh*ow) of ``x`` (N,C,H,W) zero-padded by
+    ``pad``."""
+    n, c, h, w = x.shape
+    if pad:     # np.pad's own overhead outweighs a batch-1 GEMM
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+        x = xp
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    sn, sc, sh, sw = x.strides
+    # win[n, c, i, j, a, b] = x[n, c, stride*a + i, stride*b + j]: the windows
+    # sliding_window_view gives, without its per-call argument handling
+    win = as_strided(x, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, stride * sh, stride * sw),
+                     writeable=False)
+    return win.reshape(n, c * kh * kw, oh * ow)
+
+
 def conv2d(x, w, stride=1, pad=0):
     """Cross-correlation with zero padding.
 
@@ -216,24 +243,28 @@ def conv2d(x, w, stride=1, pad=0):
         raise ConfigurationError(f"conv2d stride must be >= 1, got {stride}")
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd_ + 2 * pad - kw) // stride + 1
-
-    xp = xd
-    if pad:     # np.pad's own overhead outweighs a batch-1 GEMM
-        xp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad))
-        xp[:, :, pad:pad + h, pad:pad + wd_] = xd
-    # (N, C, oh, ow, kh, kw) view, then columns (N, C*kh*kw, oh*ow)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
+    k, l = c * kh * kw, oh * ow
+    step = max(1, _COLS_BYTES // (8 * k * l))      # samples per chunk, at least 1
     wdat = w.data
-    out_data = np.matmul(wdat.reshape(o, c * kh * kw), cols).reshape(n, o, oh, ow)
+    # the same per-sample GEMMs as one stacked matmul; batch 1 is one chunk
+    out_data = np.empty((n, o, l))
+    for lo in range(0, n, step):
+        np.matmul(wdat.reshape(o, k), _columns(xd[lo:lo + step], kh, kw, stride, pad),
+                  out=out_data[lo:lo + step])
+    out_data = out_data.reshape(n, o, oh, ow)
 
     def backward(g):
-        gm = g.reshape(n, o, oh * ow)
-        # einsum without optimize runs numpy's own loop, not BLAS
-        gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wdat.shape)
+        gm = g.reshape(n, o, l)
+        # one GEMM per sample as in the forward, summed over the batch
+        # (einsum without optimize runs numpy's own loop, not BLAS)
+        gwn = np.empty((n, o, k))
+        for lo in range(0, n, step):
+            cols = _columns(xd[lo:lo + step], kh, kw, stride, pad)
+            np.matmul(gm[lo:lo + step], cols.transpose(0, 2, 1), out=gwn[lo:lo + step])
+        gw = gwn.sum(axis=0).reshape(wdat.shape)
         # one GEMM per kernel row, not a cols-sized one; per tap, a 1-channel
         # input would become a matrix-vector product that rounds differently
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad))
         for i in range(kh):
             drow = np.matmul(wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o), gm)
             drow = drow.reshape(n, kw, c, oh, ow)
@@ -405,7 +436,12 @@ def _topo_order(root):
 
 def _reverse(loss, order, marked=None):
     """Reverse loop over ``order`` (parents before children); with
-    ``marked`` (a set of ids), adjoints flow only into marked parents."""
+    ``marked`` (a set of ids), adjoints flow only into marked parents.
+
+    Once a node's closure has run, its entry is set to ``None``: every
+    child has already added to it, so nothing reads it again. The key stays,
+    and so do the adjoints of nodes without a closure (leaves such as
+    parameters, and the target of ``adjoint``, which is not swept)."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     adj = {id(loss): np.ones_like(loss.data)}
@@ -421,6 +457,7 @@ def _reverse(loss, order, marked=None):
                 adj[key] = adj[key] + pg
             else:
                 adj[key] = pg
+        adj[id(node)] = None
     return adj
 
 

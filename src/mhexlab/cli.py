@@ -175,6 +175,8 @@ def cmd_evaluate(args):
         raise ConfigurationError("--grad-cam and --oracle-explainer need --dataset shapes")
     if args.dataset == "shapes" and args.curve_samples < 1:
         raise ConfigurationError(f"--curve-samples must be >= 1, got {args.curve_samples}")
+    if args.dataset == "shapes" and args.steps < 2:
+        raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
     out = _resolve_out(args)
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
@@ -241,7 +243,14 @@ def cmd_analyze(args):
     out = _resolve_out(args)
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
+    analysis.check_collab_inputs(model, dataset)
     n = min(args.n_samples, len(dataset))
+    # the parts that check --entropy-n and --grid run before the collaboration
+    # pass, and no file is written until every part has run
+    dh = analysis.relu_entropy_drop(args.entropy_n, seed=args.seed)
+    maps = [analysis.blockwise_quality(model, dataset.images[i], int(dataset.labels[i]),
+                                       grid=args.grid)
+            for i in range(min(n, args.block_samples))]
     rows, records = analysis.correlation_triangle(model, dataset, n_samples=n)
     analysis.write_correlation_csv(rows, out / "correlation.csv")
     with open(out / "collab_records.csv", "w", newline="") as fh:
@@ -250,13 +259,9 @@ def cmd_analyze(args):
         for r in records:
             writer.writerow([r.sample_id, r.site, f"{r.cosine:.6g}",
                              f"{r.p_orig:.6g}", f"{r.sad_drop:.6g}"])
-    for i in range(min(n, args.block_samples)):
-        label = int(dataset.labels[i])
-        bq = analysis.blockwise_quality(model, dataset.images[i], label,
-                                        grid=args.grid)
+    for i, bq in enumerate(maps):
         saliency.render_heatmap(saliency.normalize_map(bq),
                                 out / f"sample{i:04d}_blockwise.pgm")
-    dh = analysis.relu_entropy_drop(args.entropy_n, seed=args.seed)
     with open(out / "entropy.txt", "w") as fh:
         fh.write(f"entropy_drop_estimate={dh:.6f}\n")
     _write_config(args, out)

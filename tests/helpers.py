@@ -3,12 +3,13 @@ reference implementations used to cross-check the library.
 """
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from mhexlab.autodiff import Tensor, grad_wrt
+from mhexlab.autodiff import Tensor, _topo_order, grad_wrt
 
 
 def numeric_grad(f, params, eps=1e-6):
@@ -55,16 +56,32 @@ def rng_tensor(rng, shape, scale=1.0, requires_grad=True):
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
 
 
-def conv2d_forward_reference(x, w, stride, pad):
-    """``conv2d``'s forward on ndarrays with the input padded by ``np.pad``;
-    the same im2col columns and GEMM otherwise."""
+def im2col_reference(x, kh, kw, stride, pad):
+    """The whole batch's im2col columns (N, C*kh*kw, oh*ow) of ndarray ``x``
+    padded by ``np.pad``, and the output extent (oh, ow)."""
     n, c = x.shape[:2]
-    o, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     oh, ow = win.shape[2:4]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
-    return np.matmul(w.reshape(o, -1), cols).reshape(n, o, oh, ow)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow), (oh, ow)
+
+
+def conv2d_forward_reference(x, w, stride, pad):
+    """``conv2d``'s forward on ndarrays as one stacked GEMM over the whole
+    batch's columns, with the input padded by ``np.pad``."""
+    o, _, kh, kw = w.shape
+    cols, (oh, ow) = im2col_reference(x, kh, kw, stride, pad)
+    return np.matmul(w.reshape(o, -1), cols).reshape(x.shape[0], o, oh, ow)
+
+
+def conv2d_weight_grad_stacked(x, w, g, stride, pad):
+    """``conv2d``'s weight gradient as one stacked GEMM over the whole
+    batch's columns, summed over the samples: the same per-sample products
+    in the same order as the chunked closure."""
+    o, _, kh, kw = w.shape
+    cols, _ = im2col_reference(x, kh, kw, stride, pad)
+    gm = g.reshape(x.shape[0], o, -1)
+    return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
 
 
 def conv2d_backward_reference(x, w, g, stride, pad):
@@ -88,6 +105,47 @@ def conv2d_backward_reference(x, w, g, stride, pad):
         for j in range(kw):
             gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, :, i, j]
     return gxp[:, :, pad:pad + h, pad:pad + wd], gw
+
+
+def adjoints_reference(loss):
+    """Every node's adjoint from a full reverse sweep that keeps all of them:
+    ``{id(tensor): ndarray}``, the sweep of ``autodiff`` without the release."""
+    adj = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(_topo_order(loss)):
+        g = adj.get(id(node))
+        if g is None or node._backward is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is not None:
+                key = id(parent)
+                adj[key] = adj[key] + pg if key in adj else pg
+    return adj
+
+
+def closure_arrays(fn):
+    """Every ndarray that function ``fn`` holds in its closure, through the
+    functions it holds in turn (a tensor it holds is a tape node, not
+    followed)."""
+    arrays, stack = [], [fn]
+    while stack:
+        for cell in stack.pop().__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                arrays.append(v)
+            elif callable(v) and hasattr(v, "__closure__"):
+                stack.append(v)
+    return arrays
+
+
+def peak_mb(fn):
+    """tracemalloc peak in MB of one call of ``fn()``, whose result is
+    dropped; what was allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def checkpoint_with_config(data, edit):

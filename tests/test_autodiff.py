@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import mhexlab as mx
 import mhexlab.autodiff as ad
 from mhexlab.autodiff import Tensor, backward, grad_wrt
+from mhexlab.blocks import mhex_loss
 from mhexlab.errors import ContractError, DimensionError
 
-from helpers import (check_grads, conv2d_backward_reference, conv2d_forward_reference,
-                     rel_err, rng_tensor)
+from helpers import (adjoints_reference, check_grads, closure_arrays,
+                     conv2d_backward_reference, conv2d_forward_reference,
+                     conv2d_weight_grad_stacked, rel_err, rng_tensor)
 
 
 def _rng(seed=0):
@@ -181,6 +184,102 @@ def test_conv_backward_matches_col2im(c, h, o, k, stride, pad):
     ref_gx, ref_gw = conv2d_backward_reference(x.data, w.data, g, stride, pad)
     assert np.array_equal(gx, ref_gx)
     assert rel_err(gw, ref_gw) <= 1e-12
+
+
+# several column chunks with a remainder: (8, 32, 8, 3, 1, 1) fits 3 samples
+# in one 2 MB chunk; at N = 5 most host shapes are a single chunk
+CHUNKED_CONVS = ([(7, HOST_CONVS[1]), (64, HOST_CONVS[1])]
+                 + [(5, shape) for shape in HOST_CONVS])
+
+
+@pytest.mark.parametrize("n, shape", CHUNKED_CONVS)
+def test_conv_chunks_match_full_batch(n, shape):
+    """Chunked columns give the bits of one stacked GEMM over the whole
+    batch: forward, input gradient and weight gradient."""
+    c, h, o, k, stride, pad = shape
+    rng = _rng(14)
+    x = rng.normal(size=(n, c, h, h))
+    w = rng.normal(size=(o, c, k, k))
+    out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+    g = rng.normal(size=out.shape)
+    gx, gw = out._backward(g)
+    assert np.array_equal(out.data, conv2d_forward_reference(x, w, stride, pad))
+    assert np.array_equal(gx, conv2d_backward_reference(x, w, g, stride, pad)[0])
+    assert np.array_equal(gw, conv2d_weight_grad_stacked(x, w, g, stride, pad))
+
+
+def test_conv_chunk_cases_span_several_chunks():
+    # a sample's columns: 8 bytes x (C*kh*kw = 8*3*3) x (oh*ow = 32*32)
+    per_chunk = ad._COLS_BYTES // (8 * 8 * 3 * 3 * 32 * 32)
+    assert [n // per_chunk for n, _ in CHUNKED_CONVS[:2]] == [2, 21]
+    assert all(n % per_chunk for n, _ in CHUNKED_CONVS[:2])
+
+
+def _cnn_tape(model, n, seed):
+    """One taped forward of ``n`` shapes images and its combined head loss;
+    returns (loss, final_feats)."""
+    ds = mx.gen_shapes(n, seed=seed)
+    backbone_out = model._backbone(ds.images)
+    rec = model.side_chain(backbone_out)
+    return mhex_loss(rec.head_logits(), ds.labels, "finetune"), backbone_out[1]
+
+
+def test_tape_holds_no_columns_or_padded_copies(small_cnn):
+    """A conv closure holds only its input and kernel arrays themselves, so
+    neither its im2col columns nor a padded copy, whatever their size; no
+    other closure on a CNN tape holds an array larger than its node's inputs
+    and output."""
+    loss, _ = _cnn_tape(small_cnn, 4, seed=15)
+    convs = 0
+    for node in ad._topo_order(loss):
+        if node._backward is None:
+            continue
+        arrays = closure_arrays(node._backward)
+        if node._backward.__qualname__.startswith("conv2d."):
+            convs += 1
+            assert arrays and all(any(a is p.data for p in node._parents) for a in arrays)
+        else:
+            limit = max([node.data.size] + [p.data.size for p in node._parents])
+            assert all(a.size <= limit for a in arrays)
+    assert convs > 0
+
+
+def test_sweep_releases_consumed_adjoints(small_cnn):
+    """After ``_adjoints`` every node whose closure ran is still a key (the
+    sweep counter of ``perfbench`` reads ``key in adj``) with its entry set to
+    ``None``; parameter adjoints equal a sweep that keeps every adjoint."""
+    loss, _ = _cnn_tape(small_cnn, 2, seed=16)
+    ran = set()
+
+    def recording(node, bw):
+        def wrapper(g):
+            ran.add(id(node))
+            return bw(g)
+        return wrapper
+
+    for node in ad._topo_order(loss):
+        if node._backward is not None:
+            node._backward = recording(node, node._backward)
+    ref = adjoints_reference(loss)
+    ran.clear()
+    adj, order = ad._adjoints(loss)
+    assert ran and all(key in adj and adj[key] is None for key in ran)
+    params = [t for t in small_cnn.params.values() if id(t) in ref]
+    assert params
+    assert all(np.array_equal(adj[id(t)], ref[id(t)]) for t in params)
+
+
+def test_targeted_sweeps_equal_a_sweep_that_keeps_adjoints():
+    """``grad_wrt``, ``backward`` and the interior-node ``adjoint`` that
+    Grad-CAM asks for are bit-identical to a sweep without the release."""
+    model = mx.build_resnet(mx.ResNetConfig(), seed=3)
+    loss, final_feats = _cnn_tape(model, 2, seed=17)
+    ref = adjoints_reference(loss)
+    assert np.array_equal(ad.adjoint(loss, final_feats), ref[id(final_feats)])
+    backward(loss)
+    for t in model.params.values():
+        assert np.array_equal(grad_wrt(loss, t).data, ref[id(t)])
+        assert np.array_equal(t.grad, ref[id(t)])
 
 
 def _records(t):

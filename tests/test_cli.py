@@ -310,6 +310,10 @@ BAD_INPUTS = {
     "samples_not_int": ["explain", "--dataset", "tokens", "--samples", "1,a"],
     "batch_size_0": ["train", "--dataset", "tokens", "--batch-size", "0"],
     "curve_samples_0": ["evaluate", "--curve-samples", "0"],
+    "steps_1": ["evaluate", "--steps", "1"],
+    "grid_0": ["analyze", "--grid", "0"],
+    "grid_finer_than_site_0": ["analyze", "--grid", "99"],
+    "entropy_n_below_1e5": ["analyze", "--entropy-n", "99999"],
     "top_frac_2": ["evaluate", "--dataset", "tokens", "--top-frac", "2"],
     "top_frac_negative": ["evaluate", "--dataset", "tokens", "--top-frac", "-1"],
 }

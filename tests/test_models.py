@@ -1,5 +1,4 @@
 import gc
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import mhexlab as mx
 import mhexlab.autodiff as ad
+from mhexlab.blocks import mhex_loss
 from mhexlab.errors import (CheckpointError, CheckpointFormatError,
                             CheckpointShapeError, CheckpointVersionError,
                             ConfigurationError, ContractError, DimensionError,
@@ -17,7 +17,7 @@ from mhexlab.models import (EpochLog, ResNetConfig, TrainLog, TransformerConfig,
                             count_mhex_params, head_accuracies, load_checkpoint,
                             save_checkpoint, strip_mhex, train)
 
-from helpers import as_format_v1, checkpoint_with_config, reseal
+from helpers import as_format_v1, checkpoint_with_config, peak_mb, reseal
 
 
 def test_resnet_config_validation():
@@ -242,17 +242,24 @@ def test_head_accuracies_peak_below_quarter_of_taped_forward(small_cnn):
     """The accuracy pass holds no tape: its tracemalloc peak on 128 images is
     under a quarter of one taped forward of the same batch."""
     ds = mx.gen_shapes(128, seed=12)
-    tracemalloc.start()
-    try:
-        rec = small_cnn.forward_collect(ds.images)
-        taped = tracemalloc.get_traced_memory()[1]
-        del rec
-        tracemalloc.reset_peak()
-        head_accuracies(small_cnn, ds, batch_size=128)
-        untaped = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    taped = peak_mb(lambda: small_cnn.forward_collect(ds.images))
+    untaped = peak_mb(lambda: head_accuracies(small_cnn, ds, batch_size=128))
     assert untaped < taped / 4, (untaped, taped)
+
+
+def test_training_step_peak_below_300_mb():
+    """One taped batch-64 forward plus backward of the default CNN holds its
+    activations, not im2col columns, padded copies or consumed adjoints: its
+    tracemalloc peak is under 300 MB (574 MB when the tape kept them)."""
+    model = build_resnet(ResNetConfig(), seed=3)
+    ds = mx.gen_shapes(64, seed=13)
+
+    def step():
+        rec = model.forward_collect(ds.images)
+        ad.backward(mhex_loss(rec.head_logits(), ds.labels, "finetune"))
+
+    peak = peak_mb(step)
+    assert peak < 300, peak
 
 
 def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):
