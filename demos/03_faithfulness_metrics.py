@@ -29,7 +29,8 @@ for i in range(len(held)):
     label = int(held.labels[i])
     smap = S.explain_image(model, held.images[i], label, cfg)
     cam = S.resize_map(smap.grid, held.images[i].shape[-2:])
-    rec = M.drop_record(model, held.images[i], label, cam, sample_id=i)
+    rec = M.drop_record(model.predict_proba, held.images[i], label, cam,
+                        sample_id=i)
     records.append(rec)
     areas.append(M.saliency_area(cam))
 
@@ -49,13 +50,13 @@ for i in range(10):
     label = int(held.labels[i])
     smap = S.explain_image(model, held.images[i], label, cfg)
     cam = S.resize_map(smap.grid, held.images[i].shape[-2:])
-    del_sal.append(M.auc(M.deletion_curve(model, held.images[i], cam, label,
-                                          steps=20)))
-    ins_sal.append(M.auc(M.insertion_curve(model, held.images[i], cam, label,
-                                           steps=20)))
+    del_sal.append(M.auc(M.deletion_curve(model.predict_proba, held.images[i],
+                                          cam, label, steps=20)))
+    ins_sal.append(M.auc(M.insertion_curve(model.predict_proba, held.images[i],
+                                           cam, label, steps=20)))
     rand_cam = rng.random(held.images[i].shape[-2:])
-    del_rand.append(M.auc(M.deletion_curve(model, held.images[i], rand_cam,
-                                           label, steps=20)))
+    del_rand.append(M.auc(M.deletion_curve(model.predict_proba, held.images[i],
+                                           rand_cam, label, steps=20)))
 print(f"mean deletion AUC : saliency {np.mean(del_sal):.3f} "
       f"vs random {np.mean(del_rand):.3f}  (lower is better)")
 print(f"mean insertion AUC: saliency {np.mean(ins_sal):.3f}")

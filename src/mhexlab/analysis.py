@@ -201,6 +201,8 @@ def pearson(x, y):
     n = len(x)
     if n != len(y) or n < 3:
         raise ContractError("pearson needs two equal-length lists with n >= 3")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise UndefinedCorrelationError("a correlation input is NaN or infinite")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = math.sqrt(float(xc @ xc))
@@ -231,11 +233,11 @@ def check_collab_inputs(model, dataset):
         raise ContractError("the collaboration analysis supports only the CNN host on images")
 
 
-def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=None):
+def collect_collab_records(model, dataset, n_samples=None, sites=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
     measured sites (the last three blocks having a successor by default).
-    One taped forward per sample feeds the map, ``p_orig`` and the gradient
-    pairs; only the soft-masked copy needs a second forward."""
+    One taped forward per sample feeds the default-filter map, ``p_orig``
+    and the gradient pairs; only the soft-masked copy needs a second forward."""
     check_collab_inputs(model, dataset)
     if sites is None:
         with_succ = list(range(len(model.sites) - 1))
@@ -245,13 +247,12 @@ def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=No
     n = len(dataset) if n_samples is None else min(n_samples, len(dataset))
     if n < 3:
         raise ContractError("need at least 3 evaluable samples")
-    wf_cfg = wf_cfg or sal_mod.WeightFilterConfig()
     records = []
     for i in range(n):
         image = dataset.images[i]
         label = int(dataset.labels[i])
         fwd = model.forward_collect(image)
-        cam = sal_mod.resize_map(sal_mod.image_map(model, fwd, label, wf_cfg).grid,
+        cam = sal_mod.resize_map(sal_mod.image_map(model, fwd, label).grid,
                                  image.shape[-2:])
         p_orig = float(ad.softmax_last(fwd.final_logits).data[0, label])
         p_mask = float(model.predict_proba(met.soft_mask(image, cam)[None])[0, label])
@@ -263,11 +264,11 @@ def collect_collab_records(model, dataset, n_samples=None, wf_cfg=None, sites=No
     return records
 
 
-def correlation_triangle(model, dataset, n_samples=None, wf_cfg=None):
+def correlation_triangle(model, dataset, n_samples=None):
     """The seven-entry report: per measured site, collaboration vs soft
     drop and collaboration vs confidence; plus one soft-drop vs confidence
     entry. Zero-variance series raise UndefinedCorrelationError."""
-    records = collect_collab_records(model, dataset, n_samples, wf_cfg)
+    records = collect_collab_records(model, dataset, n_samples)
     sites = sorted({r.site for r in records})
     rows = []
     for s in sites:

@@ -33,6 +33,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ContractError, DimensionError, ConfigurationError
 
 _recording = True
+LAYER_NORM_EPS = 1e-5
 # im2col columns of one conv2d chunk; a fresh array above glibc's mmap
 # threshold page-faults on every call, 2 MB chunks reuse heap pages
 _COLS_BYTES = 1 << 21
@@ -130,10 +131,9 @@ def relu(x):
 
 def sigmoid(x):
     x = _as_tensor(x)
-    d = x.data
-    # two-branch form, stable for large |x|
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    # two-branch form, stable for large |x|: 1/(1+e) for x >= 0, e/(1+e) below
+    e = np.exp(-np.abs(x.data))
+    out_data = np.where(x.data >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g):
         return (g * out_data * (1.0 - out_data),)
@@ -290,16 +290,14 @@ def global_avg_pool(x):
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
-def layer_norm(x, gamma=None, beta=None, eps=1e-5):
+def layer_norm(x, gamma=None, beta=None):
     """Standardize the last axis, then apply the optional affine map."""
-    if eps <= 0:
-        raise ConfigurationError(f"layer_norm eps must be > 0, got {eps}")
     x = _as_tensor(x)
     d = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)     # np.var's own steps
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     gdat = gamma.data if gamma is not None else np.ones(d)
     bdat = beta.data if beta is not None else np.zeros(d)

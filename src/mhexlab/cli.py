@@ -128,11 +128,11 @@ def _chunks(ids):
 
 
 def cmd_explain(args):
+    wf = _wf_config(args)
     out = _resolve_out(args)
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
     ids = _sample_ids(args, dataset)
-    wf = _wf_config(args)
     manifest = []
     if args.dataset == "tokens":
         for chunk in _chunks(ids):
@@ -177,11 +177,11 @@ def cmd_evaluate(args):
         raise ConfigurationError(f"--curve-samples must be >= 1, got {args.curve_samples}")
     if args.dataset == "shapes" and args.steps < 2:
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
+    wf = _wf_config(args)
     out = _resolve_out(args)
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
     n = min(args.n_samples, len(dataset))
-    wf = _wf_config(args)
 
     if args.dataset == "tokens":
         records = []
@@ -189,7 +189,7 @@ def cmd_evaluate(args):
             ids, labels = dataset.ids[chunk], dataset.labels[chunk]
             sals = saliency.explain_tokens(model, ids, labels, wf)
             records += metrics.token_perturb_drop(
-                model, ids, sals, labels, top_frac=args.top_frac,
+                model.predict_proba, ids, sals, labels, top_frac=args.top_frac,
                 mask_token=dataset.mask_id, pad_id=dataset.pad_id, sample_id=chunk[0])
         metrics.write_drop_csv(records, out / "token_drop.csv", method="mhex")
         _write_config(args, out)
@@ -210,15 +210,15 @@ def cmd_evaluate(args):
                 smap = (saliency.explain_image(model, image, label, wf) if method == "mhex"
                         else saliency.gradcam_baseline(model, image, label))
                 cam = saliency.resize_map(smap.grid, image.shape[-2:])
-            recs.append(metrics.drop_record(model, image, label, cam, sample_id=i))
+            recs.append(metrics.drop_record(model.predict_proba, image, label, cam, sample_id=i))
             loc.append(localization_score(cam, dataset.truth_masks[i]))
             cams.append(cam)
         metrics.write_drop_csv(recs, out / f"drop_{method}.csv", method=method)
         aucs = []
         for name, curve_fn in (("deletion", metrics.deletion_curve),
                                ("insertion", metrics.insertion_curve)):
-            curves = [curve_fn(model, dataset.images[i], cams[i], int(dataset.labels[i]),
-                               steps=args.steps)
+            curves = [curve_fn(model.predict_proba, dataset.images[i], cams[i],
+                               int(dataset.labels[i]), steps=args.steps)
                       for i in range(min(n, args.curve_samples))]
             mean = metrics.Curve(curves[0].fractions,
                                  np.mean([c.confidences for c in curves], axis=0))

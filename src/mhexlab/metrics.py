@@ -1,6 +1,8 @@
-"""Saliency-quality metrics: confidence-drop scores with soft and hard
-masking, the area-weighted drop and its weighting function, and
-insertion/deletion curves with trapezoidal AUC.
+"""Saliency-quality metrics: confidence-drop scores under hard masking,
+the area-weighted drop and its weighting function, and insertion/deletion
+curves with trapezoidal AUC. Every metric reads the model through
+``predict``, a callable that maps a batch to ``(B, n_class)`` probabilities
+(a host's ``predict_proba``); images are ``(C, H, W)``, maps ``(H, W)``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
+
+SALIENT = 0.5     # saliency at which a cell counts as salient and is masked
 
 
 @dataclass
@@ -36,15 +40,9 @@ class Curve:
     confidences: np.ndarray
 
 
-def _predictor(model_or_fn):
-    if callable(model_or_fn) and not hasattr(model_or_fn, "predict_proba"):
-        return model_or_fn
-    return model_or_fn.predict_proba
-
-
-def _probs_for(predict, x, target):
-    p = np.asarray(predict(x), dtype=np.float64)
-    return float(p.reshape(-1, p.shape[-1])[0][target])
+def _prob(predict, image, label):
+    """Probability of ``label`` for one (C, H, W) image."""
+    return float(np.asarray(predict(image[None]), dtype=np.float64)[0, label])
 
 
 def mean_intensity(image):
@@ -59,9 +57,9 @@ def mean_intensity(image):
 def _check_cam(image, cam):
     image = np.asarray(image, dtype=np.float64)
     cam = np.asarray(cam, dtype=np.float64)
-    if cam.shape != image.shape[-2:]:
+    if image.ndim != 3 or cam.shape != image.shape[1:]:
         raise DimensionError(
-            f"cam shape {cam.shape} does not match image spatial shape {image.shape[-2:]}")
+            f"needs a (C,H,W) image and an (H,W) cam, got {image.shape} and {cam.shape}")
     return image, cam
 
 
@@ -73,34 +71,29 @@ def soft_mask(image, cam):
     return image * (1.0 - cam) + mu * cam
 
 
-def hard_mask(image, cam, threshold=0.5):
-    """Replace pixels whose saliency reaches ``threshold`` by the
+def hard_mask(image, cam):
+    """Replace the salient pixels (saliency >= ``SALIENT``) by the
     per-channel mean intensity."""
     image, cam = _check_cam(image, cam)
-    fill = mean_intensity(image)[..., None, None]
-    keep = cam < threshold
-    return np.where(keep, image, np.broadcast_to(fill, image.shape))
+    return np.where(cam >= SALIENT, mean_intensity(image)[:, None, None], image)
 
 
-def saliency_area(cam, threshold=0.5):
-    """Fraction of cells at or above the binarization threshold."""
-    cam = np.asarray(cam, dtype=np.float64)
-    return float((cam >= threshold).mean())
+def saliency_area(cam):
+    """Fraction of salient cells (saliency >= ``SALIENT``)."""
+    return float((np.asarray(cam, dtype=np.float64) >= SALIENT).mean())
 
 
 # ---------------------------------------------------------------------------
 # drop metrics
 
 
-def drop_record(model_or_fn, image, label, cam, sample_id=0, mode="hard"):
-    """Confidence drop for one sample under hard (mean-fill) or soft
-    (convex-blend) removal of the salient region."""
-    predict = _predictor(model_or_fn)
+def drop_record(predict, image, label, cam, sample_id=0):
+    """Confidence drop for one (C, H, W) image when its salient region is
+    mean-filled (``hard_mask``)."""
     image = np.asarray(image, dtype=np.float64)
-    p_orig = _probs_for(predict, image[None] if image.ndim == 3 else image, label)
-    masked = hard_mask(image, cam) if mode == "hard" else soft_mask(image, cam)
-    p_mask = _probs_for(predict, masked[None] if masked.ndim == 3 else masked, label)
-    return DropRecord.of(sample_id, p_orig, p_mask, saliency_area(cam))
+    masked = hard_mask(image, cam)
+    return DropRecord.of(sample_id, _prob(predict, image, label),
+                         _prob(predict, masked, label), saliency_area(cam))
 
 
 def avg_drop(records):
@@ -141,41 +134,34 @@ def _pixel_order(cam):
     return np.argsort(-np.asarray(cam, dtype=np.float64).ravel(), kind="stable")
 
 
-def deletion_curve(model_or_fn, image, cam, label, steps=20):
+def deletion_curve(predict, image, cam, label, steps=20):
     """Confidence as the most-salient pixels are progressively replaced by
     the mean intensity."""
-    return _perturbation_curve(model_or_fn, image, cam, label, steps, insert=False)
+    return _perturbation_curve(predict, image, cam, label, steps, insert=False)
 
 
-def insertion_curve(model_or_fn, image, cam, label, steps=20):
+def insertion_curve(predict, image, cam, label, steps=20):
     """Confidence as the most-salient pixels are progressively restored onto
     a constant mean-intensity baseline."""
-    return _perturbation_curve(model_or_fn, image, cam, label, steps, insert=True)
+    return _perturbation_curve(predict, image, cam, label, steps, insert=True)
 
 
-def _perturbation_curve(model_or_fn, image, cam, label, steps, insert):
+def _perturbation_curve(predict, image, cam, label, steps, insert):
     if steps < 2:
         raise ConfigurationError("curves need at least 2 steps")
-    predict = _predictor(model_or_fn)
     image, cam = _check_cam(image, cam)
-    mu = mean_intensity(image).reshape(-1, 1, 1)
-    baseline = np.broadcast_to(mu, image.shape).copy()
-    order = _pixel_order(cam)
-    n_pix = cam.size
+    pixels = image.reshape(image.shape[0], -1)
+    mu = mean_intensity(image)[:, None]
+    # the first k pixels of the saliency order take `chosen`, the rest `other`
+    chosen, other = (pixels, mu) if insert else (mu, pixels)
+    rank = np.empty(cam.size, dtype=np.intp)
+    rank[_pixel_order(cam)] = np.arange(cam.size)
     fractions = np.linspace(0.0, 1.0, steps)
     confidences = np.empty(steps)
-    flat_img = image.reshape(image.shape[0], -1)
     for i, frac in enumerate(fractions):
-        k = int(round(frac * n_pix))
-        chosen = order[:k]
-        if insert:
-            cur = baseline.copy().reshape(image.shape[0], -1)
-            cur[:, chosen] = flat_img[:, chosen]
-        else:
-            cur = flat_img.copy()
-            cur[:, chosen] = np.broadcast_to(mu.reshape(-1, 1), (image.shape[0], k))
-        cur = cur.reshape(image.shape)
-        confidences[i] = _probs_for(predict, cur[None], label)
+        k = int(round(frac * cam.size))
+        cur = np.where(rank < k, chosen, other).reshape(image.shape)
+        confidences[i] = _prob(predict, cur, label)
     return Curve(fractions=fractions, confidences=confidences)
 
 
@@ -193,23 +179,19 @@ def auc(curve: Curve):
 # token perturbation
 
 
-def token_perturb_drop(model_or_fn, ids, sal, label, top_frac=0.10, mask_token=0,
+def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10, mask_token=0,
                        pad_id=1, sample_id=0):
     """Replace the ceil(top_frac * length) highest-saliency tokens with the
-    mask token and record the confidence drop.
+    mask token and record the confidence drops, one ``DropRecord`` per row.
 
     ``ids`` is a ``(B, S)`` batch with ``B`` saliencies and labels; one
     prediction covers the originals and their masked copies, and row ``b``
-    gets ``sample_id + b``. A ``(S,)`` sequence with one saliency and an int
-    label is the batch of one and returns its single ``DropRecord``."""
+    gets ``sample_id + b``."""
     if not 0.0 < top_frac <= 1.0:
         raise ConfigurationError(f"top_frac must be in (0, 1], got {top_frac}")
-    predict = _predictor(model_or_fn)
     ids = np.asarray(ids, dtype=np.intp)
-    single = ids.ndim == 1
-    ids = np.atleast_2d(ids)
-    sals = [sal] if single else list(sal)
-    labels = np.atleast_1d(label)
+    if ids.ndim != 2:
+        raise DimensionError(f"token_perturb_drop needs (B, S) ids, got shape {ids.shape}")
     if not len(sals) == len(labels) == len(ids):
         raise DimensionError(
             f"token_perturb_drop needs one saliency and label per row, got "
@@ -226,9 +208,8 @@ def token_perturb_drop(model_or_fn, ids, sal, label, top_frac=0.10, mask_token=0
         areas.append(k / n)
     p = np.asarray(predict(np.concatenate([ids, masked])), dtype=np.float64)
     p = p.reshape(2, len(ids), -1)[:, np.arange(len(ids)), labels]
-    records = [DropRecord.of(sample_id + b, p_orig, p_mask, areas[b])
-               for b, (p_orig, p_mask) in enumerate(p.T.tolist())]
-    return records[0] if single else records
+    return [DropRecord.of(sample_id + b, p_orig, p_mask, areas[b])
+            for b, (p_orig, p_mask) in enumerate(p.T.tolist())]
 
 
 # ---------------------------------------------------------------------------

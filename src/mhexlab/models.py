@@ -505,17 +505,17 @@ def _dataset_arrays(dataset):
     return dataset.ids, dataset.labels
 
 
-def head_accuracies(model, dataset, batch_size=EVAL_BATCH_SIZE):
+def head_accuracies(model, dataset):
     """Fraction correct per head (auxiliary heads in site order, final head
-    last); the forwards record no tape."""
+    last), in batches of ``EVAL_BATCH_SIZE``; the forwards record no tape."""
     xs, ys = _dataset_arrays(dataset)
     n = len(ys)
     correct = None
-    for lo in range(0, n, batch_size):
+    for lo in range(0, n, EVAL_BATCH_SIZE):
         with ad.no_grad():
-            rec = model.forward_collect(xs[lo:lo + batch_size])
+            rec = model.forward_collect(xs[lo:lo + EVAL_BATCH_SIZE])
         preds = [h.data.argmax(axis=1) for h in rec.head_logits()]
-        hits = np.array([(p == ys[lo:lo + batch_size]).sum() for p in preds], dtype=float)
+        hits = np.array([(p == ys[lo:lo + EVAL_BATCH_SIZE]).sum() for p in preds], dtype=float)
         correct = hits if correct is None else correct + hits
     return (correct / n).tolist()
 
@@ -695,7 +695,10 @@ def load_checkpoint(path):
         for name, shape in table:
             count = int(np.prod(shape)) if shape else 1
             raw = _read_exact(fh, count * 8, f"data for {name}")
-            model.params[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            if not np.isfinite(values).all():
+                raise CheckpointFormatError(f"non-finite values in tensor {name} in {path}")
+            model.params[name].data = values.copy()
         if fh.tell() != len(data):
             raise CheckpointFormatError(f"{len(data) - fh.tell()} trailing bytes in {path}")
     return model

@@ -20,12 +20,13 @@ from . import autodiff as ad
 from .blocks import equivalent_matrix
 from .errors import ConfigurationError, ContractError, DimensionError
 
+SHARPNESS_EPS = 1e-8        # keeps an all-zero column's sharpness at zero
+
 
 @dataclass
 class WeightFilterConfig:
     neg_mix: float = 0.25          # share of negative contributions kept
     ss_threshold: float | None = None   # default 1/n_class + 0.2, set per use
-    eps: float = 1e-8
     layer_decay: float = 0.9
     token_layers: int = 3          # saliency layer cutoff for token hosts
 
@@ -34,10 +35,10 @@ class WeightFilterConfig:
             raise ConfigurationError(f"neg_mix must be in [0,1], got {self.neg_mix}")
         if self.ss_threshold is not None and not 0.0 <= self.ss_threshold <= 1.0:
             raise ConfigurationError(f"ss_threshold must be in [0,1], got {self.ss_threshold}")
-        if self.eps <= 0:
-            raise ConfigurationError("eps must be > 0")
         if not 0.0 < self.layer_decay <= 1.0:
             raise ConfigurationError(f"layer_decay must be in (0,1], got {self.layer_decay}")
+        if self.token_layers < 1:
+            raise ConfigurationError(f"token_layers must be >= 1, got {self.token_layers}")
 
     def resolved_threshold(self, n_class):
         if self.ss_threshold is not None:
@@ -71,22 +72,13 @@ def split_weights(w):
     return np.maximum(w, 0.0), np.minimum(w, 0.0)
 
 
-def adjust_weights(w, neg_mix):
-    if not 0.0 <= neg_mix <= 1.0:
-        raise ConfigurationError(f"neg_mix must be in [0,1], got {neg_mix}")
-    pos, neg = split_weights(w)
-    return pos + neg_mix * neg
-
-
-def salience_sharpness(w_equiv, eps=1e-8):
+def salience_sharpness(w_equiv):
     """Column-normalized class specificity of each feature's weight, for the
     positive and (absolute) negative parts separately."""
-    if eps <= 0:
-        raise ConfigurationError("eps must be > 0")
     pos, neg = split_weights(w_equiv)
-    ss_pos = pos / (pos.sum(axis=0, keepdims=True) + eps)
+    ss_pos = pos / (pos.sum(axis=0, keepdims=True) + SHARPNESS_EPS)
     neg_abs = np.abs(neg)
-    ss_neg = neg_abs / (neg_abs.sum(axis=0, keepdims=True) + eps)
+    ss_neg = neg_abs / (neg_abs.sum(axis=0, keepdims=True) + SHARPNESS_EPS)
     return ss_pos, ss_neg
 
 
@@ -97,7 +89,7 @@ def final_weights(w_equiv, cfg: WeightFilterConfig):
     w_equiv = np.asarray(w_equiv, dtype=np.float64)
     ss = cfg.resolved_threshold(w_equiv.shape[0])
     pos, neg = split_weights(w_equiv)
-    ss_pos, ss_neg = salience_sharpness(w_equiv, cfg.eps)
+    ss_pos, ss_neg = salience_sharpness(w_equiv)
     return pos * (ss_pos > ss) + cfg.neg_mix * neg * (ss_neg > ss)
 
 
@@ -269,27 +261,21 @@ def render_heatmap(sal_map, out_path, overlay=None):
     """Write a saliency map as binary PGM (P5), or blend it over a grayscale
     input image and write binary PPM (P6)."""
     grid = sal_map.grid if isinstance(sal_map, SaliencyMap) else np.asarray(sal_map)
-    try:
-        if overlay is None:
-            pix = np.round(np.clip(grid, 0.0, 1.0) * 255).astype(np.uint8)
-            h, w = pix.shape
-            with open(out_path, "wb") as fh:
-                fh.write(f"P5\n{w} {h}\n255\n".encode())
-                fh.write(pix.tobytes())
-        else:
-            base = np.asarray(overlay, dtype=np.float64)
-            if base.ndim == 3:
-                base = base[0]
-            norm = resize_map(grid, base.shape)
-            color = _colorize(norm)
-            gray = np.clip(base, 0.0, 1.0)[..., None] * 255
-            pix = np.round(0.5 * gray + 0.5 * color).astype(np.uint8)
-            h, w, _ = pix.shape
-            with open(out_path, "wb") as fh:
-                fh.write(f"P6\n{w} {h}\n255\n".encode())
-                fh.write(pix.tobytes())
-    except OSError as exc:
-        raise OSError(f"failed to write heatmap to {out_path}: {exc}") from exc
+    if overlay is None:
+        magic = "P5"
+        pix = np.round(np.clip(grid, 0.0, 1.0) * 255).astype(np.uint8)
+    else:
+        magic = "P6"
+        base = np.asarray(overlay, dtype=np.float64)
+        if base.ndim == 3:
+            base = base[0]
+        color = _colorize(resize_map(grid, base.shape))
+        gray = np.clip(base, 0.0, 1.0)[..., None] * 255
+        pix = np.round(0.5 * gray + 0.5 * color).astype(np.uint8)
+    h, w = pix.shape[:2]
+    with open(out_path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
+        fh.write(pix.tobytes())
     return out_path
 
 
@@ -315,7 +301,7 @@ def export_token_csv(tokens, sal: TokenSaliency, out_path):
     return out_path
 
 
-def export_token_html(tokens, sal: TokenSaliency, out_path, title="token saliency"):
+def export_token_html(tokens, sal: TokenSaliency, out_path):
     """Self-contained HTML with background intensity proportional to each
     token's normalized score."""
     norm = normalize_map(sal.scores.astype(np.float64).reshape(1, -1))[0]
@@ -326,7 +312,7 @@ def export_token_html(tokens, sal: TokenSaliency, out_path, title="token salienc
             f'<span style="background: rgba(255,80,0,{score:.3f}); '
             f'padding:2px; margin:1px; border-radius:3px">{tok}</span>')
     doc = ("<!DOCTYPE html><html><head><meta charset='utf-8'>"
-           f"<title>{html_mod.escape(title)}</title></head>"
+           "<title>token saliency</title></head>"
            f"<body><p>class {sal.class_id}</p><p>{' '.join(spans)}</p></body></html>")
     with open(out_path, "w") as fh:
         fh.write(doc)

@@ -10,6 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mhexlab.autodiff import Tensor, _topo_order, grad_wrt
+from mhexlab.metrics import mean_intensity
 
 
 def numeric_grad(f, params, eps=1e-6):
@@ -158,6 +159,16 @@ def checkpoint_with_config(data, edit):
     return reseal(data[:12] + struct.pack("<I", len(cfg)) + cfg + data[16 + cfg_len:])
 
 
+def checkpoint_with_value(model, data, name, value):
+    """Checkpoint bytes of ``model`` with the first entry of tensor ``name``
+    set to ``value``. The tensor data sit in ``model.params`` order just
+    before the 4-byte checksum, which is resealed."""
+    names = list(model.params)
+    tail = sum(model.params[n].data.size for n in names[names.index(name):])
+    at = len(data) - 4 - 8 * tail
+    return reseal(data[:at] + struct.pack("<d", value) + data[at + 8:])
+
+
 def reseal(data):
     """Format-v2 checkpoint bytes with the trailing CRC32 of everything
     after the 8-byte magic recomputed, as if the edit had been written."""
@@ -185,3 +196,28 @@ def count_calls(owner, name, monkeypatch):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def perturbation_curve_reference(predict, image, cam, label, steps, insert):
+    """Confidences of a deletion (or insertion) curve, each step built by
+    copying the image (or a mean-filled canvas) and assigning the first k
+    pixels of the stable saliency order."""
+    image = np.asarray(image, dtype=np.float64)
+    c = image.shape[0]
+    mu = mean_intensity(image).reshape(-1, 1, 1)
+    baseline = np.broadcast_to(mu, image.shape).copy()
+    order = np.argsort(-np.asarray(cam, dtype=np.float64).ravel(), kind="stable")
+    flat_img = image.reshape(c, -1)
+    confidences = np.empty(steps)
+    for i, frac in enumerate(np.linspace(0.0, 1.0, steps)):
+        k = int(round(frac * cam.size))
+        chosen = order[:k]
+        if insert:
+            cur = baseline.copy().reshape(c, -1)
+            cur[:, chosen] = flat_img[:, chosen]
+        else:
+            cur = flat_img.copy()
+            cur[:, chosen] = np.broadcast_to(mu.reshape(-1, 1), (c, k))
+        p = np.asarray(predict(cur.reshape(image.shape)[None]), dtype=np.float64)
+        confidences[i] = float(p[0, label])
+    return confidences

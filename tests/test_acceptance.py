@@ -242,8 +242,8 @@ def test_criterion_09_metric_ordering(capsys, trained_cnn, heldout_shapes):
         rand = (rng.random(cam.shape) < area).astype(np.float64)
         cams.append(cam)
         rand_cams.append(rand)
-        r_m = M.drop_record(trained_cnn, img, label, cam, sample_id=i)
-        r_r = M.drop_record(trained_cnn, img, label, rand, sample_id=i)
+        r_m = M.drop_record(trained_cnn.predict_proba, img, label, cam, sample_id=i)
+        r_r = M.drop_record(trained_cnn.predict_proba, img, label, rand, sample_id=i)
         if r_m.drop > r_r.drop:
             wins += 1
         elif r_m.drop < r_r.drop:
@@ -251,8 +251,8 @@ def test_criterion_09_metric_ordering(capsys, trained_cnn, heldout_shapes):
     p_sign = A.sign_test_p(wins, losses)
 
     def mean_del_auc(maps):
-        curves = [M.deletion_curve(trained_cnn, heldout_shapes.images[i], maps[i],
-                                   int(heldout_shapes.labels[i]), steps=steps)
+        curves = [M.deletion_curve(trained_cnn.predict_proba, heldout_shapes.images[i],
+                                   maps[i], int(heldout_shapes.labels[i]), steps=steps)
                   for i in range(n)]
         return M.auc(M.Curve(curves[0].fractions,
                              np.mean([c.confidences for c in curves], axis=0)))
@@ -326,7 +326,7 @@ def test_criterion_12_token_pipeline(capsys, trained_transformer,
             top = sal.positions[np.argsort(-sal.scores, kind="stable")[:len(truth)]]
             if set(top.tolist()) == set(truth.tolist()):
                 hits += 1
-        recs = M.token_perturb_drop(trained_transformer, ids, sals, labels,
+        recs = M.token_perturb_drop(trained_transformer.predict_proba, ids, sals, labels,
                                     top_frac=0.10,
                                     mask_token=heldout_tokens.mask_id,
                                     pad_id=heldout_tokens.pad_id, sample_id=lo)

@@ -75,6 +75,11 @@ def test_pearson_contracts():
         A.pearson([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(UndefinedCorrelationError):
         A.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    # a NaN or Inf used to clamp to r = -1
+    with pytest.raises(UndefinedCorrelationError, match="NaN or infinite"):
+        A.pearson([1.0, 2.0, math.nan, 4.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(UndefinedCorrelationError, match="NaN or infinite"):
+        A.pearson([1.0, 2.0, 3.0, 4.0], [1.0, math.inf, 3.0, 4.0])
     res = A.pearson([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 4.0, 6.0])
     assert res.r == pytest.approx(1.0)
     assert res.p < 1e-9
@@ -317,14 +322,16 @@ def test_collab_records_one_backbone_per_forward(small_cnn, monkeypatch):
 
 
 def test_collab_records_drop_equals_explain_and_drop_record(small_cnn):
-    """p_orig and sad_drop are those of explain_image, resize_map and a
-    soft drop_record, bit for bit."""
+    """p_orig and sad_drop are those of explain_image, resize_map, soft_mask,
+    predict_proba and DropRecord.of, bit for bit."""
     ds = mx.gen_shapes(4, seed=46)
     records = A.collect_collab_records(small_cnn, ds, n_samples=4)
     for r in records:
         image, label = ds.images[r.sample_id], int(ds.labels[r.sample_id])
         cam = S.resize_map(S.explain_image(small_cnn, image, label).grid, image.shape[-2:])
-        ref = M.drop_record(small_cnn, image, label, cam, sample_id=r.sample_id, mode="soft")
+        p_orig, p_mask = (float(small_cnn.predict_proba(x[None])[0, label])
+                          for x in (image, M.soft_mask(image, cam)))
+        ref = M.DropRecord.of(r.sample_id, p_orig, p_mask, M.saliency_area(cam))
         assert (r.p_orig, r.sad_drop) == (ref.p_orig, ref.drop)
 
 

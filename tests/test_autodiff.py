@@ -37,6 +37,23 @@ def test_relu_sigmoid_forward():
     assert np.all(np.isfinite(big)) and big[0] == 0.0 and big[1] == 1.0
 
 
+def test_sigmoid_equals_two_branch_formula_bit_for_bit():
+    """One exp per element gives the two-branch form's values and gradient
+    exactly: 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|)."""
+    x = np.concatenate([
+        [-np.inf, -1e4, -745.0, -700.0, -37.0, -1.0, -1e-300, -0.0,
+         0.0, 1e-300, 1.0, 37.0, 700.0, 745.0, 1e4, np.inf],
+        _rng(4).normal(scale=30.0, size=500)])
+    e = np.exp(-np.abs(x))
+    ref = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    xt = Tensor(x, requires_grad=True)
+    out = ad.sigmoid(xt)
+    assert np.array_equal(out.data, ref)
+    g = _rng(5).normal(size=x.shape)
+    grad = ad.grad_wrt(ad.sum_axis(ad.mul(out, Tensor(g))), xt).data
+    assert np.array_equal(grad, g * ref * (1.0 - ref))
+
+
 def test_matmul_forward_and_mismatch():
     a, b = _rng().normal(size=(3, 4)), _rng(1).normal(size=(4, 5))
     assert np.allclose(ad.matmul(Tensor(a), Tensor(b)).data, a @ b)

@@ -9,7 +9,7 @@ import pytest
 from mhexlab import cli
 from mhexlab.models import TransformerModel, save_checkpoint
 
-from helpers import checkpoint_with_config, count_calls
+from helpers import checkpoint_with_config, checkpoint_with_value, count_calls
 
 
 def _rows(path):
@@ -185,6 +185,22 @@ def test_explain_bad_checkpoint_config_exits_1(small_transformer, tmp_path, caps
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_non_finite_checkpoint_exits_1(small_transformer, tmp_path, capsys, command):
+    """A checksum-valid checkpoint with a NaN parameter is refused before any
+    score is written; it used to give NaN scores and a plausible mean drop."""
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(small_transformer, path)
+    path.write_bytes(checkpoint_with_value(small_transformer, path.read_bytes(),
+                                           "mhex0.w1", math.nan))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--dataset", "tokens", "--n-samples", "8",
+                   "--checkpoint", str(path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: non-finite values in tensor mhex0.w1")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_evaluate_shapes(shape_ckpt, tmp_path):
     rc = cli.main(["evaluate", "--dataset", "shapes", "--n-samples", "6",
                    "--curve-samples", "2", "--steps", "5",
@@ -316,6 +332,8 @@ BAD_INPUTS = {
     "entropy_n_below_1e5": ["analyze", "--entropy-n", "99999"],
     "top_frac_2": ["evaluate", "--dataset", "tokens", "--top-frac", "2"],
     "top_frac_negative": ["evaluate", "--dataset", "tokens", "--top-frac", "-1"],
+    "layers_0": ["explain", "--dataset", "tokens", "--layers", "0"],
+    "layers_negative": ["evaluate", "--dataset", "tokens", "--layers", "-1"],
 }
 
 

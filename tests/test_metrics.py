@@ -6,6 +6,8 @@ import mhexlab.metrics as M
 import mhexlab.saliency as S
 from mhexlab.errors import ConfigurationError, ContractError, DimensionError
 
+from helpers import perturbation_curve_reference
+
 
 def _linear_predictor(weight):
     """Deterministic stand-in model: softmax of a linear functional of the
@@ -39,12 +41,27 @@ def test_hard_mask_oracle():
     img = np.arange(16.0).reshape(1, 4, 4)
     cam = np.zeros((4, 4))
     cam[0, :2] = 0.9
-    out = M.hard_mask(img, cam, threshold=0.5)
+    out = M.hard_mask(img, cam)
     mu = img.mean()
     assert np.all(out[0, 0, :2] == mu)
     assert np.array_equal(out[0, 1:], img[0, 1:])
     with pytest.raises(DimensionError):
         M.hard_mask(img, np.zeros((3, 3)))
+    with pytest.raises(DimensionError):
+        M.hard_mask(img[0], cam)
+
+
+def test_hard_mask_fills_the_cells_saliency_area_counts():
+    """One salience decision: the cells hard_mask fills are the ones
+    saliency_area counts, including cells exactly at SALIENT."""
+    rng = np.random.default_rng(3)
+    img = rng.uniform(size=(3, 9, 9)) + 2.0      # no pixel equals its channel mean
+    cam = rng.uniform(size=(9, 9))
+    cam[0, :3] = [M.SALIENT, np.nextafter(M.SALIENT, 0.0), np.nextafter(M.SALIENT, 1.0)]
+    filled = np.all(M.hard_mask(img, cam) != img, axis=0)
+    assert np.array_equal(filled, cam >= M.SALIENT)
+    assert filled[0, :3].tolist() == [True, False, True]
+    assert M.saliency_area(cam) == filled.mean()
 
 
 def test_saliency_area():
@@ -69,6 +86,9 @@ def test_drop_record_and_avg_drop():
     r2 = M.drop_record(predict, img, 0, cam2)
     assert r2.drop < 0.05
     assert M.avg_drop([r, r2]) == pytest.approx((r.drop + r2.drop) / 2)
+    # one (C,H,W) image only; a batch of one is not passed through
+    with pytest.raises(DimensionError):
+        M.drop_record(predict, img[None], 0, cam)
 
 
 def test_drop_clamped_at_zero():
@@ -133,6 +153,34 @@ def test_curves_linear_model_oracle():
     assert ins_good.confidences[-1] == pytest.approx(p_clean)
 
 
+@pytest.mark.parametrize("steps", [2, 7, 20])
+@pytest.mark.parametrize("insert", [False, True], ids=["deletion", "insertion"])
+def test_curves_equal_copy_and_assign_reference(steps, insert):
+    """The rank-and-select loop gives the copy-and-assign curve bit for bit
+    on a 3-channel image, with a map full of ties, a random and a zero map."""
+    rng = np.random.default_rng(steps)
+    w = rng.normal(size=(3, 6, 5))
+    predict = _linear_predictor(w)
+    img = rng.uniform(size=(3, 6, 5))
+    tied = np.round(rng.uniform(size=(6, 5)) * 3) / 3
+    curve_fn = M.insertion_curve if insert else M.deletion_curve
+    for cam in (tied, rng.uniform(size=(6, 5)), np.zeros((6, 5))):
+        curve = curve_fn(predict, img, cam, 1, steps=steps)
+        ref = perturbation_curve_reference(predict, img, cam, 1, steps, insert)
+        assert np.array_equal(curve.confidences, ref)
+        assert np.array_equal(curve.fractions, np.linspace(0.0, 1.0, steps))
+
+
+def test_curves_on_a_model_equal_reference(small_cnn):
+    ds = mx.gen_shapes(1, seed=31)
+    img, label = ds.images[0], int(ds.labels[0])
+    cam = S.resize_map(S.explain_image(small_cnn, img, label).grid, img.shape[-2:])
+    for insert, curve_fn in ((False, M.deletion_curve), (True, M.insertion_curve)):
+        curve = curve_fn(small_cnn.predict_proba, img, cam, label, steps=7)
+        ref = perturbation_curve_reference(small_cnn.predict_proba, img, cam, label, 7, insert)
+        assert np.array_equal(curve.confidences, ref)
+
+
 def test_curve_contracts():
     with pytest.raises(ConfigurationError):
         M.deletion_curve(lambda x: np.ones((1, 2)), np.zeros((1, 4, 4)),
@@ -170,11 +218,14 @@ def test_token_perturb_drop():
     sal = type("S", (), {})()
     sal.positions = np.arange(8)
     sal.scores = np.array([5.0, 1, 1, 1, 1, 1, 1, 1])
-    r = M.token_perturb_drop(predict, ids, sal, 0, top_frac=0.10)
+    (r,) = M.token_perturb_drop(predict, ids[None], [sal], [0], top_frac=0.10)
     assert r.area == pytest.approx(1 / 8)       # ceil(0.1 * 8) = 1 token
     assert r.drop > 0.8                          # keyword removed
     with pytest.raises(ContractError):
-        M.token_perturb_drop(predict, np.array([1, 1]), sal, 0)
+        M.token_perturb_drop(predict, np.array([[1, 1]]), [sal], [0])
+    for bad in (ids, ids[None, None]):
+        with pytest.raises(DimensionError, match=r"\(B, S\)"):
+            M.token_perturb_drop(predict, bad, [sal], [0])
 
 
 @pytest.mark.parametrize("top_frac", [0.0, -1.0, 1.5, 2.0, float("nan")])
@@ -188,24 +239,25 @@ def test_token_perturb_drop_rejects_top_frac(top_frac):
         return np.full((len(ids), 2), 0.5)
 
     sal = type("S", (), {"positions": np.arange(4), "scores": np.ones(4)})()
+    ids = np.arange(2, 6)[None]
     with pytest.raises(ConfigurationError, match="top_frac"):
-        M.token_perturb_drop(predict, np.arange(2, 6), sal, 0, top_frac=top_frac)
+        M.token_perturb_drop(predict, ids, [sal], [0], top_frac=top_frac)
     assert calls == []
-    assert M.token_perturb_drop(predict, np.arange(2, 6), sal, 0, top_frac=1.0).area == 1.0
+    assert M.token_perturb_drop(predict, ids, [sal], [0], top_frac=1.0)[0].area == 1.0
 
 
 def test_token_perturb_drop_batch_matches_rows(small_transformer):
     """One prediction over a batch and its masked copies gives each row's
-    single-sequence record, numbered from ``sample_id``."""
+    batch-of-one record, numbered from ``sample_id``."""
     td = mx.gen_tokens(12, seed=26)
     sals = S.explain_tokens(small_transformer, td.ids, td.labels)
     kw = dict(top_frac=0.25, mask_token=td.mask_id, pad_id=td.pad_id)
-    batch = M.token_perturb_drop(small_transformer, td.ids, sals, td.labels,
-                                 sample_id=40, **kw)
+    predict = small_transformer.predict_proba
+    batch = M.token_perturb_drop(predict, td.ids, sals, td.labels, sample_id=40, **kw)
     assert [r.sample_id for r in batch] == list(range(40, 52))
     for b, r in enumerate(batch):
-        one = M.token_perturb_drop(small_transformer, td.ids[b], sals[b],
-                                   int(td.labels[b]), sample_id=40 + b, **kw)
+        (one,) = M.token_perturb_drop(predict, td.ids[b:b + 1], sals[b:b + 1],
+                                      td.labels[b:b + 1], sample_id=40 + b, **kw)
         assert r.sample_id == one.sample_id and r.area == one.area
         for f in ("p_orig", "p_mask", "drop"):
             assert getattr(r, f) == pytest.approx(getattr(one, f), rel=1e-12, abs=0)
@@ -216,10 +268,11 @@ def test_token_perturb_drop_batch_contracts(small_transformer):
     sals = S.explain_tokens(small_transformer, td.ids, td.labels)
     ids = td.ids.copy()
     ids[2] = td.pad_id
+    predict = small_transformer.predict_proba
     with pytest.raises(ContractError):
-        M.token_perturb_drop(small_transformer, ids, sals, td.labels)
+        M.token_perturb_drop(predict, ids, sals, td.labels)
     with pytest.raises(DimensionError):
-        M.token_perturb_drop(small_transformer, td.ids, sals[:2], td.labels)
+        M.token_perturb_drop(predict, td.ids, sals[:2], td.labels)
 
 
 def test_csv_exports(tmp_path):

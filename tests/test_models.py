@@ -1,4 +1,5 @@
 import gc
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ from mhexlab.models import (EpochLog, ResNetConfig, TrainLog, TransformerConfig,
                             count_mhex_params, head_accuracies, load_checkpoint,
                             save_checkpoint, strip_mhex, train)
 
-from helpers import as_format_v1, checkpoint_with_config, peak_mb, reseal
+from helpers import (as_format_v1, checkpoint_with_config, checkpoint_with_value,
+                     peak_mb, reseal)
 
 
 def test_resnet_config_validation():
@@ -243,7 +245,7 @@ def test_head_accuracies_peak_below_quarter_of_taped_forward(small_cnn):
     under a quarter of one taped forward of the same batch."""
     ds = mx.gen_shapes(128, seed=12)
     taped = peak_mb(lambda: small_cnn.forward_collect(ds.images))
-    untaped = peak_mb(lambda: head_accuracies(small_cnn, ds, batch_size=128))
+    untaped = peak_mb(lambda: head_accuracies(small_cnn, ds))
     assert untaped < taped / 4, (untaped, taped)
 
 
@@ -387,6 +389,17 @@ def test_checkpoint_with_removed_config_keys_loads(tmp_path, request, host):
     x = mx.gen_shapes(2, seed=11).images if host == "small_cnn" else mx.gen_tokens(2, seed=11).ids
     for a, b in zip(model.forward_collect(x).head_logits(), twin.forward_collect(x).head_logits()):
         assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_non_finite_tensor_rejected(tmp_path, small_transformer, value):
+    """A NaN or Inf in a tensor raises, naming the tensor, even under a
+    valid checksum: such a model writes NaN scores and ranks tokens by NaN."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(small_transformer, p)
+    p.write_bytes(checkpoint_with_value(small_transformer, p.read_bytes(), "mhex0.w1", value))
+    with pytest.raises(CheckpointFormatError, match="mhex0.w1"):
+        load_checkpoint(p)
 
 
 def _header_bits(model, data):

@@ -19,17 +19,6 @@ def test_split_weights_recompose():
     assert np.allclose(pos + neg, w)
 
 
-def test_adjust_weights_endpoints():
-    w = _w(1)
-    pos, neg = S.split_weights(w)
-    assert np.allclose(S.adjust_weights(w, 0.0), pos)
-    assert np.allclose(S.adjust_weights(w, 1.0), w)
-    mid = S.adjust_weights(w, 0.25)
-    assert np.allclose(mid, pos + 0.25 * neg)
-    with pytest.raises(ConfigurationError):
-        S.adjust_weights(w, 1.5)
-
-
 def test_salience_sharpness_columns_sum_to_one():
     w = _w(2)
     ss_pos, ss_neg = S.salience_sharpness(w)
@@ -119,6 +108,10 @@ def test_config_validation():
         S.WeightFilterConfig(ss_threshold=1.5)
     with pytest.raises(ConfigurationError):
         S.WeightFilterConfig(layer_decay=0.0)
+    # 0 layers crashed on an empty score sum; -1 scored all sites but the last
+    for layers in (0, -1):
+        with pytest.raises(ConfigurationError, match="token_layers"):
+            S.WeightFilterConfig(token_layers=layers)
     assert S.WeightFilterConfig().resolved_threshold(4) == pytest.approx(0.45)
     assert S.WeightFilterConfig(ss_threshold=0.7).resolved_threshold(4) == 0.7
 
