@@ -54,10 +54,10 @@ class CorrelationRow:
 # gradient cosine
 
 
-def _cosine(a, b, eps=COSINE_EPS):
+def _cosine(a, b):
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + eps))
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + COSINE_EPS))
 
 
 def _head_loss(rec, site, label, linear_class=None):

@@ -18,6 +18,16 @@ them in its backward closure instead of keeping them (the recomputation trade
 of Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016). The
 reverse sweep drops each adjoint once the node's closure has consumed it.
 
+``conv2d`` spreads a batch's chunks over the usable CPUs (the batch split of
+Hadjis et al., *Caffe con Troll*, 2015): one contiguous range of samples per
+worker, the calling thread included, on a thread pool made by the first call
+that needs it. A worker runs the same per-sample GEMMs into its own rows of
+the output and gradient buffers, using scratch (padded input and columns)
+that the calling thread allocates; the weight gradient is summed on the
+calling thread once all have finished. So every result is bit-identical
+whatever the split. A batch with less than two chunks' worth of columns, such
+as any batch-1 call, runs on the calling thread alone.
+
 Inside ``no_grad()`` nothing is recorded: a new tensor keeps no parents and
 no closure, so a forward-only pass frees each intermediate once the next op
 has read it.
@@ -25,6 +35,7 @@ has read it.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,6 +48,20 @@ LAYER_NORM_EPS = 1e-5
 # im2col columns of one conv2d chunk; a fresh array above glibc's mmap
 # threshold page-faults on every call, 2 MB chunks reuse heap pages
 _COLS_BYTES = 1 << 21
+# conv2d spreads its sample chunks over the usable CPUs, the calling thread
+# included; the pool of the other _WORKERS - 1 starts on the first such call
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None
+
+
+def _forget_pool():
+    global _pool
+    _pool = None        # a forked child has none of the parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @contextmanager
@@ -205,22 +230,77 @@ def matmul(a, b):
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
 
-def _columns(x, kh, kw, stride, pad):
-    """im2col columns (N, C*kh*kw, oh*ow) of ``x`` (N,C,H,W) zero-padded by
-    ``pad``."""
-    n, c, h, w = x.shape
+def _scratch(size, x_shape, pad, k, l):
+    """One worker's ``conv2d`` scratch for chunks of up to ``size`` samples of
+    ``x_shape`` (N,C,H,W): a zero-bordered padded input (``None`` without
+    padding) and an (size, k, l) column buffer."""
+    _, c, h, w = x_shape
+    xp = np.zeros((size, c, h + 2 * pad, w + 2 * pad)) if pad else None
+    return xp, np.empty((size, k, l))
+
+
+def _columns(x, kh, kw, stride, pad, xp, cols):
+    """im2col columns (m, C*kh*kw, oh*ow) of ``x`` (m,C,H,W) zero-padded by
+    ``pad``, written into the first m samples of ``cols`` (a 1x1, stride-1
+    kernel without padding reads ``x`` itself); the padding goes through
+    ``xp``, whose border is zero (see ``_scratch``)."""
+    m, c, h, w = x.shape
+    if kh == kw == stride == 1 and not pad:
+        # 1x1 columns are x itself, a view where numpy can make one: a GEMM
+        # operand keeps the layout of x and so its BLAS rounding
+        return x.reshape(m, c, h * w)
     if pad:     # np.pad's own overhead outweighs a batch-1 GEMM
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        xp = xp[:m]
         xp[:, :, pad:pad + h, pad:pad + w] = x
         x = xp
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     sn, sc, sh, sw = x.strides
     # win[n, c, i, j, a, b] = x[n, c, stride*a + i, stride*b + j]: the windows
-    # sliding_window_view gives, without its per-call argument handling
-    win = as_strided(x, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, stride * sh, stride * sw),
-                     writeable=False)
-    return win.reshape(n, c * kh * kw, oh * ow)
+    # sliding_window_view gives, without its per-call argument handling; a
+    # contiguous x is viewed through its buffer (as_strided costs ~6 us a call)
+    shape, strides = (m, c, kh, kw, oh, ow), (sn, sc, sh, sw, stride * sh, stride * sw)
+    win = (np.ndarray(shape, x.dtype, x, 0, strides) if x.flags.c_contiguous
+           else as_strided(x, shape, strides, writeable=False))
+    out = cols[:m]
+    np.copyto(out.reshape(m, c, kh, kw, oh, ow), win)
+    return out
+
+
+def _chunks(n, sample_bytes):
+    """``conv2d``'s split of ``n`` samples: contiguous (lo, hi) ranges of
+    near-equal length, one per worker that gets at least ``_COLS_BYTES`` of
+    columns (at most ``_WORKERS``, at least one), and one chunk size that cuts
+    each range into equal chunks whose columns fit ``_COLS_BYTES`` (at least
+    one sample per chunk)."""
+    step = max(1, _COLS_BYTES // sample_bytes)
+    groups = max(1, min(_WORKERS, n * sample_bytes // _COLS_BYTES))
+    span = -(-n // groups)                          # the longest range
+    chunks = -(-span // step)                       # in the longest range
+    size = -(-span // chunks) if chunks else 1
+    return [(n * t // groups, n * (t + 1) // groups) for t in range(groups)], size
+
+
+def _spread(task, ranges):
+    """Run ``task(t, lo, hi)`` for each range ``t``: the first on the calling
+    thread, the others on the pool, and return once all have finished. A
+    task calls only numpy and private helpers, whose copies and GEMMs
+    release the GIL, and writes only its own samples' rows."""
+    global _pool
+    if len(ranges) == 1:
+        task(0, *ranges[0])
+        return
+    if _pool is None:       # its import alone costs a CLI start-up ~7 ms
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="conv2d")
+    futures = [_pool.submit(task, t, lo, hi) for t, (lo, hi) in enumerate(ranges) if t]
+    try:
+        task(0, *ranges[0])
+    finally:
+        errors = [f.exception() for f in futures]      # waits for each task
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 def conv2d(x, w, stride=1, pad=0):
@@ -244,32 +324,52 @@ def conv2d(x, w, stride=1, pad=0):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd_ + 2 * pad - kw) // stride + 1
     k, l = c * kh * kw, oh * ow
-    step = max(1, _COLS_BYTES // (8 * k * l))      # samples per chunk, at least 1
+    ranges, size = _chunks(n, 8 * k * l)
     wdat = w.data
-    # the same per-sample GEMMs as one stacked matmul; batch 1 is one chunk
+    wk = wdat.reshape(o, k)
+    # what outlives the call comes before the scratch, so that the freed
+    # scratch does not sit under it in the heap (peak RSS)
     out_data = np.empty((n, o, l))
-    for lo in range(0, n, step):
-        np.matmul(wdat.reshape(o, k), _columns(xd[lo:lo + step], kh, kw, stride, pad),
-                  out=out_data[lo:lo + step])
+    scratch = [_scratch(size, xd.shape, pad, k, l) for _ in ranges]
+
+    def forward(t, lo, hi):
+        # the same per-sample GEMMs as one stacked matmul, in any split
+        xp, cols = scratch[t]
+        for a in range(lo, hi, size):
+            b = min(a + size, hi)
+            np.matmul(wk, _columns(xd[a:b], kh, kw, stride, pad, xp, cols), out=out_data[a:b])
+
+    _spread(forward, ranges)
     out_data = out_data.reshape(n, o, oh, ow)
 
     def backward(g):
         gm = g.reshape(n, o, l)
-        # one GEMM per sample as in the forward, summed over the batch
-        # (einsum without optimize runs numpy's own loop, not BLAS)
+        gxp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad))    # before the scratch,
+        gw = np.empty(wdat.shape)                              # as in the forward
         gwn = np.empty((n, o, k))
-        for lo in range(0, n, step):
-            cols = _columns(xd[lo:lo + step], kh, kw, stride, pad)
-            np.matmul(gm[lo:lo + step], cols.transpose(0, 2, 1), out=gwn[lo:lo + step])
-        gw = gwn.sum(axis=0).reshape(wdat.shape)
-        # one GEMM per kernel row, not a cols-sized one; per tap, a 1-channel
-        # input would become a matrix-vector product that rounds differently
-        gxp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad))
-        for i in range(kh):
-            drow = np.matmul(wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o), gm)
-            drow = drow.reshape(n, kw, c, oh, ow)
-            for j in range(kw):
-                gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += drow[:, j]
+        rows = [wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o) for i in range(kh)]
+        scratch = [_scratch(size, xd.shape, pad, k, l) for _ in ranges]
+
+        def task(t, lo, hi):
+            xp, cols = scratch[t]
+            for a in range(lo, hi, size):
+                b = min(a + size, hi)
+                # one GEMM per sample as in the forward, summed over the batch
+                # below (einsum without optimize runs numpy's own loop, not BLAS)
+                cm = _columns(xd[a:b], kh, kw, stride, pad, xp, cols)
+                np.matmul(gm[a:b], cm.transpose(0, 2, 1), out=gwn[a:b])
+                # one GEMM per kernel row, not a cols-sized one; per tap, a
+                # 1-channel input would become a matrix-vector product that
+                # rounds differently. The spent columns' buffer takes each row.
+                drow = cols.reshape(-1)[:(b - a) * kw * c * l].reshape(b - a, kw * c, l)
+                for i in range(kh):
+                    np.matmul(rows[i], gm[a:b], out=drow)
+                    d = drow.reshape(b - a, kw, c, oh, ow)
+                    for j in range(kw):
+                        gxp[a:b, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d[:, j]
+
+        _spread(task, ranges)
+        gwn.sum(axis=0, out=gw.reshape(o, k))
         gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad else gxp
         return gx, gw
 

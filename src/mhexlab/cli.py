@@ -24,10 +24,14 @@ from .models import (EVAL_BATCH_SIZE, ResNetConfig, TransformerConfig,
 
 
 def _resolve_out(args):
-    out = os.environ.get("MHEX_OUT") or args.out
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory, not yet created: each command makes it just
+    before its first write, so a command that fails earlier leaves none."""
+    return Path(os.environ.get("MHEX_OUT") or args.out)
+
+
+def _made(out):
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_config(args, out_dir, name="config.txt"):
@@ -94,7 +98,7 @@ def cmd_train(args):
         lr = args.lr if args.lr is not None else 2e-3
     log = train(model, dataset, mode=args.mode, epochs=args.epochs, lr=lr,
                 seed=args.seed, batch_size=args.batch_size)
-    save_checkpoint(model, out / "checkpoint.ckpt")
+    save_checkpoint(model, _made(out) / "checkpoint.ckpt")
     with open(out / "trainlog.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss", "head_accuracies"])
@@ -133,6 +137,7 @@ def cmd_explain(args):
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
     ids = _sample_ids(args, dataset)
+    _made(out)
     manifest = []
     if args.dataset == "tokens":
         for chunk in _chunks(ids):
@@ -191,7 +196,7 @@ def cmd_evaluate(args):
             records += metrics.token_perturb_drop(
                 model.predict_proba, ids, sals, labels, top_frac=args.top_frac,
                 mask_token=dataset.mask_id, pad_id=dataset.pad_id, sample_id=chunk[0])
-        metrics.write_drop_csv(records, out / "token_drop.csv", method="mhex")
+        metrics.write_drop_csv(records, _made(out) / "token_drop.csv", method="mhex")
         _write_config(args, out)
         print(f"token mean drop: {np.mean([r.drop for r in records]):.4f}")
         return
@@ -213,7 +218,7 @@ def cmd_evaluate(args):
             recs.append(metrics.drop_record(model.predict_proba, image, label, cam, sample_id=i))
             loc.append(localization_score(cam, dataset.truth_masks[i]))
             cams.append(cam)
-        metrics.write_drop_csv(recs, out / f"drop_{method}.csv", method=method)
+        metrics.write_drop_csv(recs, _made(out) / f"drop_{method}.csv", method=method)
         aucs = []
         for name, curve_fn in (("deletion", metrics.deletion_curve),
                                ("insertion", metrics.insertion_curve)):
@@ -252,7 +257,7 @@ def cmd_analyze(args):
                                        grid=args.grid)
             for i in range(min(n, args.block_samples))]
     rows, records = analysis.correlation_triangle(model, dataset, n_samples=n)
-    analysis.write_correlation_csv(rows, out / "correlation.csv")
+    analysis.write_correlation_csv(rows, _made(out) / "correlation.csv")
     with open(out / "collab_records.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "site", "cosine", "p_orig", "sad_drop"])
@@ -290,7 +295,9 @@ def build_parser():
         p.add_argument("--alpha", type=float, default=0.25)
         p.add_argument("--ss", type=float, default=None)
         p.add_argument("--decay", type=float, default=0.9)
-        p.add_argument("--layers", type=int, default=3)
+        p.add_argument("--layers", type=int, default=3,
+                       help="token layer cutoff (tokens only; an image map "
+                            "weights every site by --decay)")
 
     p = sub.add_parser("train", help="train an instrumented host")
     common(p)

@@ -5,10 +5,12 @@ reference implementations used to cross-check the library.
 import struct
 import tracemalloc
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+import mhexlab.autodiff as ad
 from mhexlab.autodiff import Tensor, _topo_order, grad_wrt
 from mhexlab.metrics import mean_intensity
 
@@ -136,6 +138,19 @@ def closure_arrays(fn):
             elif callable(v) and hasattr(v, "__closure__"):
                 stack.append(v)
     return arrays
+
+
+@contextmanager
+def conv_workers(monkeypatch, n):
+    """``conv2d`` spreads its chunks over ``n`` workers, with a pool of its
+    own that is shut down on exit (``monkeypatch`` restores the module's)."""
+    monkeypatch.setattr(ad, "_WORKERS", n)
+    monkeypatch.setattr(ad, "_pool", None)
+    try:
+        yield
+    finally:
+        if ad._pool is not None:
+            ad._pool.shutdown()
 
 
 def peak_mb(fn):

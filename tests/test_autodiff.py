@@ -1,3 +1,7 @@
+import os
+import signal
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,7 @@ from mhexlab.errors import ContractError, DimensionError
 
 from helpers import (adjoints_reference, check_grads, closure_arrays,
                      conv2d_backward_reference, conv2d_forward_reference,
-                     conv2d_weight_grad_stacked, rel_err, rng_tensor)
+                     conv2d_weight_grad_stacked, conv_workers, rel_err, rng_tensor)
 
 
 def _rng(seed=0):
@@ -230,6 +234,124 @@ def test_conv_chunk_cases_span_several_chunks():
     per_chunk = ad._COLS_BYTES // (8 * 8 * 3 * 3 * 32 * 32)
     assert [n // per_chunk for n, _ in CHUNKED_CONVS[:2]] == [2, 21]
     assert all(n % per_chunk for n, _ in CHUNKED_CONVS[:2])
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 128])
+@pytest.mark.parametrize("shape", HOST_CONVS)
+def test_conv_workers_match_references(monkeypatch, shape, n):
+    """Spread over 1, 2 or 3 workers (3 split the chunks unevenly), conv2d
+    keeps the bits of the stacked references: forward, input gradient and
+    weight gradient."""
+    c, h, o, k, stride, pad = shape
+    rng = _rng(17)
+    x = rng.normal(size=(n, c, h, h))
+    w = rng.normal(size=(o, c, k, k))
+    ref = conv2d_forward_reference(x, w, stride, pad)
+    g = rng.normal(size=ref.shape)
+    ref_gx = conv2d_backward_reference(x, w, g, stride, pad)[0]
+    ref_gw = conv2d_weight_grad_stacked(x, w, g, stride, pad)
+    for workers in (1, 2, 3):
+        with conv_workers(monkeypatch, workers):
+            out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+            gx, gw = out._backward(g)
+        assert np.array_equal(out.data, ref), workers
+        assert np.array_equal(gx, ref_gx), workers
+        assert np.array_equal(gw, ref_gw), workers
+
+
+def test_conv_chunk_split_covers_batch_in_equal_chunks(monkeypatch):
+    """Contiguous, near-equal sample ranges, one per worker that gets a full
+    chunk's columns, and one chunk size whose columns fit ``_COLS_BYTES``;
+    a batch with less than two chunks' columns is one range."""
+    sample = 8 * 8 * 3 * 3 * 32 * 32            # (8, 32, 8, 3, 1, 1): 3 per chunk
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ad, "_WORKERS", workers)
+        for n, full_chunks in ((1, 0), (3, 0), (4, 1), (7, 1), (8, 2), (64, 18), (128, 36)):
+            ranges, size = ad._chunks(n, sample)
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            lengths = [hi - lo for lo, hi in ranges]
+            assert len(ranges) == max(1, min(workers, full_chunks))
+            assert max(lengths) - min(lengths) <= 1
+            assert 1 <= size <= 3 and size * sample <= ad._COLS_BYTES
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_conv_1x1_reads_strided_input_in_place(monkeypatch, workers):
+    """A 1x1 conv's GEMMs read a strided input (a nearest resize, as the CNN
+    side chain feeds its carry conv) in its own layout, not a contiguous
+    copy: the operand layout picks the BLAS kernel, and so the rounding."""
+    rng = _rng(19)
+    x = ad.nearest_resize(Tensor(rng.normal(size=(512, 16, 4, 4))), (8, 8)).data
+    assert not x.flags.c_contiguous
+    w = rng.normal(size=(32, 16, 1, 1))
+    xl = x.reshape(512, 16, 64)
+    assert np.shares_memory(xl, x)
+    with conv_workers(monkeypatch, workers):
+        out = ad.conv2d(Tensor(x), Tensor(w))
+        g = rng.normal(size=out.shape)
+        gw = out._backward(g)[1]
+    gm = g.reshape(512, 32, 64)
+    assert np.array_equal(out.data.reshape(512, 32, 64), np.matmul(w.reshape(32, 16), xl))
+    assert np.array_equal(gw.reshape(32, 16),
+                          np.matmul(gm, xl.transpose(0, 2, 1)).sum(axis=0))
+
+
+def test_threaded_conv_backward_repeats_bit_for_bit(monkeypatch):
+    """Twenty backward passes of one conv on three workers, with the
+    interpreter switching threads as often as it can, give the same bytes."""
+    rng = _rng(18)
+    x = Tensor(rng.normal(size=(64, 8, 32, 32)))
+    w = Tensor(rng.normal(size=(16, 8, 3, 3)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with conv_workers(monkeypatch, 3):
+            out = ad.conv2d(x, w, stride=2, pad=1)
+            g = rng.normal(size=out.shape)
+            first = [a.tobytes() for a in out._backward(g)]
+            for _ in range(19):
+                assert [a.tobytes() for a in out._backward(g)] == first
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    """An error inside a pool task is raised on the calling thread, after
+    every task has finished."""
+    with conv_workers(monkeypatch, 2):
+        calls = []
+
+        def task(t, lo, hi):
+            calls.append(t)
+            if t:
+                raise ValueError("worker failed")
+
+        with pytest.raises(ValueError, match="worker failed"):
+            ad._spread(task, [(0, 1), (1, 2)])
+        assert sorted(calls) == [0, 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    """A child forked after the pool started has none of its threads: its
+    first spread conv makes a pool of its own instead of waiting forever."""
+    rng = _rng(20)
+    x = Tensor(rng.normal(size=(16, 8, 32, 32)))
+    w = Tensor(rng.normal(size=(8, 8, 3, 3)))
+    with conv_workers(monkeypatch, 2):
+        ref = ad.conv2d(x, w, pad=1).data
+        assert ad._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(20)            # a hung child dies of SIGALRM
+                code = 0 if np.array_equal(ad.conv2d(x, w, pad=1).data, ref) else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def _cnn_tape(model, n, seed):

@@ -198,7 +198,19 @@ def test_non_finite_checkpoint_exits_1(small_transformer, tmp_path, capsys, comm
                    "--checkpoint", str(path), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: non-finite values in tensor mhex0.w1")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate", "analyze"])
+def test_missing_checkpoint_file_leaves_no_out_dir(tmp_path, capsys, command):
+    """A checkpoint path that does not exist exits 1 before the output
+    directory is made."""
+    out = tmp_path / "out"
+    rc = cli.main([command, "--n-samples", "4", "--checkpoint", str(tmp_path / "nonexistent"),
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_evaluate_shapes(shape_ckpt, tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from mhexlab.models import (EpochLog, ResNetConfig, TrainLog, TransformerConfig,
                             save_checkpoint, strip_mhex, train)
 
 from helpers import (as_format_v1, checkpoint_with_config, checkpoint_with_value,
-                     peak_mb, reseal)
+                     conv_workers, peak_mb, reseal)
 
 
 def test_resnet_config_validation():
@@ -282,6 +283,41 @@ def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):
     monkeypatch.setattr(models_mod, "head_accuracies", counting)
     train(m, ds, epochs=2, lr=1e-3, batch_size=8)
     assert live == [0, 0]
+
+
+def test_batch1_forward_stays_on_calling_thread(monkeypatch, small_cnn, small_transformer):
+    """A batch-1 forward of either host starts no conv2d pool and builds
+    every column chunk on the calling thread; a batch-16 CNN forward spreads
+    its chunks over the pool."""
+    threads = []
+
+    def columns(*args, _orig=ad._columns):
+        threads.append(threading.get_ident())
+        return _orig(*args)
+
+    monkeypatch.setattr(ad, "_columns", columns)
+    with conv_workers(monkeypatch, 2), ad.no_grad():
+        small_cnn.forward_collect(mx.gen_shapes(1, seed=5).images)
+        small_transformer.forward_collect(mx.gen_tokens(1, seed=5).ids)
+        assert ad._pool is None
+        assert threads and set(threads) == {threading.get_ident()}
+        small_cnn.forward_collect(mx.gen_shapes(16, seed=5).images)
+        assert ad._pool is not None and len(set(threads)) == 2
+
+
+def test_train_checkpoint_same_bytes_for_any_worker_count(monkeypatch, tmp_path):
+    """``train`` on 64 shapes images writes the same checkpoint bytes with
+    conv2d on one worker and on two."""
+    ds = mx.gen_shapes(64, seed=0)
+    blobs = []
+    for workers in (1, 2):
+        with conv_workers(monkeypatch, workers):
+            m = build_resnet(ResNetConfig(n_class=ds.n_class), seed=0)
+            train(m, ds, epochs=1, lr=3e-3, seed=0, batch_size=64)
+        path = tmp_path / f"w{workers}.ckpt"
+        save_checkpoint(m, path)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 # ---------------------------------------------------------------------------
