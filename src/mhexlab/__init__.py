@@ -11,6 +11,6 @@ from .models import (ResNetConfig, TransformerConfig, build_resnet,
 from .saliency import (SaliencyMap, TokenSaliency, WeightFilterConfig,
                        aggregate_cams, cam_layer, explain_image,
                        explain_tokens, final_weights, gradcam_baseline,
-                       render_heatmap, token_saliency)
+                       render_heatmap)
 
 __version__ = "0.1.0"

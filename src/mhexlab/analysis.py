@@ -233,17 +233,15 @@ def check_collab_inputs(model, dataset):
         raise ContractError("the collaboration analysis supports only the CNN host on images")
 
 
-def collect_collab_records(model, dataset, n_samples=None, sites=None):
+def collect_collab_records(model, dataset, n_samples=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
-    measured sites (the last three blocks having a successor by default).
-    One taped forward per sample feeds the default-filter map, ``p_orig``
-    and the gradient pairs; only the soft-masked copy needs a second forward."""
+    measured sites, the last three that have a successor. One taped forward
+    per sample feeds the default-filter map, ``p_orig`` and the gradient
+    pairs; only the soft-masked copy needs a second forward."""
     check_collab_inputs(model, dataset)
-    if sites is None:
-        with_succ = list(range(len(model.sites) - 1))
-        sites = with_succ[-3:]
-    for s in sites:
-        _check_successor(model, s)
+    sites = list(range(len(model.sites) - 1))[-3:]
+    if not sites:
+        raise ContractError("the collaboration analysis needs a site with a successor block")
     n = len(dataset) if n_samples is None else min(n_samples, len(dataset))
     if n < 3:
         raise ContractError("need at least 3 evaluable samples")

@@ -60,6 +60,8 @@ def _check_cam(image, cam):
     if image.ndim != 3 or cam.shape != image.shape[1:]:
         raise DimensionError(
             f"needs a (C,H,W) image and an (H,W) cam, got {image.shape} and {cam.shape}")
+    if not np.isfinite(cam).all():
+        raise ContractError("the saliency map holds a NaN or an infinity")
     return image, cam
 
 

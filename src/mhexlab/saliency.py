@@ -123,48 +123,49 @@ def normalize_map(raw):
 
 
 def aggregate_cams(layer_grids, layer_decay=0.9, class_id=-1):
-    """Decay-weighted sum of per-site grids (ordered shallow to deep,
-    weight decay^l with l = 1 at the shallowest), on the finest grid."""
+    """Decay-weighted sum of per-site grids (ordered shallow to deep) on the
+    finest grid, normalized into a ``SaliencyMap``."""
     if not layer_grids:
         raise ContractError("aggregate_cams: no layer grids")
     finest = max((np.asarray(g).shape for g in layer_grids), key=lambda s: s[0] * s[1])
     resized = [resize_map(np.asarray(g, dtype=np.float64), finest) for g in layer_grids]
-    raw = np.zeros(finest)
-    for l, g in enumerate(resized, start=1):
-        raw += (layer_decay ** l) * g
+    raw, _ = _decayed_sum(resized, layer_decay)
     return SaliencyMap(class_id=class_id, grid=normalize_map(raw), raw=raw,
                        layer_grids=resized)
 
 
-def token_saliency(w_equivs, activations, class_id, cfg: WeightFilterConfig):
-    """Per-token scores from the first L sites only.
-
-    ``activations[l]`` holds the (J, D) rectified token features of site l;
-    per-layer scores reuse the grid kernel on a 1 x J "image".
-    """
-    return _token_scores(_token_weights(w_equivs, cfg), activations, class_id, cfg)
-
-
-def _token_weights(w_equivs, cfg):
-    """Filtered weights of the first ``cfg.token_layers`` sites."""
-    L = cfg.token_layers
-    if L > len(w_equivs):
-        raise ConfigurationError(
-            f"token_layers {L} exceeds available sites {len(w_equivs)}")
-    return [final_weights(w, cfg) for w in w_equivs[:L]]
+def _decayed_sum(grids, layer_decay):
+    """Sum of same-shape grids weighted decay^l, l = 1 at the shallowest,
+    and its weighted terms."""
+    raw = np.zeros(grids[0].shape)
+    terms = []
+    for l, g in enumerate(grids, start=1):
+        terms.append((layer_decay ** l) * g)
+        raw += terms[-1]
+    return raw, terms
 
 
-def _token_scores(w_finals, activations, class_id, cfg):
-    layer_scores = []
-    total = None
-    for l, w_final in enumerate(w_finals):
-        feats = np.asarray(activations[l], dtype=np.float64)   # (J, D)
-        grid = cam_layer(w_final[class_id], feats.T[:, None, :])  # (D,1,J) -> (1,J)
-        scores = (cfg.layer_decay ** (l + 1)) * grid[0]
-        layer_scores.append(scores)
-        total = scores.copy() if total is None else total + scores
-    return TokenSaliency(class_id=class_id, scores=total,
-                         positions=np.arange(len(total)), layer_scores=layer_scores)
+def _check_class_ids(model, class_ids):
+    n_class = model.cfg.n_class
+    for c in class_ids:
+        if not 0 <= c < n_class:
+            raise ConfigurationError(f"class id {c} is outside [0, {n_class})")
+
+
+def _site_grids(model, rec, class_ids, cfg, n_sites):
+    """Per row ``b`` of ``rec``, ``cam_layer`` of its class's filtered
+    ``w2·w1`` weights on each of the first ``n_sites`` sites' rectified
+    features: a CNN row's ``(C, h, w)`` map, a token row's non-pad tokens as
+    a ``(D, 1, J)`` grid."""
+    _check_class_ids(model, class_ids)
+    w_fins = [final_weights(equivalent_matrix(model.mhex_params(s)), cfg)
+              for s in range(n_sites)]
+    feats = [o.relu_features.data for o in rec.site_outputs[:n_sites]]
+    if rec.pad_mask is not None:
+        feats = [[f[b][~pad].T[:, None, :] for b, pad in enumerate(rec.pad_mask)]
+                 for f in feats]
+    return [[cam_layer(w[c], f[b]) for w, f in zip(w_fins, feats)]
+            for b, c in enumerate(class_ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +180,17 @@ def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None)
 
 
 def image_map(model, rec, class_id, cfg: WeightFilterConfig | None = None):
-    """The map of the first image of an unmasked ``ForwardRecord``: filtered
-    weights per site, per-site grids, decay-weighted aggregation."""
+    """The map of the first image of an unmasked ``ForwardRecord``: its
+    per-site grids and their decay-weighted aggregate."""
     cfg = cfg or WeightFilterConfig()
-    grids = []
-    for s in range(len(model.sites)):
-        w_fin = final_weights(equivalent_matrix(model.mhex_params(s)), cfg)
-        grids.append(cam_layer(w_fin[class_id], rec.site_outputs[s].relu_features.data[0]))
+    (grids,) = _site_grids(model, rec, [class_id], cfg, len(model.sites))
     return aggregate_cams(grids, cfg.layer_decay, class_id=class_id)
 
 
 def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
     """Token pipeline over a ``(B, S)`` batch with ``B`` class ids: one
-    forward, the filtered weights once, and one ``TokenSaliency`` per row,
-    scoring that row's non-pad tokens. A ``(S,)`` sequence with an int
+    forward, and one ``TokenSaliency`` per row from its first ``token_layers``
+    sites, scoring that row's non-pad tokens. A ``(S,)`` sequence with an int
     class id is the batch of one and returns its single ``TokenSaliency``."""
     cfg = cfg or WeightFilterConfig()
     ids = np.asarray(ids, dtype=np.intp)
@@ -203,17 +201,17 @@ def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
         raise DimensionError(
             f"explain_tokens needs one class id per row, got {class_ids.shape[0]} "
             f"for {ids.shape[0]} rows")
-    w_fins = _token_weights(
-        [equivalent_matrix(model.mhex_params(s)) for s in range(len(model.sites))], cfg)
+    if cfg.token_layers > len(model.sites):
+        raise ConfigurationError(
+            f"token_layers {cfg.token_layers} exceeds available sites {len(model.sites)}")
     with ad.no_grad():
         rec = model.forward_collect(ids)
-    keep = ~rec.pad_mask
     out = []
-    for b, c in enumerate(class_ids):
-        acts = [o.relu_features.data[b][keep[b]] for o in rec.site_outputs[:len(w_fins)]]
-        sal = _token_scores(w_fins, acts, int(c), cfg)
-        sal.positions = np.flatnonzero(keep[b])
-        out.append(sal)
+    for c, pad, grids in zip(class_ids, rec.pad_mask,
+                             _site_grids(model, rec, class_ids, cfg, cfg.token_layers)):
+        raw, terms = _decayed_sum(grids, cfg.layer_decay)
+        out.append(TokenSaliency(class_id=int(c), scores=raw[0], positions=np.flatnonzero(~pad),
+                                 layer_scores=[t[0] for t in terms]))
     return out[0] if single else out
 
 
@@ -222,6 +220,7 @@ def gradcam_baseline(model, image, class_id):
     comparison plumbing, not part of the blocks' own saliency path."""
     if getattr(model, "kind", None) != "resnet":
         raise ContractError("gradcam_baseline supports only the CNN host")
+    _check_class_ids(model, [class_id])
     _, final_feats, logits, _ = model._backbone(image)
     onehot = np.zeros(logits.data.shape)
     onehot[..., class_id] = 1.0
@@ -261,6 +260,8 @@ def render_heatmap(sal_map, out_path, overlay=None):
     """Write a saliency map as binary PGM (P5), or blend it over a grayscale
     input image and write binary PPM (P6)."""
     grid = sal_map.grid if isinstance(sal_map, SaliencyMap) else np.asarray(sal_map)
+    if not np.isfinite(grid).all():
+        raise ContractError("render_heatmap: the map holds a NaN or an infinity")
     if overlay is None:
         magic = "P5"
         pix = np.round(np.clip(grid, 0.0, 1.0) * 255).astype(np.uint8)

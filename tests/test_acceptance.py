@@ -15,9 +15,11 @@ import mhexlab.autodiff as ad
 import mhexlab.metrics as M
 import mhexlab.saliency as S
 from mhexlab.autodiff import Tensor
-from mhexlab.models import (EVAL_BATCH_SIZE, ResNetConfig, clone_model,
-                            count_mhex_params, head_accuracies, load_checkpoint,
-                            save_checkpoint, strip_mhex)
+from mhexlab.blocks import equivalent_matrix
+from mhexlab.models import (EVAL_BATCH_SIZE, ResNetConfig, TransformerConfig,
+                            build_transformer, clone_model, count_mhex_params,
+                            head_accuracies, load_checkpoint, save_checkpoint,
+                            strip_mhex)
 
 from helpers import check_grads
 
@@ -137,19 +139,25 @@ def test_criterion_05_oracle_equivalence(capsys):
         ref = decay * grids[0] + decay ** 2 * S.resize_map(grids[1], (4, 4))
         worst = max(worst, float(np.abs(agg.raw - ref).max()))
 
-        # token_saliency vs explicit per-token loop
-        d, j, ncls = 5, 4, 3
-        w_eqs = [rng.normal(size=(ncls, d)) for _ in range(2)]
-        acts = [rng.normal(size=(j, d)) for _ in range(2)]
+        # explain_tokens on a small random transformer vs explicit
+        # per-token loop over its recorded features and filtered weights
+        tcfg = TransformerConfig(vocab_size=8, d_model=5, n_heads=1, n_layers=2,
+                                 max_seq=4, n_class=3)
+        model = build_transformer(tcfg, seed=int(rng.integers(2 ** 31)))
+        ids = rng.integers(2, tcfg.vocab_size, size=tcfg.max_seq)
+        ids[int(rng.integers(1, tcfg.max_seq + 1)):] = tcfg.pad_id
         cfg = S.WeightFilterConfig(token_layers=2, ss_threshold=0.0,
                                    layer_decay=decay)
-        cls = int(rng.integers(0, ncls))
-        sal = S.token_saliency(w_eqs, acts, cls, cfg)
-        ref = np.zeros(j)
+        cls = int(rng.integers(0, tcfg.n_class))
+        sal = S.explain_tokens(model, ids, cls, cfg)
+        rec = model.forward_collect(ids)
+        live = np.flatnonzero(ids != tcfg.pad_id)
+        ref = np.zeros(len(live))
         for l in range(2):
-            wf = S.final_weights(w_eqs[l], cfg)[cls]
-            for t in range(j):
-                ref[t] += decay ** (l + 1) * float(wf @ acts[l][t])
+            wf = S.final_weights(equivalent_matrix(model.mhex_params(l)), cfg)[cls]
+            feats = rec.site_outputs[l].relu_features.data[0]
+            for k, t in enumerate(live):
+                ref[k] += decay ** (l + 1) * float(wf @ feats[t])
         worst = max(worst, float(np.abs(sal.scores - ref).max()))
     _verdict(capsys, 5, "oracle equivalence", worst < 1e-6,
              f"max abs deviation {worst:.2e} over 100 instances x 4 ops")

@@ -299,7 +299,7 @@ def test_blockwise_equals_per_cell_pairs(small_cnn):
     assert np.array_equal(bq, ref)
 
 
-def test_collab_records_equal_collaboration_cosine(small_cnn):
+def test_collab_records_equal_collaboration_cosine(small_cnn, monkeypatch):
     ds = mx.gen_shapes(3, seed=45)
     records = A.collect_collab_records(small_cnn, ds, n_samples=3)
     assert len(records) == 9
@@ -307,9 +307,15 @@ def test_collab_records_equal_collaboration_cosine(small_cnn):
         cos = A.collaboration_cosine(small_cnn, ds.images[r.sample_id],
                                      int(ds.labels[r.sample_id]), r.site)
         assert r.cosine == cos
-    with pytest.raises(ContractError):
-        A.collect_collab_records(small_cnn, ds, n_samples=3,
-                                 sites=[len(small_cnn.sites) - 1])
+    # one site, without a successor: the parent returned [] and
+    # correlation_triangle then died with a bare IndexError
+    one_site = models.build_resnet(models.ResNetConfig(
+        stage_channels=(4, 8), blocks_per_stage=1, mhex_sites=(1,)), seed=3)
+    calls = count_calls(type(one_site), "_backbone", monkeypatch)
+    for collect in (A.collect_collab_records, A.correlation_triangle):
+        with pytest.raises(ContractError, match="successor"):
+            collect(one_site, ds, n_samples=3)
+    assert calls == []
 
 
 def test_collab_records_one_backbone_per_forward(small_cnn, monkeypatch):

@@ -192,6 +192,29 @@ def test_curve_contracts():
         M.auc(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cam_raises_before_predicting(bad):
+    """A NaN soft mask gave a NaN p_mask and a silently clamped drop."""
+    rng = np.random.default_rng(3)
+    img = rng.uniform(size=(1, 6, 6))
+    cam = rng.uniform(size=(6, 6))
+    cam[2, 3] = bad
+    calls = []
+
+    def predict(x):
+        calls.append(1)
+        return np.full((len(x), 2), 0.5)
+
+    checks = [lambda: M.soft_mask(img, cam), lambda: M.hard_mask(img, cam),
+              lambda: M.drop_record(predict, img, 0, cam),
+              lambda: M.deletion_curve(predict, img, cam, 0, steps=3),
+              lambda: M.insertion_curve(predict, img, cam, 0, steps=3)]
+    for check in checks:
+        with pytest.raises(ContractError, match="NaN or an infinity"):
+            check()
+    assert calls == []
+
+
 def test_auc_oracle():
     c = M.Curve(np.linspace(0, 1, 11), np.linspace(0, 1, 11))
     assert M.auc(c) == pytest.approx(0.5)

@@ -3,9 +3,11 @@ import pytest
 
 import mhexlab as mx
 from mhexlab import saliency as S
+from mhexlab.blocks import equivalent_matrix
 from mhexlab.errors import (ConfigurationError, ContractError, DimensionError)
+from mhexlab.models import EVAL_BATCH_SIZE, clone_model
 
-from helpers import rel_err
+from helpers import count_calls, rel_err
 
 
 def _w(seed=0, n_class=4, c=8):
@@ -147,7 +149,7 @@ def test_explain_tokens_shapes(small_transformer):
     assert len(sal.layer_scores) == 3
 
 
-def test_token_saliency_uses_first_layers_only(small_transformer):
+def test_token_saliency_uses_first_layers_only(small_transformer, monkeypatch):
     td = mx.gen_tokens(2, seed=21)
     one = S.explain_tokens(small_transformer, td.ids[0], 0,
                            S.WeightFilterConfig(token_layers=1))
@@ -155,21 +157,72 @@ def test_token_saliency_uses_first_layers_only(small_transformer):
                              S.WeightFilterConfig(token_layers=3))
     assert np.allclose(three.layer_scores[0], one.layer_scores[0])
     assert not np.allclose(one.scores, three.scores)
+    calls = count_calls(type(small_transformer), "_backbone", monkeypatch)
     with pytest.raises(ConfigurationError):
         S.explain_tokens(small_transformer, td.ids[0], 0,
                          S.WeightFilterConfig(token_layers=99))
+    assert calls == []      # rejected before the forward
 
 
-def test_token_saliency_shares_cam_kernel():
-    """Token scores are the grid kernel applied to a (D, 1, J) feature
-    stack; the two paths must agree to machine precision."""
-    rng = np.random.default_rng(22)
-    w_eq = rng.normal(size=(4, 6))
-    feats = rng.normal(size=(5, 6))     # (J, D)
-    cfg = S.WeightFilterConfig(token_layers=1, layer_decay=1.0)
-    sal = S.token_saliency([w_eq], [feats], 1, cfg)
-    ref = S.cam_layer(S.final_weights(w_eq, cfg)[1], feats.T[:, None, :])[0]
-    assert np.allclose(sal.scores, ref)
+def test_token_saliency_shares_cam_kernel(small_transformer):
+    """Token scores are the grid kernel applied to each site's (D, 1, J)
+    stack of non-pad token features; a per-token loop over the same
+    features and filtered weights agrees to machine precision."""
+    td = mx.gen_tokens(1, seed=22)
+    ids, label = td.ids[0], int(td.labels[0])
+    cfg = S.WeightFilterConfig(token_layers=2, layer_decay=0.7)
+    sal = S.explain_tokens(small_transformer, ids, label, cfg)
+    rec = small_transformer.forward_collect(ids)
+    live = np.flatnonzero(ids != td.pad_id)
+    ref = np.zeros(len(live))
+    for l in range(2):
+        wf = S.final_weights(equivalent_matrix(small_transformer.mhex_params(l)), cfg)[label]
+        feats = rec.site_outputs[l].relu_features.data[0]
+        for k, t in enumerate(live):
+            ref[k] += 0.7 ** (l + 1) * float(wf @ feats[t])
+    assert np.array_equal(sal.positions, live)
+    assert np.allclose(sal.scores, ref, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_class_id_out_of_range_raises(small_cnn, small_transformer, bad):
+    """-1 used to return the last class's map and n_class a bare IndexError."""
+    img = mx.gen_shapes(1, seed=27).images[0]
+    td = mx.gen_tokens(2, seed=27)
+    calls = [lambda: S.explain_image(small_cnn, img, bad),
+             lambda: S.image_map(small_cnn, small_cnn.forward_collect(img), bad),
+             lambda: S.gradcam_baseline(small_cnn, img, bad),
+             lambda: S.explain_tokens(small_transformer, td.ids[0], bad),
+             lambda: S.explain_tokens(small_transformer, td.ids, [0, bad])]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=f"class id {bad}"):
+            call()
+
+
+def test_token_sanity_explainer_redraw_collapses_hit_rate(trained_transformer):
+    """Sanity check: with every explainer tensor redrawn as a normal of its
+    own std, the criterion-12 keyword hit rate (0.84 trained) collapses."""
+    held = mx.gen_tokens(200, seed=1)
+
+    def hit_rate(model):
+        hits = 0
+        for lo in range(0, len(held), EVAL_BATCH_SIZE):
+            rows = slice(lo, lo + EVAL_BATCH_SIZE)
+            sals = S.explain_tokens(model, held.ids[rows], held.labels[rows])
+            for sal, truth_mask in zip(sals, held.truth_masks[rows]):
+                truth = np.flatnonzero(truth_mask)
+                top = sal.positions[np.argsort(-sal.scores, kind="stable")[:len(truth)]]
+                hits += set(top.tolist()) == set(truth.tolist())
+        return hits / len(held)
+
+    assert hit_rate(trained_transformer) >= 0.80
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        model = clone_model(trained_transformer)
+        for name in model.mhex_param_names():
+            t = model.params[name]
+            t.data = rng.normal(0.0, t.data.std(), size=t.data.shape)
+        assert hit_rate(model) < 0.25, f"redraw seed {seed}"
 
 
 def _rel(a, b):
@@ -255,6 +308,18 @@ def test_render_unwritable_path_raises():
     with pytest.raises(OSError) as exc:
         S.render_heatmap(S.SaliencyMap(0, grid, grid), "/nonexistent-dir/x.pgm")
     assert "x.pgm" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_render_non_finite_map_raises_and_writes_nothing(tmp_path, bad):
+    """A NaN cell used to reach astype(np.uint8) and write an undefined byte."""
+    grid = np.random.default_rng(27).uniform(size=(16, 16))
+    grid[4, 5] = bad
+    overlay = mx.gen_shapes(1, seed=27).images[0]
+    for sal_map, kw in ((S.SaliencyMap(0, grid, grid), {}), (grid, {"overlay": overlay})):
+        with pytest.raises(ContractError, match="NaN or an infinity"):
+            S.render_heatmap(sal_map, tmp_path / "map.pnm", **kw)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_token_exports(tmp_path):
