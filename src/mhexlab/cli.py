@@ -132,6 +132,8 @@ def _chunks(ids):
 
 
 def cmd_explain(args):
+    if args.dataset == "tokens" and args.grad_cam:
+        raise ConfigurationError("--grad-cam needs --dataset shapes")
     wf = _wf_config(args)
     out = _resolve_out(args)
     model = load_checkpoint(args.checkpoint)
@@ -155,15 +157,14 @@ def cmd_explain(args):
         for i in ids:
             label = int(dataset.labels[i])
             image = dataset.images[i]
-            smap = saliency.explain_image(model, image, label, wf)
+            smap, gmap, _ = saliency.image_maps(model, image, label, wf, grad_cam=args.grad_cam)
             p = out / f"sample{i:04d}_mhex.pgm"
             saliency.render_heatmap(smap, p)
             manifest.append((i, "mhex", p.name))
             p = out / f"sample{i:04d}_mhex_overlay.ppm"
             saliency.render_heatmap(smap, p, overlay=image)
             manifest.append((i, "mhex_overlay", p.name))
-            if args.grad_cam:
-                gmap = saliency.gradcam_baseline(model, image, label)
+            if gmap is not None:
                 p = out / f"sample{i:04d}_gradcam.pgm"
                 saliency.render_heatmap(gmap, p)
                 manifest.append((i, "gradcam", p.name))
@@ -203,34 +204,38 @@ def cmd_evaluate(args):
 
     methods = [m for m, on in (("mhex", True), ("gradcam", args.grad_cam),
                                ("oracle", args.oracle_explainer)) if on]
+    # per method, each image's full-size map and drop record: one backbone
+    # pass makes an image's maps and p_orig, one prediction its masked copies
+    cams, recs = {m: [] for m in methods}, {m: [] for m in methods}
+    for i in range(n):
+        label = int(dataset.labels[i])
+        image = dataset.images[i]
+        smap, gmap, probs = saliency.image_maps(model, image, label, wf, grad_cam=args.grad_cam)
+        maps = {"mhex": smap, "gradcam": gmap}
+        row = [dataset.truth_masks[i].astype(np.float64) if m == "oracle"
+               else saliency.resize_map(maps[m].grid, image.shape[-2:]) for m in methods]
+        drops = metrics.drop_records(model.predict_proba, image, label, row,
+                                     float(probs[label]), sample_id=i)
+        for m, cam, rec in zip(methods, row, drops):
+            cams[m].append(cam)
+            recs[m].append(rec)
     summary = []
     for method in methods:
-        recs, loc, cams = [], [], []
-        for i in range(n):
-            label = int(dataset.labels[i])
-            image = dataset.images[i]
-            if method == "oracle":
-                cam = dataset.truth_masks[i].astype(np.float64)
-            else:
-                smap = (saliency.explain_image(model, image, label, wf) if method == "mhex"
-                        else saliency.gradcam_baseline(model, image, label))
-                cam = saliency.resize_map(smap.grid, image.shape[-2:])
-            recs.append(metrics.drop_record(model.predict_proba, image, label, cam, sample_id=i))
-            loc.append(localization_score(cam, dataset.truth_masks[i]))
-            cams.append(cam)
-        metrics.write_drop_csv(recs, _made(out) / f"drop_{method}.csv", method=method)
+        metrics.write_drop_csv(recs[method], _made(out) / f"drop_{method}.csv", method=method)
         aucs = []
         for name, curve_fn in (("deletion", metrics.deletion_curve),
                                ("insertion", metrics.insertion_curve)):
-            curves = [curve_fn(model.predict_proba, dataset.images[i], cams[i],
+            curves = [curve_fn(model.predict_proba, dataset.images[i], cams[method][i],
                                int(dataset.labels[i]), steps=args.steps)
                       for i in range(min(n, args.curve_samples))]
             mean = metrics.Curve(curves[0].fractions,
                                  np.mean([c.confidences for c in curves], axis=0))
             metrics.write_curve_csv(mean, out / f"{name}_{method}.csv")
             aucs.append(metrics.auc(mean))
-        summary.append((method, metrics.avg_drop(recs), metrics.ead(recs), *aucs,
-                        float(np.mean(loc))))
+        loc = [localization_score(cam, dataset.truth_masks[i])
+               for i, cam in enumerate(cams[method])]
+        summary.append((method, metrics.avg_drop(recs[method]), metrics.ead(recs[method]),
+                        *aucs, float(np.mean(loc))))
 
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -322,7 +327,9 @@ def build_parser():
     p.add_argument("--steps", type=int, default=20,
                    help="deletion/insertion curve steps (images only; the token "
                         "evaluation draws no curves)")
-    p.add_argument("--top-frac", type=float, default=0.10)
+    p.add_argument("--top-frac", type=float, default=0.10,
+                   help="share of each sequence's tokens masked for the drop "
+                        "(tokens only; images mask the salient cells)")
     p.add_argument("--grad-cam", action="store_true")
     p.add_argument("--oracle-explainer", action="store_true")
     p.add_argument("--curve-samples", type=int, default=16,

@@ -2,7 +2,10 @@
 the area-weighted drop and its weighting function, and insertion/deletion
 curves with trapezoidal AUC. Every metric reads the model through
 ``predict``, a callable that maps a batch to ``(B, n_class)`` probabilities
-(a host's ``predict_proba``); images are ``(C, H, W)``, maps ``(H, W)``.
+(a host's ``predict_proba``); images are ``(C, H, W)``, maps ``(H, W)``. A
+curve predicts its steps together and ``drop_records`` an image's masked
+copies together, so a batched row may round its last bits differently from
+a batch-1 call.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
+from .models import EVAL_BATCH_SIZE
 
 SALIENT = 0.5     # saliency at which a cell counts as salient and is masked
 
@@ -38,11 +42,6 @@ class DropRecord:
 class Curve:
     fractions: np.ndarray
     confidences: np.ndarray
-
-
-def _prob(predict, image, label):
-    """Probability of ``label`` for one (C, H, W) image."""
-    return float(np.asarray(predict(image[None]), dtype=np.float64)[0, label])
 
 
 def mean_intensity(image):
@@ -92,10 +91,21 @@ def saliency_area(cam):
 def drop_record(predict, image, label, cam, sample_id=0):
     """Confidence drop for one (C, H, W) image when its salient region is
     mean-filled (``hard_mask``)."""
+    image, cam = _check_cam(image, cam)
+    p_orig = float(np.asarray(predict(image[None]), dtype=np.float64)[0, label])
+    (rec,) = drop_records(predict, image, label, [cam], p_orig, sample_id)
+    return rec
+
+
+def drop_records(predict, image, label, cams, p_orig, sample_id=0):
+    """``drop_record`` of one (C, H, W) image, whose ``label`` probability is
+    ``p_orig``, for each map in ``cams``: one ``predict`` call scores every
+    masked copy."""
     image = np.asarray(image, dtype=np.float64)
-    masked = hard_mask(image, cam)
-    return DropRecord.of(sample_id, _prob(predict, image, label),
-                         _prob(predict, masked, label), saliency_area(cam))
+    masked = np.stack([hard_mask(image, cam) for cam in cams])
+    p_mask = np.asarray(predict(masked), dtype=np.float64)[:, label]
+    return [DropRecord.of(sample_id, p_orig, float(p), saliency_area(cam))
+            for p, cam in zip(p_mask, cams)]
 
 
 def avg_drop(records):
@@ -159,11 +169,13 @@ def _perturbation_curve(predict, image, cam, label, steps, insert):
     rank = np.empty(cam.size, dtype=np.intp)
     rank[_pixel_order(cam)] = np.arange(cam.size)
     fractions = np.linspace(0.0, 1.0, steps)
+    ks = np.array([int(round(frac * cam.size)) for frac in fractions])
     confidences = np.empty(steps)
-    for i, frac in enumerate(fractions):
-        k = int(round(frac * cam.size))
-        cur = np.where(rank < k, chosen, other).reshape(image.shape)
-        confidences[i] = _prob(predict, cur, label)
+    # one prediction per chunk of steps, so a long curve's batch stays bounded
+    for lo in range(0, steps, EVAL_BATCH_SIZE):
+        batch = np.where(rank < ks[lo:lo + EVAL_BATCH_SIZE, None, None], chosen, other)
+        p = predict(batch.reshape((-1,) + image.shape))
+        confidences[lo:lo + len(batch)] = np.asarray(p, dtype=np.float64)[:, label]
     return Curve(fractions=fractions, confidences=confidences)
 
 

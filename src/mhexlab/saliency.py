@@ -173,10 +173,30 @@ def _site_grids(model, rec, class_ids, cfg, n_sites):
 
 
 def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None):
-    """Full image pipeline: an instrumented forward without a tape, then ``image_map``."""
+    """Full image pipeline: ``image_maps`` without a Grad-CAM map, so its
+    backbone records no tape."""
+    return image_maps(model, image, class_id, cfg)[0]
+
+
+def image_maps(model, image, class_id, cfg: WeightFilterConfig | None = None,
+               grad_cam=False):
+    """The MHEX map of one ``(C, H, W)`` image, its Grad-CAM map (``None``
+    unless ``grad_cam``) and its ``(n_class,)`` probabilities, all from one
+    backbone pass. Only the Grad-CAM map needs a tape, so the backbone
+    records one only then, and the side chain never does."""
+    if grad_cam:
+        if getattr(model, "kind", None) != "resnet":
+            raise ContractError("Grad-CAM supports only the CNN host")
+        _check_class_ids(model, [class_id])
+        backbone_out = model._backbone(image)
+    else:
+        with ad.no_grad():
+            backbone_out = model._backbone(image)
     with ad.no_grad():
-        rec = model.forward_collect(image)
-    return image_map(model, rec, class_id, cfg)
+        smap = image_map(model, model.side_chain(backbone_out), class_id, cfg)
+        probs = ad.softmax_last(backbone_out[2]).data[0]
+    gmap = _gradcam_map(backbone_out, class_id) if grad_cam else None
+    return smap, gmap, probs
 
 
 def image_map(model, rec, class_id, cfg: WeightFilterConfig | None = None):
@@ -218,10 +238,12 @@ def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
 def gradcam_baseline(model, image, class_id):
     """Gradient-weighted activation map on the last convolutional features;
     comparison plumbing, not part of the blocks' own saliency path."""
-    if getattr(model, "kind", None) != "resnet":
-        raise ContractError("gradcam_baseline supports only the CNN host")
-    _check_class_ids(model, [class_id])
-    _, final_feats, logits, _ = model._backbone(image)
+    return image_maps(model, image, class_id, grad_cam=True)[1]
+
+
+def _gradcam_map(backbone_out, class_id):
+    """Grad-CAM of the first image of a taped ``_backbone`` result."""
+    _, final_feats, logits, _ = backbone_out
     onehot = np.zeros(logits.data.shape)
     onehot[..., class_id] = 1.0
     target = ad.sum_axis(ad.mul(logits, onehot))

@@ -141,10 +141,15 @@ def closure_arrays(fn):
 
 
 @contextmanager
-def conv_workers(monkeypatch, n):
+def conv_workers(monkeypatch, n, spread_chunks=None):
     """``conv2d`` spreads its chunks over ``n`` workers, with a pool of its
-    own that is shut down on exit (``monkeypatch`` restores the module's)."""
+    own that is shut down on exit (``monkeypatch`` restores the module's).
+    ``spread_chunks`` replaces ``_SPREAD_CHUNKS``, so that a test of the
+    split's bit-identity can spread batches that the module's rule keeps on
+    one thread."""
     monkeypatch.setattr(ad, "_WORKERS", n)
+    if spread_chunks is not None:
+        monkeypatch.setattr(ad, "_SPREAD_CHUNKS", spread_chunks)
     monkeypatch.setattr(ad, "_pool", None)
     try:
         yield
@@ -213,18 +218,18 @@ def count_calls(owner, name, monkeypatch):
     return calls
 
 
-def perturbation_curve_reference(predict, image, cam, label, steps, insert):
-    """Confidences of a deletion (or insertion) curve, each step built by
-    copying the image (or a mean-filled canvas) and assigning the first k
-    pixels of the stable saliency order."""
+def perturbation_curve_images(image, cam, steps, insert):
+    """The stacked ``(steps, C, H, W)`` images of a deletion (or insertion)
+    curve, each step built by copying the image (or a mean-filled canvas)
+    and assigning the first k pixels of the stable saliency order."""
     image = np.asarray(image, dtype=np.float64)
     c = image.shape[0]
     mu = mean_intensity(image).reshape(-1, 1, 1)
     baseline = np.broadcast_to(mu, image.shape).copy()
     order = np.argsort(-np.asarray(cam, dtype=np.float64).ravel(), kind="stable")
     flat_img = image.reshape(c, -1)
-    confidences = np.empty(steps)
-    for i, frac in enumerate(np.linspace(0.0, 1.0, steps)):
+    frames = []
+    for frac in np.linspace(0.0, 1.0, steps):
         k = int(round(frac * cam.size))
         chosen = order[:k]
         if insert:
@@ -233,6 +238,5 @@ def perturbation_curve_reference(predict, image, cam, label, steps, insert):
         else:
             cur = flat_img.copy()
             cur[:, chosen] = np.broadcast_to(mu.reshape(-1, 1), (c, k))
-        p = np.asarray(predict(cur.reshape(image.shape)[None]), dtype=np.float64)
-        confidences[i] = float(p[0, label])
-    return confidences
+        frames.append(cur.reshape(image.shape))
+    return np.stack(frames)

@@ -239,9 +239,9 @@ def test_conv_chunk_cases_span_several_chunks():
 @pytest.mark.parametrize("n", [1, 5, 64, 128])
 @pytest.mark.parametrize("shape", HOST_CONVS)
 def test_conv_workers_match_references(monkeypatch, shape, n):
-    """Spread over 1, 2 or 3 workers (3 split the chunks unevenly), conv2d
-    keeps the bits of the stacked references: forward, input gradient and
-    weight gradient."""
+    """Spread over 1, 2 or 3 workers (3 split the chunks unevenly), each
+    given a range from one chunk's columns up, conv2d keeps the bits of the
+    stacked references: forward, input gradient and weight gradient."""
     c, h, o, k, stride, pad = shape
     rng = _rng(17)
     x = rng.normal(size=(n, c, h, h))
@@ -251,7 +251,7 @@ def test_conv_workers_match_references(monkeypatch, shape, n):
     ref_gx = conv2d_backward_reference(x, w, g, stride, pad)[0]
     ref_gw = conv2d_weight_grad_stacked(x, w, g, stride, pad)
     for workers in (1, 2, 3):
-        with conv_workers(monkeypatch, workers):
+        with conv_workers(monkeypatch, workers, spread_chunks=1):
             out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
             gx, gw = out._backward(g)
         assert np.array_equal(out.data, ref), workers
@@ -261,19 +261,29 @@ def test_conv_workers_match_references(monkeypatch, shape, n):
 
 def test_conv_chunk_split_covers_batch_in_equal_chunks(monkeypatch):
     """Contiguous, near-equal sample ranges, one per worker that gets a full
-    chunk's columns, and one chunk size whose columns fit ``_COLS_BYTES``;
-    a batch with less than two chunks' columns is one range."""
+    chunk's columns on a tape and ``_SPREAD_CHUNKS`` chunks' columns without,
+    and one chunk size whose columns fit ``_COLS_BYTES``; a batch with less
+    than twice those columns, such as a 20-image curve without a tape, is
+    one range."""
     sample = 8 * 8 * 3 * 3 * 32 * 32            # (8, 32, 8, 3, 1, 1): 3 per chunk
+    assert ad._SPREAD_CHUNKS == 4
     for workers in (1, 2, 3):
         monkeypatch.setattr(ad, "_WORKERS", workers)
-        for n, full_chunks in ((1, 0), (3, 0), (4, 1), (7, 1), (8, 2), (64, 18), (128, 36)):
-            ranges, size = ad._chunks(n, sample)
-            assert ranges[0][0] == 0 and ranges[-1][1] == n
-            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-            lengths = [hi - lo for lo, hi in ranges]
-            assert len(ranges) == max(1, min(workers, full_chunks))
-            assert max(lengths) - min(lengths) <= 1
-            assert 1 <= size <= 3 and size * sample <= ad._COLS_BYTES
+        # n, and the ranges open to workers with 1 full chunk's columns (on a
+        # tape) and with 4 full chunks' columns (without)
+        for n, taped, untaped in ((1, 0, 0), (3, 0, 0), (4, 1, 0), (7, 1, 0), (8, 2, 0),
+                                  (20, 5, 1), (28, 7, 1), (29, 8, 2), (64, 18, 4),
+                                  (128, 36, 9)):
+            taped_split = ad._chunks(n, sample)
+            with ad.no_grad():
+                untaped_split = ad._chunks(n, sample)
+            for (ranges, size), full in ((taped_split, taped), (untaped_split, untaped)):
+                assert ranges[0][0] == 0 and ranges[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+                lengths = [hi - lo for lo, hi in ranges]
+                assert len(ranges) == max(1, min(workers, full))
+                assert max(lengths) - min(lengths) <= 1
+                assert 1 <= size <= 3 and size * sample <= ad._COLS_BYTES
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -287,7 +297,7 @@ def test_conv_1x1_reads_strided_input_in_place(monkeypatch, workers):
     w = rng.normal(size=(32, 16, 1, 1))
     xl = x.reshape(512, 16, 64)
     assert np.shares_memory(xl, x)
-    with conv_workers(monkeypatch, workers):
+    with conv_workers(monkeypatch, workers, spread_chunks=1):
         out = ad.conv2d(Tensor(x), Tensor(w))
         g = rng.normal(size=out.shape)
         gw = out._backward(g)[1]
@@ -306,7 +316,7 @@ def test_threaded_conv_backward_repeats_bit_for_bit(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with conv_workers(monkeypatch, 3):
+        with conv_workers(monkeypatch, 3, spread_chunks=1):
             out = ad.conv2d(x, w, stride=2, pad=1)
             g = rng.normal(size=out.shape)
             first = [a.tobytes() for a in out._backward(g)]
@@ -337,7 +347,7 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
     """A child forked after the pool started has none of its threads: its
     first spread conv makes a pool of its own instead of waiting forever."""
     rng = _rng(20)
-    x = Tensor(rng.normal(size=(16, 8, 32, 32)))
+    x = Tensor(rng.normal(size=(64, 8, 32, 32)))
     w = Tensor(rng.normal(size=(8, 8, 3, 3)))
     with conv_workers(monkeypatch, 2):
         ref = ad.conv2d(x, w, pad=1).data

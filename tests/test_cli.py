@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhexlab import cli
-from mhexlab.models import TransformerModel, save_checkpoint
+from mhexlab import autodiff as ad, cli
+from mhexlab.models import ResNetModel, TransformerModel, save_checkpoint
 
-from helpers import checkpoint_with_config, checkpoint_with_value, count_calls
+from helpers import checkpoint_with_config, checkpoint_with_value, conv_workers, count_calls
 
 
 def _rows(path):
@@ -77,6 +77,37 @@ def test_explain_shapes_with_gradcam(shape_ckpt, tmp_path):
     assert (tmp_path / "sample0000_mhex.pgm").exists()
     assert (tmp_path / "sample0000_mhex_overlay.ppm").exists()
     assert (tmp_path / "sample0000_gradcam.pgm").exists()
+
+
+def test_explain_gradcam_one_backbone_per_image(shape_ckpt, tmp_path, monkeypatch):
+    """The MHEX and Grad-CAM maps of an image come from one backbone pass."""
+    calls = count_calls(ResNetModel, "_backbone", monkeypatch)
+    rc = cli.main(["explain", "--dataset", "shapes", "--n-samples", "8",
+                   "--checkpoint", str(shape_ckpt), "--samples", "0,2,5",
+                   "--grad-cam", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(_rows(tmp_path / "manifest.csv")) == 1 + 3 * 3
+    assert len(calls) == 3
+
+
+def test_evaluate_shapes_one_forward_per_curve(shape_ckpt, tmp_path, monkeypatch):
+    """Per image, one backbone pass for its maps and p_orig and one
+    prediction for all its masked copies; one prediction per curve. None of
+    these batches is large enough to start the conv2d pool on two CPUs."""
+    backbones = count_calls(ResNetModel, "_backbone", monkeypatch)
+    predicts = count_calls(ResNetModel, "predict_proba", monkeypatch)
+    n, curve_samples, methods = 5, 3, 3
+    with conv_workers(monkeypatch, 2):
+        rc = cli.main(["evaluate", "--dataset", "shapes", "--n-samples", str(n),
+                       "--curve-samples", str(curve_samples), "--steps", "20",
+                       "--grad-cam", "--oracle-explainer",
+                       "--checkpoint", str(shape_ckpt), "--out", str(tmp_path)])
+        assert ad._pool is None
+    assert rc == 0
+    assert len(_rows(tmp_path / "summary.csv")) == 1 + methods
+    curves = methods * 2 * curve_samples
+    assert len(predicts) == n + curves
+    assert len(backbones) == n + len(predicts)
 
 
 def _explain_argv(samples):
@@ -276,13 +307,16 @@ def test_token_chunk_boundary_changes_no_output(token_ckpt, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("flag", ["--grad-cam", "--oracle-explainer"])
 def test_evaluate_tokens_rejects_image_flags(token_ckpt, tmp_path, capsys, flag):
-    """Both flags name image explainers; the token path would ignore them."""
+    """Both flags name image explainers; the token path would ignore them.
+    ``explain`` takes --grad-cam only, and rejects it the same way."""
     ckpt, _ = token_ckpt
-    rc = cli.main(["evaluate", "--dataset", "tokens", "--n-samples", "6", flag,
-                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert flag in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for command in ("evaluate", "explain") if flag == "--grad-cam" else ("evaluate",):
+        out = tmp_path / command
+        rc = cli.main([command, "--dataset", "tokens", "--n-samples", "6", flag,
+                       "--checkpoint", str(ckpt), "--out", str(out)])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_analyze(shape_ckpt, tmp_path):

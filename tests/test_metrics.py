@@ -6,7 +6,7 @@ import mhexlab.metrics as M
 import mhexlab.saliency as S
 from mhexlab.errors import ConfigurationError, ContractError, DimensionError
 
-from helpers import perturbation_curve_reference
+from helpers import perturbation_curve_images
 
 
 def _linear_predictor(weight):
@@ -19,6 +19,16 @@ def _linear_predictor(weight):
         e = np.exp(z - z.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
     return predict
+
+
+def _recorded(predict):
+    """``predict`` that also keeps a copy of every batch it is given."""
+    seen = []
+
+    def recording(x):
+        seen.append(np.array(x))
+        return predict(x)
+    return recording, seen
 
 
 def test_mean_intensity():
@@ -91,6 +101,24 @@ def test_drop_record_and_avg_drop():
         M.drop_record(predict, img[None], 0, cam)
 
 
+def test_drop_records_score_every_map_in_one_prediction(small_cnn):
+    """One prediction over an image's masked copies gives each map's
+    ``drop_record``: p_orig as given, the area exactly, p_mask within 1e-15
+    of the batch-1 prediction."""
+    ds = mx.gen_shapes(1, seed=33)
+    img, label = ds.images[0], int(ds.labels[0])
+    rng = np.random.default_rng(4)
+    cams = [rng.uniform(size=(32, 32)) for _ in range(3)]
+    p_orig = float(small_cnn.predict_proba(img[None])[0, label])
+    recording, seen = _recorded(small_cnn.predict_proba)
+    recs = M.drop_records(recording, img, label, cams, p_orig, sample_id=7)
+    assert [len(x) for x in seen] == [3]
+    for rec, cam in zip(recs, cams):
+        single = M.drop_record(small_cnn.predict_proba, img, label, cam, sample_id=7)
+        assert (rec.sample_id, rec.p_orig, rec.area) == (7, single.p_orig, single.area)
+        assert abs(rec.p_mask - single.p_mask) <= 1e-15
+
+
 def test_drop_clamped_at_zero():
     r = M.DropRecord(sample_id=0, p_orig=0.2, p_mask=0.9, drop=0.0, area=0.1)
     assert M.avg_drop([r]) == 0.0
@@ -153,11 +181,26 @@ def test_curves_linear_model_oracle():
     assert ins_good.confidences[-1] == pytest.approx(p_clean)
 
 
+def _check_curve_against_reference(curve_fn, predict, img, cam, label, steps, insert):
+    """The curve predicts once, on the stacked copy-and-assign images, and
+    its confidences are that prediction's; each is within 1e-15 of the same
+    image's batch-1 prediction."""
+    frames = perturbation_curve_images(img, cam, steps, insert)
+    recording, seen = _recorded(predict)
+    curve = curve_fn(recording, img, cam, label, steps=steps)
+    assert len(seen) == 1 and np.array_equal(seen[0], frames)
+    assert np.array_equal(curve.confidences, np.asarray(predict(frames))[:, label])
+    single = [np.asarray(predict(f[None]))[0, label] for f in frames]
+    assert np.max(np.abs(curve.confidences - single)) <= 1e-15
+    assert np.array_equal(curve.fractions, np.linspace(0.0, 1.0, steps))
+
+
 @pytest.mark.parametrize("steps", [2, 7, 20])
 @pytest.mark.parametrize("insert", [False, True], ids=["deletion", "insertion"])
 def test_curves_equal_copy_and_assign_reference(steps, insert):
-    """The rank-and-select loop gives the copy-and-assign curve bit for bit
-    on a 3-channel image, with a map full of ties, a random and a zero map."""
+    """The rank-and-select batch holds the copy-and-assign images bit for
+    bit on a 3-channel image, with a map full of ties, a random and a zero
+    map."""
     rng = np.random.default_rng(steps)
     w = rng.normal(size=(3, 6, 5))
     predict = _linear_predictor(w)
@@ -165,10 +208,7 @@ def test_curves_equal_copy_and_assign_reference(steps, insert):
     tied = np.round(rng.uniform(size=(6, 5)) * 3) / 3
     curve_fn = M.insertion_curve if insert else M.deletion_curve
     for cam in (tied, rng.uniform(size=(6, 5)), np.zeros((6, 5))):
-        curve = curve_fn(predict, img, cam, 1, steps=steps)
-        ref = perturbation_curve_reference(predict, img, cam, 1, steps, insert)
-        assert np.array_equal(curve.confidences, ref)
-        assert np.array_equal(curve.fractions, np.linspace(0.0, 1.0, steps))
+        _check_curve_against_reference(curve_fn, predict, img, cam, 1, steps, insert)
 
 
 def test_curves_on_a_model_equal_reference(small_cnn):
@@ -176,9 +216,25 @@ def test_curves_on_a_model_equal_reference(small_cnn):
     img, label = ds.images[0], int(ds.labels[0])
     cam = S.resize_map(S.explain_image(small_cnn, img, label).grid, img.shape[-2:])
     for insert, curve_fn in ((False, M.deletion_curve), (True, M.insertion_curve)):
-        curve = curve_fn(small_cnn.predict_proba, img, cam, label, steps=7)
-        ref = perturbation_curve_reference(small_cnn.predict_proba, img, cam, label, 7, insert)
-        assert np.array_equal(curve.confidences, ref)
+        _check_curve_against_reference(curve_fn, small_cnn.predict_proba, img, cam,
+                                       label, 7, insert)
+
+
+@pytest.mark.parametrize("curve_fn", [M.deletion_curve, M.insertion_curve])
+def test_long_curve_predicts_per_chunk_as_in_one(monkeypatch, small_cnn, curve_fn):
+    """A curve with more steps than ``EVAL_BATCH_SIZE`` predicts once per
+    chunk of that size and gives the curve of a single prediction."""
+    ds = mx.gen_shapes(1, seed=32)
+    img, label = ds.images[0], int(ds.labels[0])
+    cam = S.resize_map(S.explain_image(small_cnn, img, label).grid, img.shape[-2:])
+    monkeypatch.setattr(M, "EVAL_BATCH_SIZE", 4)
+    recording, seen = _recorded(small_cnn.predict_proba)
+    chunked = curve_fn(recording, img, cam, label, steps=10)
+    assert [len(x) for x in seen] == [4, 4, 2]
+    monkeypatch.setattr(M, "EVAL_BATCH_SIZE", 10)
+    whole = curve_fn(small_cnn.predict_proba, img, cam, label, steps=10)
+    assert np.array_equal(chunked.confidences, whole.confidences)
+    assert np.array_equal(chunked.fractions, whole.fractions)
 
 
 def test_curve_contracts():

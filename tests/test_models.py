@@ -287,7 +287,7 @@ def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):
 
 def test_batch1_forward_stays_on_calling_thread(monkeypatch, small_cnn, small_transformer):
     """A batch-1 forward of either host starts no conv2d pool and builds
-    every column chunk on the calling thread; a batch-16 CNN forward spreads
+    every column chunk on the calling thread; a batch-64 CNN forward spreads
     its chunks over the pool."""
     threads = []
 
@@ -301,7 +301,7 @@ def test_batch1_forward_stays_on_calling_thread(monkeypatch, small_cnn, small_tr
         small_transformer.forward_collect(mx.gen_tokens(1, seed=5).ids)
         assert ad._pool is None
         assert threads and set(threads) == {threading.get_ident()}
-        small_cnn.forward_collect(mx.gen_shapes(16, seed=5).images)
+        small_cnn.forward_collect(mx.gen_shapes(64, seed=5).images)
         assert ad._pool is not None and len(set(threads)) == 2
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mhexlab as mx
-from mhexlab import saliency as S
+from mhexlab import autodiff as ad, saliency as S
 from mhexlab.blocks import equivalent_matrix
 from mhexlab.errors import (ConfigurationError, ContractError, DimensionError)
 from mhexlab.models import EVAL_BATCH_SIZE, clone_model
@@ -140,6 +140,36 @@ def test_image_map_reads_a_taped_record(small_cnn):
     assert np.array_equal(smap.raw, ref.raw) and np.array_equal(smap.grid, ref.grid)
 
 
+def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
+    """One backbone pass gives the MHEX map of a taped record, the Grad-CAM
+    map of the class logit's gradient on the final features, and
+    predict_proba's probabilities, bit for bit; it records a tape only for
+    the Grad-CAM map."""
+    ds = mx.gen_shapes(1, seed=24)
+    img, label = ds.images[0], int(ds.labels[0])
+    ref_s = S.image_map(small_cnn, small_cnn.forward_collect(img), label)
+    _, feats, logits, _ = small_cnn._backbone(img)
+    onehot = np.eye(logits.shape[1])[label][None]
+    grad = ad.adjoint(ad.sum_axis(ad.mul(logits, onehot)), feats)[0]
+    ref_g = np.maximum(np.tensordot(grad.mean(axis=(1, 2)), feats.data[0], axes=1), 0.0)
+    ref_p = small_cnn.predict_proba(img[None])[0]
+    taped, backbone = [], type(small_cnn)._backbone
+
+    def recording(self, x):
+        taped.append(ad._recording)
+        return backbone(self, x)
+
+    monkeypatch.setattr(type(small_cnn), "_backbone", recording)
+    for grad_cam in (True, False):
+        smap, gmap, probs = S.image_maps(small_cnn, img, label, grad_cam=grad_cam)
+        assert np.array_equal(smap.raw, ref_s.raw) and np.array_equal(smap.grid, ref_s.grid)
+        assert np.array_equal(probs, ref_p)
+        assert np.array_equal(gmap.raw, ref_g) if grad_cam else gmap is None
+    assert taped == [True, False]
+    assert np.array_equal(S.gradcam_baseline(small_cnn, img, label).raw, ref_g)
+    assert np.array_equal(S.explain_image(small_cnn, img, label).grid, ref_s.grid)
+
+
 def test_explain_tokens_shapes(small_transformer):
     td = mx.gen_tokens(2, seed=20)
     sal = S.explain_tokens(small_transformer, td.ids[0], int(td.labels[0]))
@@ -192,6 +222,7 @@ def test_class_id_out_of_range_raises(small_cnn, small_transformer, bad):
     calls = [lambda: S.explain_image(small_cnn, img, bad),
              lambda: S.image_map(small_cnn, small_cnn.forward_collect(img), bad),
              lambda: S.gradcam_baseline(small_cnn, img, bad),
+             lambda: S.image_maps(small_cnn, img, bad, grad_cam=True),
              lambda: S.explain_tokens(small_transformer, td.ids[0], bad),
              lambda: S.explain_tokens(small_transformer, td.ids, [0, bad])]
     for call in calls:
