@@ -26,9 +26,8 @@ the output and gradient buffers, using scratch (padded input and columns)
 that the calling thread allocates; the weight gradient is summed on the
 calling thread once all have finished. So every result is bit-identical
 whatever the split. A worker gets a range only if it holds a chunk's worth
-of columns, and without a tape ``_SPREAD_CHUNKS`` chunks' worth; so any
-batch-1 call, and a forward without a tape of up to 28 images of the default
-CNN (a 20-step curve), runs on the calling thread alone.
+of columns and ``_SPREAD_SAMPLES`` samples; so any batch below 64, such as a
+batch-1 map or a 20-step curve, runs on the calling thread alone.
 
 Inside ``no_grad()`` nothing is recorded: a new tensor keeps no parents and
 no closure, so a forward-only pass frees each intermediate once the next op
@@ -54,11 +53,11 @@ _COLS_BYTES = 1 << 21
 # included; the pool of the other _WORKERS - 1 starts on the first such call
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# without a tape, a worker gets a range only if it holds this many chunks'
-# columns: a batch-20 forward spread over 2 threads ran slower than on one. A
-# taped conv spreads from one chunk per worker, as its backward reuses the
-# split and does twice the forward's work.
-_SPREAD_CHUNKS = 4
+# a worker gets a range only if it holds this many samples: on 2 vCPUs, a
+# whole CNN pass spread over both took 0.7-0.8 of one thread's time at batch
+# 64 but 0.8-1.0 at batch 20, with or without a tape, and up to 1.3 when the
+# other vCPU was busy
+_SPREAD_SAMPLES = 32
 _pool = None
 
 
@@ -276,13 +275,12 @@ def _columns(x, kh, kw, stride, pad, xp, cols):
 
 def _chunks(n, sample_bytes):
     """``conv2d``'s split of ``n`` samples: contiguous (lo, hi) ranges of
-    near-equal length, one per worker that gets at least one chunk's columns
-    on a tape, ``_SPREAD_CHUNKS`` chunks' without (at most ``_WORKERS``, at
-    least one), and one chunk size that cuts each range into equal chunks
-    whose columns fit ``_COLS_BYTES`` (at least one sample per chunk)."""
+    near-equal length, one per worker that gets at least ``_COLS_BYTES`` of
+    columns and ``_SPREAD_SAMPLES`` samples (at most ``_WORKERS``, at least
+    one), and one chunk size that cuts each range into equal chunks whose
+    columns fit ``_COLS_BYTES`` (at least one sample per chunk)."""
     step = max(1, _COLS_BYTES // sample_bytes)
-    per_worker = _COLS_BYTES * (1 if _recording else _SPREAD_CHUNKS)
-    groups = max(1, min(_WORKERS, n * sample_bytes // per_worker))
+    groups = max(1, min(_WORKERS, n * sample_bytes // _COLS_BYTES, n // _SPREAD_SAMPLES))
     span = -(-n // groups)                          # the longest range
     chunks = -(-span // step)                       # in the longest range
     size = -(-span // chunks) if chunks else 1

@@ -185,9 +185,7 @@ def image_maps(model, image, class_id, cfg: WeightFilterConfig | None = None,
     backbone pass. Only the Grad-CAM map needs a tape, so the backbone
     records one only then, and the side chain never does."""
     if grad_cam:
-        if getattr(model, "kind", None) != "resnet":
-            raise ContractError("Grad-CAM supports only the CNN host")
-        _check_class_ids(model, [class_id])
+        _check_gradcam(model, class_id)
         backbone_out = model._backbone(image)
     else:
         with ad.no_grad():
@@ -238,7 +236,14 @@ def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
 def gradcam_baseline(model, image, class_id):
     """Gradient-weighted activation map on the last convolutional features;
     comparison plumbing, not part of the blocks' own saliency path."""
-    return image_maps(model, image, class_id, grad_cam=True)[1]
+    _check_gradcam(model, class_id)
+    return _gradcam_map(model._backbone(image), class_id)
+
+
+def _check_gradcam(model, class_id):
+    if getattr(model, "kind", None) != "resnet":
+        raise ContractError("Grad-CAM supports only the CNN host")
+    _check_class_ids(model, [class_id])
 
 
 def _gradcam_map(backbone_out, class_id):

@@ -141,15 +141,10 @@ def closure_arrays(fn):
 
 
 @contextmanager
-def conv_workers(monkeypatch, n, spread_chunks=None):
+def conv_workers(monkeypatch, n):
     """``conv2d`` spreads its chunks over ``n`` workers, with a pool of its
-    own that is shut down on exit (``monkeypatch`` restores the module's).
-    ``spread_chunks`` replaces ``_SPREAD_CHUNKS``, so that a test of the
-    split's bit-identity can spread batches that the module's rule keeps on
-    one thread."""
+    own that is shut down on exit (``monkeypatch`` restores the module's)."""
     monkeypatch.setattr(ad, "_WORKERS", n)
-    if spread_chunks is not None:
-        monkeypatch.setattr(ad, "_SPREAD_CHUNKS", spread_chunks)
     monkeypatch.setattr(ad, "_pool", None)
     try:
         yield

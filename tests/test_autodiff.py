@@ -239,9 +239,9 @@ def test_conv_chunk_cases_span_several_chunks():
 @pytest.mark.parametrize("n", [1, 5, 64, 128])
 @pytest.mark.parametrize("shape", HOST_CONVS)
 def test_conv_workers_match_references(monkeypatch, shape, n):
-    """Spread over 1, 2 or 3 workers (3 split the chunks unevenly), each
-    given a range from one chunk's columns up, conv2d keeps the bits of the
-    stacked references: forward, input gradient and weight gradient."""
+    """Spread over 1, 2 or 3 workers (3 split the chunks unevenly), conv2d
+    keeps the bits of the stacked references: forward with and without a
+    tape, input gradient and weight gradient."""
     c, h, o, k, stride, pad = shape
     rng = _rng(17)
     x = rng.normal(size=(n, c, h, h))
@@ -251,39 +251,42 @@ def test_conv_workers_match_references(monkeypatch, shape, n):
     ref_gx = conv2d_backward_reference(x, w, g, stride, pad)[0]
     ref_gw = conv2d_weight_grad_stacked(x, w, g, stride, pad)
     for workers in (1, 2, 3):
-        with conv_workers(monkeypatch, workers, spread_chunks=1):
+        with conv_workers(monkeypatch, workers):
             out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
             gx, gw = out._backward(g)
+            with ad.no_grad():
+                untaped = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
         assert np.array_equal(out.data, ref), workers
+        assert np.array_equal(untaped.data, ref), workers
         assert np.array_equal(gx, ref_gx), workers
         assert np.array_equal(gw, ref_gw), workers
 
 
 def test_conv_chunk_split_covers_batch_in_equal_chunks(monkeypatch):
     """Contiguous, near-equal sample ranges, one per worker that gets a full
-    chunk's columns on a tape and ``_SPREAD_CHUNKS`` chunks' columns without,
-    and one chunk size whose columns fit ``_COLS_BYTES``; a batch with less
-    than twice those columns, such as a 20-image curve without a tape, is
-    one range."""
-    sample = 8 * 8 * 3 * 3 * 32 * 32            # (8, 32, 8, 3, 1, 1): 3 per chunk
-    assert ad._SPREAD_CHUNKS == 4
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(ad, "_WORKERS", workers)
-        # n, and the ranges open to workers with 1 full chunk's columns (on a
-        # tape) and with 4 full chunks' columns (without)
-        for n, taped, untaped in ((1, 0, 0), (3, 0, 0), (4, 1, 0), (7, 1, 0), (8, 2, 0),
-                                  (20, 5, 1), (28, 7, 1), (29, 8, 2), (64, 18, 4),
-                                  (128, 36, 9)):
-            taped_split = ad._chunks(n, sample)
-            with ad.no_grad():
-                untaped_split = ad._chunks(n, sample)
-            for (ranges, size), full in ((taped_split, taped), (untaped_split, untaped)):
+    chunk's columns and 32 samples, and one chunk size whose columns fit
+    ``_COLS_BYTES``; a batch below 64, such as a 20-image curve, is one
+    range, taped or not."""
+    big = 8 * 8 * 3 * 3 * 32 * 32               # (8, 32, 8, 3, 1, 1): 3 per chunk
+    small = big // 16                           # 56 per chunk
+    assert ad._SPREAD_SAMPLES == 32
+    # sample bytes, n, and the ranges for 1, 2 and 3 workers
+    cases = [(big, 1, (1, 1, 1)), (big, 4, (1, 1, 1)), (big, 8, (1, 1, 1)),
+             (big, 20, (1, 1, 1)), (big, 63, (1, 1, 1)), (big, 64, (1, 2, 2)),
+             (big, 96, (1, 2, 3)), (big, 128, (1, 2, 3)),
+             (small, 64, (1, 1, 1)), (small, 128, (1, 2, 2)), (small, 200, (1, 2, 3))]
+    for sample, n, groups in cases:
+        for workers, want in zip((1, 2, 3), groups):
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            for recording in (True, False):
+                monkeypatch.setattr(ad, "_recording", recording)
+                ranges, size = ad._chunks(n, sample)
                 assert ranges[0][0] == 0 and ranges[-1][1] == n
                 assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
                 lengths = [hi - lo for lo, hi in ranges]
-                assert len(ranges) == max(1, min(workers, full))
+                assert len(ranges) == want, (sample, n, workers)
                 assert max(lengths) - min(lengths) <= 1
-                assert 1 <= size <= 3 and size * sample <= ad._COLS_BYTES
+                assert 1 <= size and size * sample <= ad._COLS_BYTES
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -297,7 +300,7 @@ def test_conv_1x1_reads_strided_input_in_place(monkeypatch, workers):
     w = rng.normal(size=(32, 16, 1, 1))
     xl = x.reshape(512, 16, 64)
     assert np.shares_memory(xl, x)
-    with conv_workers(monkeypatch, workers, spread_chunks=1):
+    with conv_workers(monkeypatch, workers):
         out = ad.conv2d(Tensor(x), Tensor(w))
         g = rng.normal(size=out.shape)
         gw = out._backward(g)[1]
@@ -311,13 +314,14 @@ def test_threaded_conv_backward_repeats_bit_for_bit(monkeypatch):
     """Twenty backward passes of one conv on three workers, with the
     interpreter switching threads as often as it can, give the same bytes."""
     rng = _rng(18)
-    x = Tensor(rng.normal(size=(64, 8, 32, 32)))
+    x = Tensor(rng.normal(size=(96, 8, 32, 32)))        # 32 samples a worker
     w = Tensor(rng.normal(size=(16, 8, 3, 3)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with conv_workers(monkeypatch, 3, spread_chunks=1):
+        with conv_workers(monkeypatch, 3):
             out = ad.conv2d(x, w, stride=2, pad=1)
+            assert len(ad._chunks(96, 8 * 8 * 9 * 16 * 16)[0]) == 3
             g = rng.normal(size=out.shape)
             first = [a.tobytes() for a in out._backward(g)]
             for _ in range(19):

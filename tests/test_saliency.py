@@ -144,7 +144,8 @@ def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
     """One backbone pass gives the MHEX map of a taped record, the Grad-CAM
     map of the class logit's gradient on the final features, and
     predict_proba's probabilities, bit for bit; it records a tape only for
-    the Grad-CAM map."""
+    the Grad-CAM map. gradcam_baseline gives the same Grad-CAM map without
+    running the side chain."""
     ds = mx.gen_shapes(1, seed=24)
     img, label = ds.images[0], int(ds.labels[0])
     ref_s = S.image_map(small_cnn, small_cnn.forward_collect(img), label)
@@ -166,7 +167,9 @@ def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
         assert np.array_equal(probs, ref_p)
         assert np.array_equal(gmap.raw, ref_g) if grad_cam else gmap is None
     assert taped == [True, False]
+    side = count_calls(type(small_cnn), "side_chain", monkeypatch)
     assert np.array_equal(S.gradcam_baseline(small_cnn, img, label).raw, ref_g)
+    assert side == []
     assert np.array_equal(S.explain_image(small_cnn, img, label).grid, ref_s.grid)
 
 
