@@ -10,7 +10,6 @@ cosine is the collaboration strength.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from . import metrics as met
 from . import saliency as sal_mod
 from .errors import (ConfigurationError, ContractError,
                      UndefinedCorrelationError)
+from .formats import write_csv
 
 COSINE_EPS = 1e-8
 ENTROPY_BINS = 200          # histogram bins of the ReLU entropy estimate
@@ -283,14 +283,10 @@ def correlation_triangle(model, dataset, n_samples=None):
 
 
 def write_correlation_csv(rows, out_path):
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair", "site", "r", "t", "p", "n"])
-        for row in rows:
-            res = row.result
-            writer.writerow([row.pair, "" if row.site is None else row.site,
-                             f"{res.r:.6g}", f"{res.t:.6g}", f"{res.p:.6g}", res.n])
-    return out_path
+    return write_csv(out_path, ["pair", "site", "r", "t", "p", "n"],
+                     ([row.pair, "" if row.site is None else row.site, f"{row.result.r:.6g}",
+                       f"{row.result.t:.6g}", f"{row.result.p:.6g}", row.result.n]
+                      for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -187,12 +187,6 @@ def sum_axis(x, axis=None, keepdims=False):
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
-def mean_all(x):
-    x = _as_tensor(x)
-    n = x.data.size
-    return mul(sum_axis(x), 1.0 / n)
-
-
 def reshape(x, shape):
     x = _as_tensor(x)
 

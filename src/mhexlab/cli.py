@@ -8,14 +8,13 @@ reruns from that file are deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, metrics, saliency
+from . import analysis, formats, metrics, saliency
 from .datasets import gen_shapes, gen_tokens, localization_score
 from .errors import ConfigurationError, MhexError
 from .models import (EVAL_BATCH_SIZE, ResNetConfig, TransformerConfig,
@@ -34,13 +33,9 @@ def _made(out):
     return out
 
 
-def _write_config(args, out_dir, name="config.txt"):
-    skip = {"func", "config"}
-    with open(out_dir / name, "w") as fh:
-        for key, val in sorted(vars(args).items()):
-            if key in skip:
-                continue
-            fh.write(f"{key}={val}\n")
+def _write_config(args, out_dir):
+    (out_dir / "config.txt").write_text(formats.kv_text(
+        (key, val) for key, val in sorted(vars(args).items()) if key not in ("func", "config")))
 
 
 def _command_parser(parser, command):
@@ -55,16 +50,23 @@ def _load_config_defaults(parser, args):
     command line win. Keys no flag reads (removed flags) and ``None``
     values are skipped."""
     defaults = {}
-    with open(args.config) as fh:
-        for line in fh:
-            key, _, val = line.strip().partition("=")
-            key = key.replace("-", "_")
-            if key in ("command", "config", "func") or not hasattr(args, key) \
-                    or val == "None":
-                continue
-            # store_true flags: a string default would stay a (truthy) string
-            defaults[key] = val == "True" if isinstance(getattr(args, key), bool) else val
+    for key, val in formats.parse_kv(Path(args.config).read_text()).items():
+        key = key.replace("-", "_")
+        if key in ("command", "config", "func") or not hasattr(args, key) or val == "None":
+            continue
+        # store_true flags: a string default would stay a (truthy) string
+        defaults[key] = val == "True" if isinstance(getattr(args, key), bool) else val
     _command_parser(parser, args.command).set_defaults(**defaults)
+
+
+def _load_host(args):
+    """The checkpoint's model, refused unless it is the host ``--dataset`` needs."""
+    model = load_checkpoint(args.checkpoint)
+    want = "resnet" if args.dataset == "shapes" else "transformer"
+    if model.kind != want:
+        raise ConfigurationError(f"--dataset {args.dataset} needs a {want} checkpoint, "
+                                 f"but {args.checkpoint} holds a {model.kind} host")
+    return model
 
 
 def _make_dataset(args):
@@ -99,12 +101,9 @@ def cmd_train(args):
     log = train(model, dataset, mode=args.mode, epochs=args.epochs, lr=lr,
                 seed=args.seed, batch_size=args.batch_size)
     save_checkpoint(model, _made(out) / "checkpoint.ckpt")
-    with open(out / "trainlog.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "head_accuracies"])
-        for e in log.entries:
-            writer.writerow([e.epoch, f"{e.loss:.6g}",
-                             " ".join(f"{a:.4f}" for a in e.head_accuracy)])
+    formats.write_csv(out / "trainlog.csv", ["epoch", "loss", "head_accuracies"],
+                      ([e.epoch, f"{e.loss:.6g}", " ".join(f"{a:.4f}" for a in e.head_accuracy)]
+                       for e in log.entries))
     _write_config(args, out)
     if log.entries:
         print(f"trained {args.epochs} epochs; final loss {log.entries[-1].loss:.4f}; "
@@ -136,15 +135,15 @@ def cmd_explain(args):
         raise ConfigurationError("--grad-cam needs --dataset shapes")
     wf = _wf_config(args)
     out = _resolve_out(args)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_host(args)
     dataset = _make_dataset(args)
     ids = _sample_ids(args, dataset)
-    _made(out)
     manifest = []
     if args.dataset == "tokens":
         for chunk in _chunks(ids):
             sals = saliency.explain_tokens(model, dataset.ids[chunk],
                                            dataset.labels[chunk], wf)
+            _made(out)
             for i, sal in zip(chunk, sals):
                 tokens = [f"tok{t}" for t in dataset.ids[i]]
                 p = out / f"sample{i:04d}_tokens.csv"
@@ -158,7 +157,7 @@ def cmd_explain(args):
             label = int(dataset.labels[i])
             image = dataset.images[i]
             smap, gmap, _ = saliency.image_maps(model, image, label, wf, grad_cam=args.grad_cam)
-            p = out / f"sample{i:04d}_mhex.pgm"
+            p = _made(out) / f"sample{i:04d}_mhex.pgm"
             saliency.render_heatmap(smap, p)
             manifest.append((i, "mhex", p.name))
             p = out / f"sample{i:04d}_mhex_overlay.ppm"
@@ -168,10 +167,7 @@ def cmd_explain(args):
                 p = out / f"sample{i:04d}_gradcam.pgm"
                 saliency.render_heatmap(gmap, p)
                 manifest.append((i, "gradcam", p.name))
-    with open(out / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "method", "artifact"])
-        writer.writerows(manifest)
+    formats.write_csv(out / "manifest.csv", ["sample", "method", "artifact"], manifest)
     _write_config(args, out)
     print(f"wrote {len(manifest)} artifacts to {out}")
 
@@ -185,7 +181,7 @@ def cmd_evaluate(args):
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
     wf = _wf_config(args)
     out = _resolve_out(args)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_host(args)
     dataset = _make_dataset(args)
     n = min(args.n_samples, len(dataset))
 
@@ -237,12 +233,9 @@ def cmd_evaluate(args):
         summary.append((method, metrics.avg_drop(recs[method]), metrics.ead(recs[method]),
                         *aucs, float(np.mean(loc))))
 
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "avg_drop", "ead", "deletion_auc",
-                         "insertion_auc", "localization"])
-        for row in summary:
-            writer.writerow([row[0]] + [f"{v:.6g}" for v in row[1:]])
+    formats.write_csv(out / "summary.csv", ["method", "avg_drop", "ead", "deletion_auc",
+                                            "insertion_auc", "localization"],
+                      ([row[0]] + [f"{v:.6g}" for v in row[1:]] for row in summary))
     _write_config(args, out)
     for row in summary:
         print(f"{row[0]}: avg_drop={row[1]:.4f} ead={row[2]:.4f} "
@@ -263,17 +256,14 @@ def cmd_analyze(args):
             for i in range(min(n, args.block_samples))]
     rows, records = analysis.correlation_triangle(model, dataset, n_samples=n)
     analysis.write_correlation_csv(rows, _made(out) / "correlation.csv")
-    with open(out / "collab_records.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "site", "cosine", "p_orig", "sad_drop"])
-        for r in records:
-            writer.writerow([r.sample_id, r.site, f"{r.cosine:.6g}",
-                             f"{r.p_orig:.6g}", f"{r.sad_drop:.6g}"])
+    formats.write_csv(out / "collab_records.csv",
+                      ["sample", "site", "cosine", "p_orig", "sad_drop"],
+                      ([r.sample_id, r.site, f"{r.cosine:.6g}", f"{r.p_orig:.6g}",
+                        f"{r.sad_drop:.6g}"] for r in records))
     for i, bq in enumerate(maps):
         saliency.render_heatmap(saliency.normalize_map(bq),
                                 out / f"sample{i:04d}_blockwise.pgm")
-    with open(out / "entropy.txt", "w") as fh:
-        fh.write(f"entropy_drop_estimate={dh:.6f}\n")
+    (out / "entropy.txt").write_text(formats.kv_text([("entropy_drop_estimate", f"{dh:.6f}")]))
     _write_config(args, out)
     print(f"entropy drop estimate: {dh:.5f} (target 0.34657)")
     print(f"correlation report: {out / 'correlation.csv'}")

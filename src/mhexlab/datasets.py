@@ -19,11 +19,17 @@ from .errors import ConfigurationError, ContractError
 
 IMAGE_SIZE = 32
 SHAPE_CLASSES = ("square", "disk", "cross", "bar")
+NOISE_COARSE = 4          # background value-noise grid cells per side
+NOISE_AMPLITUDE = 0.35    # background value-noise range [0, NOISE_AMPLITUDE)
 
 MASK_ID = 0
 PAD_ID = 1
 N_SPECIALS = 2
 KEYWORDS_PER_CLASS = 2
+VOCAB_SIZE = 48
+TOKEN_CLASSES = 4
+MAX_SEQ = 16
+MIN_SEQ = 8
 
 
 def _rng(seed, index):
@@ -46,31 +52,27 @@ class TokenDataset:
     ids: np.ndarray          # (N, S) int, padded with PAD_ID
     labels: np.ndarray       # (N,) int
     truth_masks: np.ndarray  # (N, S) bool, True at planted-keyword positions
-    vocab_size: int
-    n_class: int
-    max_seq: int
+    vocab_size: int = VOCAB_SIZE
+    n_class: int = TOKEN_CLASSES
+    max_seq: int = MAX_SEQ
     mask_id: int = MASK_ID
     pad_id: int = PAD_ID
 
     def __len__(self):
         return len(self.labels)
 
-    def keyword_ids(self, label):
-        base = N_SPECIALS + label * KEYWORDS_PER_CLASS
-        return list(range(base, base + KEYWORDS_PER_CLASS))
 
-
-def _value_noise(rng, size=IMAGE_SIZE, coarse=4, amplitude=0.35):
+def _value_noise(rng):
     """Smooth low-frequency background: bilinear blow-up of a coarse grid."""
-    grid = rng.uniform(0.0, amplitude, size=(coarse + 1, coarse + 1))
-    xs = np.linspace(0, coarse, size)
-    i0 = np.minimum(xs.astype(int), coarse - 1)
+    grid = rng.uniform(0.0, NOISE_AMPLITUDE, size=(NOISE_COARSE + 1, NOISE_COARSE + 1))
+    xs = np.linspace(0, NOISE_COARSE, IMAGE_SIZE)
+    i0 = np.minimum(xs.astype(int), NOISE_COARSE - 1)
     f = xs - i0
     top = grid[i0][:, i0] * (1 - f)[:, None] * (1 - f)[None, :]
     top += grid[i0][:, i0 + 1] * (1 - f)[:, None] * f[None, :]
     top += grid[i0 + 1][:, i0] * f[:, None] * (1 - f)[None, :]
     top += grid[i0 + 1][:, i0 + 1] * f[:, None] * f[None, :]
-    return top + rng.uniform(0.0, 0.08, size=(size, size))
+    return top + rng.uniform(0.0, 0.08, size=(IMAGE_SIZE, IMAGE_SIZE))
 
 
 def _shape_mask(rng, label):
@@ -135,8 +137,10 @@ def gen_shapes(n, seed=0):
     return ShapeDataset(images=images, labels=labels, truth_masks=masks)
 
 
-def gen_tokens(n, vocab_size=48, seed=0, n_class=4, max_seq=16, min_seq=8):
-    """Deterministic keyword-planting token dataset.
+def gen_tokens(n, seed=0):
+    """Deterministic keyword-planting token dataset: ``TOKEN_CLASSES``
+    classes, sequences of ``MIN_SEQ`` to ``MAX_SEQ`` tokens over a
+    ``VOCAB_SIZE`` vocabulary.
 
     Each sample carries exactly ``KEYWORDS_PER_CLASS`` tokens from its
     class's keyword set at random positions; every other position is filler
@@ -144,28 +148,22 @@ def gen_tokens(n, vocab_size=48, seed=0, n_class=4, max_seq=16, min_seq=8):
     """
     if n < 1:
         raise ConfigurationError("gen_tokens: n must be >= 1")
-    n_keywords = n_class * KEYWORDS_PER_CLASS
-    if vocab_size <= n_keywords + N_SPECIALS:
-        raise ConfigurationError(
-            f"vocab_size {vocab_size} too small for {n_keywords} keywords "
-            f"plus {N_SPECIALS} specials")
-    filler_lo = N_SPECIALS + n_keywords
-    ids = np.full((n, max_seq), PAD_ID, dtype=np.intp)
+    filler_lo = N_SPECIALS + TOKEN_CLASSES * KEYWORDS_PER_CLASS
+    ids = np.full((n, MAX_SEQ), PAD_ID, dtype=np.intp)
     labels = np.empty(n, dtype=np.intp)
-    masks = np.zeros((n, max_seq), dtype=bool)
+    masks = np.zeros((n, MAX_SEQ), dtype=bool)
     for i in range(n):
         rng = _rng(seed, i)
-        label = i % n_class
-        length = int(rng.integers(min_seq, max_seq + 1))
-        seq = rng.integers(filler_lo, vocab_size, size=length)
+        label = i % TOKEN_CLASSES
+        length = int(rng.integers(MIN_SEQ, MAX_SEQ + 1))
+        seq = rng.integers(filler_lo, VOCAB_SIZE, size=length)
         pos = rng.choice(length, size=KEYWORDS_PER_CLASS, replace=False)
         base = N_SPECIALS + label * KEYWORDS_PER_CLASS
         seq[pos] = base + rng.integers(0, KEYWORDS_PER_CLASS, size=KEYWORDS_PER_CLASS)
         ids[i, :length] = seq
         labels[i] = label
         masks[i, pos] = True
-    return TokenDataset(ids=ids, labels=labels, truth_masks=masks,
-                        vocab_size=vocab_size, n_class=n_class, max_seq=max_seq)
+    return TokenDataset(ids=ids, labels=labels, truth_masks=masks)
 
 
 def localization_score(saliency, truth_mask):

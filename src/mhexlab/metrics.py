@@ -10,7 +10,6 @@ a batch-1 call.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
+from .formats import write_csv
 from .models import EVAL_BATCH_SIZE
 
 SALIENT = 0.5     # saliency at which a cell counts as salient and is masked
@@ -231,24 +231,17 @@ def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10, mask_token=0,
 
 
 def write_drop_csv(records, out_path, method=""):
-    """One row per sample plus a summary row per the metric-table contract."""
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "p_orig", "p_mask", "drop", "area", "f_area"])
-        for r in records:
-            writer.writerow([r.sample_id, f"{r.p_orig:.6g}", f"{r.p_mask:.6g}",
-                             f"{r.drop:.6g}", f"{r.area:.6g}",
-                             f"{area_weight(r.area):.6g}"])
-        writer.writerow([f"summary:{method}", "", "", f"{avg_drop(records):.6g}",
-                         f"{np.mean([r.area for r in records]):.6g}",
-                         f"{ead(records):.6g}"])
-    return out_path
+    """One row per sample plus a summary row per the metric-table contract.
+    Every row is built before the file opens, so a record set the summary
+    rejects leaves no file."""
+    rows = [[r.sample_id, f"{r.p_orig:.6g}", f"{r.p_mask:.6g}", f"{r.drop:.6g}",
+             f"{r.area:.6g}", f"{area_weight(r.area):.6g}"] for r in records]
+    rows.append([f"summary:{method}", "", "", f"{avg_drop(records):.6g}",
+                 f"{np.mean([r.area for r in records]):.6g}", f"{ead(records):.6g}"])
+    return write_csv(out_path, ["id", "p_orig", "p_mask", "drop", "area", "f_area"], rows)
 
 
 def write_curve_csv(curve: Curve, out_path):
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "confidence"])
-        for f, c in zip(curve.fractions, curve.confidences):
-            writer.writerow([f"{f:.6g}", f"{c:.6g}"])
-    return out_path
+    return write_csv(out_path, ["fraction", "confidence"],
+                     ([f"{f:.6g}", f"{c:.6g}"]
+                      for f, c in zip(curve.fractions, curve.confidences)))

@@ -32,6 +32,7 @@ from .blocks import MhexParams, run_block, mhex_loss
 from .errors import (CheckpointFormatError, CheckpointShapeError,
                      CheckpointVersionError, ConfigurationError,
                      ContractError, DimensionError, TrainingDivergedError)
+from .formats import kv_text, parse_kv
 
 CHECKPOINT_MAGIC = b"MHEXCKPT"
 # v2 appends a CRC32 of everything after the magic; v1 files still load
@@ -144,26 +145,20 @@ class _ParamStore:
         self.rng = np.random.Generator(np.random.Philox(key=int(seed)))
         self.params = {}
 
+    def put(self, name, data):
+        self.params[name] = Tensor(data, requires_grad=True)
+
     def kaiming(self, name, shape, fan_in):
-        t = Tensor(self.rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape),
-                   requires_grad=True)
-        self.params[name] = t
-        return t
+        self.put(name, self.rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
 
     def uniform(self, name, shape, scale=0.05):
-        t = Tensor(self.rng.uniform(-scale, scale, size=shape), requires_grad=True)
-        self.params[name] = t
-        return t
+        self.put(name, self.rng.uniform(-scale, scale, size=shape))
 
     def zeros(self, name, shape):
-        t = Tensor(np.zeros(shape), requires_grad=True)
-        self.params[name] = t
-        return t
+        self.put(name, np.zeros(shape))
 
     def ones(self, name, shape):
-        t = Tensor(np.ones(shape), requires_grad=True)
-        self.params[name] = t
-        return t
+        self.put(name, np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +461,10 @@ def build_transformer(cfg: TransformerConfig, seed=0):
     return TransformerModel(cfg, seed=seed)
 
 
-def count_mhex_params(cfg, include_projections=False):
-    """Total explainer parameters: sum over sites of C^2 (channel mixer)
-    plus n_class * C (class head); projections added only on request."""
-    channels = cfg.site_channels()
-    n_class = cfg.n_class
-    core = sum(c * c + n_class * c for c in channels)
-    if not include_projections:
-        return core
-    if isinstance(cfg, ResNetConfig):
-        c_last = cfg.stage_channels[-1]
-        proj = sum(c * c_last for c in channels)
-        proj += sum(b * a for a, b in zip(channels, channels[1:]))
-    else:
-        proj = sum(c * c for c in channels)
-    return core + proj
+def count_mhex_params(cfg):
+    """Explainer parameters without the projections: sum over sites of C^2
+    (channel mixer) plus n_class * C (class head)."""
+    return sum(c * c + cfg.n_class * c for c in cfg.site_channels())
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +535,6 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
             step += 1
             for k, t in model.params.items():
                 g = t.grad
-                if g is None:
-                    continue
                 m[k] = beta1 * m[k] + (1 - beta1) * g
                 v[k] = beta2 * v[k] + (1 - beta2) * g * g
                 mh = m[k] / (1 - beta1 ** step)
@@ -571,15 +553,6 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
 # checkpointing
 
 
-def _config_to_text(kind, cfg):
-    lines = [f"kind={kind}"]
-    for key, val in vars(cfg).items():
-        if isinstance(val, (tuple, list)):
-            val = ",".join(str(x) for x in val)
-        lines.append(f"{key}={val}")
-    return "\n".join(lines) + "\n"
-
-
 # keys of removed config fields that older checkpoints still hold; neither
 # field changed a forward value or an explainer gradient
 REMOVED_CONFIG_KEYS = ("saliency_layers", "ds_stop_grad")
@@ -589,7 +562,7 @@ def _config_from_text(raw):
     """(host class, config) from a checkpoint's config bytes; anything that
     does not parse raises ``CheckpointFormatError``."""
     try:
-        kv = dict(line.partition("=")[::2] for line in raw.decode().strip().splitlines())
+        kv = parse_kv(raw.decode())
         host = HOSTS.get(kv.pop("kind", None))
         if host is None:
             raise ValueError("missing or unknown host kind")
@@ -617,7 +590,9 @@ def save_checkpoint(model, path):
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    cfg_bytes = _config_to_text(model.kind, model.cfg).encode()
+    cfg_bytes = kv_text([("kind", model.kind)] + [
+        (key, ",".join(str(x) for x in val) if isinstance(val, (tuple, list)) else val)
+        for key, val in vars(model.cfg).items()]).encode()
     buf.write(struct.pack("<I", len(cfg_bytes)))
     buf.write(cfg_bytes)
     buf.write(struct.pack("<I", int(model.seed) & 0xFFFFFFFF))

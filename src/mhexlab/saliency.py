@@ -10,7 +10,6 @@ clears ``ss_threshold``.
 
 from __future__ import annotations
 
-import csv
 import html as html_mod
 from dataclasses import dataclass, field
 
@@ -19,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .blocks import equivalent_matrix
 from .errors import ConfigurationError, ContractError, DimensionError
+from .formats import write_csv
 
 SHARPNESS_EPS = 1e-8        # keeps an all-zero column's sharpness at zero
 
@@ -252,13 +252,8 @@ def _gradcam_map(backbone_out, class_id):
     onehot = np.zeros(logits.data.shape)
     onehot[..., class_id] = 1.0
     target = ad.sum_axis(ad.mul(logits, onehot))
-    grad = ad.adjoint(target, final_feats)
-    feats = final_feats.data[0]
-    if grad is None:
-        weights = np.zeros(feats.shape[0])
-    else:
-        weights = grad[0].mean(axis=(1, 2))
-    raw = np.maximum(cam_layer(weights, feats), 0.0)
+    weights = ad.adjoint(target, final_feats)[0].mean(axis=(1, 2))
+    raw = np.maximum(cam_layer(weights, final_feats.data[0]), 0.0)
     return SaliencyMap(class_id=class_id, grid=normalize_map(raw), raw=raw,
                        layer_grids=[raw])
 
@@ -307,26 +302,11 @@ def render_heatmap(sal_map, out_path, overlay=None):
     return out_path
 
 
-def read_pgm(path):
-    """Parse a binary PGM written by render_heatmap (test/verification aid)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header, _, rest = data.partition(b"255\n")
-    fields = header.split()
-    if fields[0] != b"P5":
-        raise ValueError(f"{path} is not a binary PGM")
-    w, h = int(fields[1]), int(fields[2])
-    return np.frombuffer(rest[:w * h], dtype=np.uint8).reshape(h, w)
-
-
 def export_token_csv(tokens, sal: TokenSaliency, out_path):
     """(token, position, score) rows for the scored (non-pad) positions."""
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token", "position", "score"])
-        for pos, score in zip(sal.positions, sal.scores):
-            writer.writerow([tokens[pos], int(pos), f"{score:.6g}"])
-    return out_path
+    return write_csv(out_path, ["token", "position", "score"],
+                     ([tokens[pos], int(pos), f"{score:.6g}"]
+                      for pos, score in zip(sal.positions, sal.scores)))
 
 
 def export_token_html(tokens, sal: TokenSaliency, out_path):

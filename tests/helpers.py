@@ -12,7 +12,30 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import mhexlab.autodiff as ad
 from mhexlab.autodiff import Tensor, _topo_order, grad_wrt
+from mhexlab.datasets import KEYWORDS_PER_CLASS, N_SPECIALS
 from mhexlab.metrics import mean_intensity
+
+
+def mean_all(x):
+    """Mean of every entry of tensor ``x`` as a taped scalar."""
+    return ad.mul(ad.sum_axis(x), 1.0 / x.data.size)
+
+
+def keyword_ids(label):
+    """The token ids that ``gen_tokens`` plants for class ``label``."""
+    base = N_SPECIALS + label * KEYWORDS_PER_CLASS
+    return list(range(base, base + KEYWORDS_PER_CLASS))
+
+
+def read_pgm(path):
+    """Pixels of a binary PGM written by ``saliency.render_heatmap``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, _, rest = data.partition(b"255\n")
+    fields = header.split()
+    assert fields[0] == b"P5", f"{path} is not a binary PGM"
+    w, h = int(fields[1]), int(fields[2])
+    return np.frombuffer(rest[:w * h], dtype=np.uint8).reshape(h, w)
 
 
 def numeric_grad(f, params, eps=1e-6):

@@ -21,7 +21,7 @@ from mhexlab.models import (EVAL_BATCH_SIZE, ResNetConfig, TransformerConfig,
                             head_accuracies, load_checkpoint, save_checkpoint,
                             strip_mhex)
 
-from helpers import check_grads
+from helpers import check_grads, mean_all
 
 pytestmark = pytest.mark.acceptance
 
@@ -94,7 +94,7 @@ def test_criterion_04_gradient_integrity(capsys):
             gate = ad.sigmoid(ad.sum_axis(logits, axis=1, keepdims=True))
             up = ad.nearest_resize(ad.reshape(conv, (2, 3, 3, 3)), (5, 5))
             return ad.add(ad.softmax_cross_entropy(ad.mul(logits, gate), [0, 2]),
-                          ad.mean_all(ad.mul(up, up)))
+                          mean_all(ad.mul(up, up)))
 
         errs = check_grads(f, [w, ln_g, table, proj], tol=1e-4)
         worst = max(worst, max(errs))

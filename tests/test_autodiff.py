@@ -13,7 +13,8 @@ from mhexlab.errors import ContractError, DimensionError
 
 from helpers import (adjoints_reference, check_grads, closure_arrays,
                      conv2d_backward_reference, conv2d_forward_reference,
-                     conv2d_weight_grad_stacked, conv_workers, rel_err, rng_tensor)
+                     conv2d_weight_grad_stacked, conv_workers, mean_all, rel_err,
+                     rng_tensor)
 
 
 def _rng(seed=0):
@@ -123,7 +124,7 @@ def test_composite_graph_gradcheck(seed):
     def f():
         h = ad.relu(ad.add(ad.matmul(x, w1), b1))
         g = ad.sigmoid(ad.matmul(h, w2))
-        return ad.mean_all(ad.mul(g, g))
+        return mean_all(ad.mul(g, g))
 
     check_grads(f, [w1, b1, w2], tol=1e-4)
 
@@ -136,7 +137,7 @@ def test_conv_gradcheck(seed):
 
     def f():
         y = ad.relu(ad.conv2d(x, w, stride=2, pad=1))
-        return ad.mean_all(ad.mul(y, y))
+        return mean_all(ad.mul(y, y))
 
     check_grads(f, [w], tol=1e-4)
 
@@ -148,7 +149,7 @@ def test_conv_input_gradcheck():
     w.requires_grad = False
 
     def f():
-        return ad.mean_all(ad.conv2d(x, w, stride=1, pad=1))
+        return mean_all(ad.conv2d(x, w, stride=1, pad=1))
 
     check_grads(f, [x], tol=1e-4)
 
@@ -167,7 +168,7 @@ def test_conv_hostlike_gradcheck(xs, ws, stride, pad):
 
     def f():
         y = ad.conv2d(x, w, stride=stride, pad=pad)
-        return ad.mean_all(ad.mul(y, y))
+        return mean_all(ad.mul(y, y))
 
     check_grads(f, [x, w], tol=1e-5)
 
@@ -462,7 +463,7 @@ def test_layer_norm_gradcheck(seed):
     b = rng_tensor(rng, (6,), 0.4)
 
     def f():
-        return ad.mean_all(ad.mul(ad.layer_norm(x, g, b), Tensor(np.arange(6.0))))
+        return mean_all(ad.mul(ad.layer_norm(x, g, b), Tensor(np.arange(6.0))))
 
     check_grads(f, [x, g, b], tol=1e-4)
 
@@ -485,7 +486,7 @@ def test_embedding_and_masked_mean_gradcheck():
 
     def f():
         e = ad.embedding(table, ids)
-        return ad.mean_all(ad.mul(ad.masked_seq_mean(e, keep), Tensor(np.arange(4.0))))
+        return mean_all(ad.mul(ad.masked_seq_mean(e, keep), Tensor(np.arange(4.0))))
 
     check_grads(f, [table], tol=1e-4)
 
@@ -497,7 +498,7 @@ def test_softmax_last_gradcheck():
     mask[..., -1] = -1e9
 
     def f():
-        return ad.mean_all(ad.mul(ad.softmax_last(x, additive_mask=mask),
+        return mean_all(ad.mul(ad.softmax_last(x, additive_mask=mask),
                                   Tensor(np.arange(4.0))))
 
     check_grads(f, [x], tol=1e-4)
@@ -508,7 +509,7 @@ def test_nearest_resize_gradcheck():
     x = rng_tensor(rng, (1, 2, 3, 3), 1.0)
 
     def f():
-        return ad.mean_all(ad.mul(ad.nearest_resize(x, (6, 6)),
+        return mean_all(ad.mul(ad.nearest_resize(x, (6, 6)),
                                   Tensor(_rng(15).normal(size=(1, 2, 6, 6)))))
 
     check_grads(f, [x], tol=1e-4)
@@ -572,7 +573,7 @@ def test_broadcast_unreduction():
     x = Tensor(rng.normal(size=(3, 4)))
 
     def f():
-        return ad.mean_all(ad.mul(ad.add(x, b), ad.add(x, b)))
+        return mean_all(ad.mul(ad.add(x, b), ad.add(x, b)))
 
     check_grads(f, [b], tol=1e-4)
 

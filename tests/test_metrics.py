@@ -364,3 +364,11 @@ def test_csv_exports(tmp_path):
     c = M.Curve(np.linspace(0, 1, 3), np.array([0.9, 0.5, 0.1]))
     p2 = M.write_curve_csv(c, tmp_path / "c.csv")
     assert p2.read_text().startswith("fraction,confidence")
+
+
+def test_drop_csv_without_confidence_writes_no_file(tmp_path):
+    """A summary that raises leaves no half-written table behind."""
+    recs = [M.DropRecord(0, 0.0, 0.0, 0.0, 0.25)]
+    with pytest.raises(ContractError):
+        M.write_drop_csv(recs, tmp_path / "d.csv", method="mhex")
+    assert not (tmp_path / "d.csv").exists()

@@ -62,13 +62,8 @@ def test_param_count_formula():
     actual = sum(model.params[n].data.size for n in model.mhex_param_names()
                  if ".w1" in n or ".w2" in n)
     assert actual == 392
-
-
-def test_param_count_matches_built_model_with_projections():
-    cfg = ResNetConfig()
-    model = build_resnet(cfg, seed=0)
-    total = sum(model.params[n].data.size for n in model.mhex_param_names())
-    assert count_mhex_params(cfg, include_projections=True) == total
+    # four 32-wide sites, 4 classes: 4 * (32^2 + 4 * 32)
+    assert count_mhex_params(TransformerConfig()) == 4608
 
 
 def test_resnet18_scale_reference_count():
@@ -394,6 +389,10 @@ BAD_CONFIGS = {
     "unknown_key": lambda c: c + b"colour=red\n",
     "non_utf8": lambda c: c.replace(b"pad_id=1", b"pad_id=\xff"),
     "unknown_kind": lambda c: c.replace(b"kind=transformer", b"kind=mlp"),
+    "fails_validate": lambda c: c.replace(b"n_class=4", b"n_class=1"),
+    # only the ends of the config text are stripped, not each line
+    "blank_line": lambda c: c.replace(b"\nn_class=", b"\n\nn_class="),
+    "leading_space": lambda c: c.replace(b"\nn_class=", b"\n n_class="),
 }
 
 
@@ -407,6 +406,27 @@ def test_checkpoint_bad_config(tmp_path, small_transformer, case):
     p.write_bytes(bad)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(p)
+
+
+def test_checkpoint_non_utf8_tensor_name(tmp_path, small_transformer):
+    p = tmp_path / "t.ckpt"
+    save_checkpoint(small_transformer, p)
+    # the first tensor name; the config text before it holds no "embed"
+    p.write_bytes(reseal(p.read_bytes().replace(b"embed", b"\xffmbed", 1)))
+    with pytest.raises(CheckpointFormatError, match="UTF-8"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("sites", [(1, 3), (5,)])
+def test_checkpoint_roundtrip_explicit_sites(tmp_path, sites):
+    """A CNN with explicit site indices loads with the same sites."""
+    model = build_resnet(ResNetConfig(mhex_sites=sites), seed=5)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    twin = load_checkpoint(p)
+    assert twin.cfg == model.cfg and twin.sites == list(sites)
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, twin.params[name].data), name
 
 
 @pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])

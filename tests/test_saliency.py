@@ -7,7 +7,7 @@ from mhexlab.blocks import equivalent_matrix
 from mhexlab.errors import (ConfigurationError, ContractError, DimensionError)
 from mhexlab.models import EVAL_BATCH_SIZE, clone_model
 
-from helpers import count_calls, rel_err
+from helpers import count_calls, read_pgm, rel_err
 
 
 def _w(seed=0, n_class=4, c=8):
@@ -321,7 +321,7 @@ def test_render_and_read_pgm(tmp_path):
     smap = S.SaliencyMap(class_id=0, grid=grid, raw=grid)
     p = tmp_path / "map.pgm"
     S.render_heatmap(smap, p)
-    back = S.read_pgm(p)
+    back = read_pgm(p)
     assert back.shape == (16, 16)
     assert np.max(np.abs(back / 255.0 - grid)) < 1.0 / 255.0
 
