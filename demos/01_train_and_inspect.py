@@ -12,19 +12,19 @@ Run:  python3 demos/01_train_and_inspect.py
 import numpy as np
 
 import mhexlab as mx
-from mhexlab.models import (ResNetConfig, TransformerConfig, build_resnet,
-                            build_transformer, head_accuracies,
+from mhexlab.models import (ResNetConfig, ResNetModel, TransformerConfig,
+                            TransformerModel, head_accuracies,
                             save_checkpoint, strip_mhex, train)
 
 # --- images ---------------------------------------------------------------
 
 shapes = mx.gen_shapes(800, seed=0)
-cnn = build_resnet(ResNetConfig(n_class=shapes.n_class), seed=0)
+cnn = ResNetModel(ResNetConfig(), seed=0)
 print(f"resnet host: {sum(t.data.size for t in cnn.params.values())} params, "
       f"sites at blocks {cnn.sites}")
 
 log = train(cnn, shapes, mode="finetune", epochs=4, lr=3e-3, seed=0)
-for e in log.entries:
+for e in log:
     accs = " ".join(f"{a:.2f}" for a in e.head_accuracy)
     print(f"  epoch {e.epoch}: loss {e.loss:.3f}  head acc [{accs}]")
 
@@ -41,9 +41,7 @@ print("checkpoint -> /tmp/demo_cnn.ckpt")
 # --- tokens ---------------------------------------------------------------
 
 tokens = mx.gen_tokens(400, seed=0)
-tfm = build_transformer(TransformerConfig(vocab_size=tokens.vocab_size,
-                                          n_class=tokens.n_class,
-                                          max_seq=tokens.max_seq), seed=0)
+tfm = TransformerModel(TransformerConfig(), seed=0)
 train(tfm, tokens, mode="finetune", epochs=2, lr=2e-3, seed=0,
       eval_accuracy=False)
 accs = head_accuracies(tfm, tokens)

@@ -16,13 +16,13 @@ import numpy as np
 import mhexlab as mx
 from mhexlab import saliency as S
 from mhexlab.datasets import localization_score
-from mhexlab.models import ResNetConfig, build_resnet, train
+from mhexlab.models import ResNetConfig, ResNetModel, train
 
 OUT = "/tmp/demo_saliency"
 os.makedirs(OUT, exist_ok=True)
 
 shapes = mx.gen_shapes(600, seed=0)
-model = build_resnet(ResNetConfig(n_class=shapes.n_class), seed=0)
+model = ResNetModel(ResNetConfig(), seed=0)
 print("training a small host (3 epochs)...")
 train(model, shapes, mode="finetune", epochs=3, lr=3e-3, seed=0,
       eval_accuracy=False)
@@ -47,12 +47,10 @@ for i in range(6):
     S.render_heatmap(gc, f"{OUT}/gradcam_{i}.pgm")
 
 # the same machinery scores tokens; keywords should float to the top
-from mhexlab.models import TransformerConfig, build_transformer
+from mhexlab.models import TransformerConfig, TransformerModel
 
 tokens = mx.gen_tokens(600, seed=0)
-tfm = build_transformer(TransformerConfig(vocab_size=tokens.vocab_size,
-                                          n_class=tokens.n_class,
-                                          max_seq=tokens.max_seq), seed=0)
+tfm = TransformerModel(TransformerConfig(), seed=0)
 train(tfm, tokens, mode="finetune", epochs=3, lr=2e-3, seed=0,
       eval_accuracy=False)
 sample = mx.gen_tokens(3, seed=9)

@@ -13,10 +13,10 @@ import numpy as np
 import mhexlab as mx
 from mhexlab import metrics as M
 from mhexlab import saliency as S
-from mhexlab.models import ResNetConfig, build_resnet, train
+from mhexlab.models import ResNetConfig, ResNetModel, train
 
 shapes = mx.gen_shapes(800, seed=0)
-model = build_resnet(ResNetConfig(n_class=shapes.n_class), seed=0)
+model = ResNetModel(ResNetConfig(), seed=0)
 print("training a small host (6 epochs)...")
 train(model, shapes, mode="finetune", epochs=6, lr=3e-3, seed=0,
       eval_accuracy=False)

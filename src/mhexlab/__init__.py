@@ -5,8 +5,8 @@ from .autodiff import Tensor, backward, grad_wrt
 from .blocks import MhexParams, MhexOutput, attention_gate, ds_logits, \
     equivalent_matrix, mhex_loss, run_block
 from .datasets import gen_shapes, gen_tokens, localization_score
-from .models import (ResNetConfig, TransformerConfig, build_resnet,
-                     build_transformer, count_mhex_params, load_checkpoint,
+from .models import (ResNetConfig, ResNetModel, TransformerConfig,
+                     TransformerModel, count_mhex_params, load_checkpoint,
                      save_checkpoint, train)
 from .saliency import (SaliencyMap, TokenSaliency, WeightFilterConfig,
                        aggregate_cams, cam_layer, explain_image,

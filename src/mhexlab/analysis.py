@@ -187,9 +187,12 @@ def betainc_reg(a, b, x):
 
 
 def student_t_two_sided_p(t, df):
-    """P(|T| >= |t|) for a Student-t variable with ``df`` degrees of freedom."""
-    if not math.isfinite(t):
-        return 0.0
+    """P(|T| >= |t|) for a Student-t variable with ``df`` degrees of freedom;
+    0 for an infinite ``t``."""
+    if math.isnan(t):
+        raise UndefinedCorrelationError("the t statistic is NaN")
+    if not df > 0:
+        raise ConfigurationError(f"degrees of freedom must be positive, got {df}")
     return betainc_reg(df / 2.0, 0.5, df / (df + t * t))
 
 

@@ -447,7 +447,7 @@ def softmax_cross_entropy(logits, targets):
     if t.shape != (b,):
         raise DimensionError(f"targets shape {t.shape} does not match batch {b}")
     if t.min() < 0 or t.max() >= c:
-        raise IndexError(f"target out of range [0, {c})")
+        raise ConfigurationError(f"a target class is outside [0, {c})")
     z = ld - ld.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1))
     loss = float(np.mean(logsumexp - z[np.arange(b), t]))

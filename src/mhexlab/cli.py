@@ -17,9 +17,12 @@ import numpy as np
 from . import analysis, formats, metrics, saliency
 from .datasets import gen_shapes, gen_tokens, localization_score
 from .errors import ConfigurationError, MhexError
-from .models import (EVAL_BATCH_SIZE, ResNetConfig, TransformerConfig,
-                     build_resnet, build_transformer, load_checkpoint,
-                     save_checkpoint, train)
+from .models import (EVAL_BATCH_SIZE, ResNetModel, TransformerModel,
+                     load_checkpoint, save_checkpoint, train)
+
+# --dataset: its generator, the host class it trains and the default --lr
+_DATASETS = {"shapes": (gen_shapes, ResNetModel, 3e-3),
+             "tokens": (gen_tokens, TransformerModel, 2e-3)}
 
 
 def _resolve_out(args):
@@ -49,11 +52,18 @@ def _load_config_defaults(parser, args):
     argparse converts them with each flag's type and flags given on the
     command line win. Keys no flag reads (removed flags) and ``None``
     values are skipped."""
+    try:
+        text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read --config {args.config}: {exc}") from None
+    choices = {a.dest: a.choices for a in _command_parser(parser, args.command)._actions if a.choices}
     defaults = {}
-    for key, val in formats.parse_kv(Path(args.config).read_text()).items():
+    for key, val in formats.parse_kv(text).items():
         key = key.replace("-", "_")
         if key in ("command", "config", "func") or not hasattr(args, key) or val == "None":
             continue
+        if val not in choices.get(key, (val,)):
+            raise ConfigurationError(f"{args.config}: {key}={val} is not one of {choices[key]}")
         # store_true flags: a string default would stay a (truthy) string
         defaults[key] = val == "True" if isinstance(getattr(args, key), bool) else val
     _command_parser(parser, args.command).set_defaults(**defaults)
@@ -62,7 +72,7 @@ def _load_config_defaults(parser, args):
 def _load_host(args):
     """The checkpoint's model, refused unless it is the host ``--dataset`` needs."""
     model = load_checkpoint(args.checkpoint)
-    want = "resnet" if args.dataset == "shapes" else "transformer"
+    want = _DATASETS[args.dataset][1].kind
     if model.kind != want:
         raise ConfigurationError(f"--dataset {args.dataset} needs a {want} checkpoint, "
                                  f"but {args.checkpoint} holds a {model.kind} host")
@@ -70,9 +80,7 @@ def _load_host(args):
 
 
 def _make_dataset(args):
-    if args.dataset == "shapes":
-        return gen_shapes(args.n_samples, seed=args.seed)
-    return gen_tokens(args.n_samples, seed=args.seed)
+    return _DATASETS[args.dataset][0](args.n_samples, seed=args.seed)
 
 
 def _wf_config(args):
@@ -89,25 +97,19 @@ def _wf_config(args):
 
 def cmd_train(args):
     out = _resolve_out(args)
-    dataset = _make_dataset(args)
-    if args.dataset == "shapes":
-        model = build_resnet(ResNetConfig(n_class=dataset.n_class), seed=args.seed)
-        lr = args.lr if args.lr is not None else 3e-3
-    else:
-        model = build_transformer(
-            TransformerConfig(vocab_size=dataset.vocab_size, n_class=dataset.n_class,
-                              max_seq=dataset.max_seq), seed=args.seed)
-        lr = args.lr if args.lr is not None else 2e-3
-    log = train(model, dataset, mode=args.mode, epochs=args.epochs, lr=lr,
-                seed=args.seed, batch_size=args.batch_size)
+    _, host, lr = _DATASETS[args.dataset]
+    model = host(host.config_class(), seed=args.seed)
+    log = train(model, _make_dataset(args), mode=args.mode, epochs=args.epochs,
+                lr=lr if args.lr is None else args.lr, seed=args.seed,
+                batch_size=args.batch_size)
     save_checkpoint(model, _made(out) / "checkpoint.ckpt")
     formats.write_csv(out / "trainlog.csv", ["epoch", "loss", "head_accuracies"],
                       ([e.epoch, f"{e.loss:.6g}", " ".join(f"{a:.4f}" for a in e.head_accuracy)]
-                       for e in log.entries))
+                       for e in log))
     _write_config(args, out)
-    if log.entries:
-        print(f"trained {args.epochs} epochs; final loss {log.entries[-1].loss:.4f}; "
-              f"head accuracies {log.entries[-1].head_accuracy}")
+    if log:
+        print(f"trained {args.epochs} epochs; final loss {log[-1].loss:.4f}; "
+              f"head accuracies {log[-1].head_accuracy}")
     print(f"checkpoint: {out / 'checkpoint.ckpt'}")
 
 
@@ -190,9 +192,8 @@ def cmd_evaluate(args):
         for chunk in _chunks(range(n)):
             ids, labels = dataset.ids[chunk], dataset.labels[chunk]
             sals = saliency.explain_tokens(model, ids, labels, wf)
-            records += metrics.token_perturb_drop(
-                model.predict_proba, ids, sals, labels, top_frac=args.top_frac,
-                mask_token=dataset.mask_id, pad_id=dataset.pad_id, sample_id=chunk[0])
+            records += metrics.token_perturb_drop(model.predict_proba, ids, sals, labels,
+                                                  top_frac=args.top_frac, sample_id=chunk[0])
         metrics.write_drop_csv(records, _made(out) / "token_drop.csv", method="mhex")
         _write_config(args, out)
         print(f"token mean drop: {np.mean([r.drop for r in records]):.4f}")
@@ -279,7 +280,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--dataset", choices=("shapes", "tokens"), default="shapes")
+        p.add_argument("--dataset", choices=tuple(_DATASETS), default="shapes")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="mhex_out")
         p.add_argument("--n-samples", type=int, default=512)
@@ -340,14 +341,14 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is not None:
-        _load_config_defaults(parser, args)
-        args = parser.parse_args(argv)
-    # checked after the config defaults apply, which may supply it
-    if args.command != "train" and args.checkpoint is None:
-        _command_parser(parser, args.command).error(
-            "the following arguments are required: --checkpoint")
     try:
+        if args.config is not None:
+            _load_config_defaults(parser, args)
+            args = parser.parse_args(argv)
+        # checked after the config defaults apply, which may supply it
+        if args.command != "train" and args.checkpoint is None:
+            _command_parser(parser, args.command).error(
+                "the following arguments are required: --checkpoint")
         args.func(args)
     except (MhexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ class ShapeDataset:
     images: np.ndarray       # (N, 1, 32, 32) float64 in [0, 1]
     labels: np.ndarray       # (N,) int
     truth_masks: np.ndarray  # (N, 32, 32) bool
-    n_class: int = len(SHAPE_CLASSES)
 
     def __len__(self):
         return len(self.labels)
@@ -52,11 +51,6 @@ class TokenDataset:
     ids: np.ndarray          # (N, S) int, padded with PAD_ID
     labels: np.ndarray       # (N,) int
     truth_masks: np.ndarray  # (N, S) bool, True at planted-keyword positions
-    vocab_size: int = VOCAB_SIZE
-    n_class: int = TOKEN_CLASSES
-    max_seq: int = MAX_SEQ
-    mask_id: int = MASK_ID
-    pad_id: int = PAD_ID
 
     def __len__(self):
         return len(self.labels)

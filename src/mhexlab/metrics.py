@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import MASK_ID, PAD_ID
 from .errors import ConfigurationError, ContractError, DimensionError
 from .formats import write_csv
 from .models import EVAL_BATCH_SIZE
@@ -193,10 +194,10 @@ def auc(curve: Curve):
 # token perturbation
 
 
-def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10, mask_token=0,
-                       pad_id=1, sample_id=0):
-    """Replace the ceil(top_frac * length) highest-saliency tokens with the
-    mask token and record the confidence drops, one ``DropRecord`` per row.
+def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10, sample_id=0):
+    """Replace the ceil(top_frac * length) highest-saliency tokens (length:
+    the tokens other than ``PAD_ID``) with ``MASK_ID`` and record the
+    confidence drops, one ``DropRecord`` per row.
 
     ``ids`` is a ``(B, S)`` batch with ``B`` saliencies and labels; one
     prediction covers the originals and their masked copies, and row ``b``
@@ -213,12 +214,12 @@ def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10, mask_token=0,
     masked = ids.copy()
     areas = []
     for row, s in zip(masked, sals):
-        n = int((row != pad_id).sum())
+        n = int((row != PAD_ID).sum())
         if n == 0:
             raise ContractError("token_perturb_drop: empty sequence")
         k = math.ceil(top_frac * n)
         order = np.argsort(-np.asarray(s.scores, dtype=np.float64), kind="stable")
-        row[np.asarray(s.positions)[order[:k]]] = mask_token
+        row[np.asarray(s.positions)[order[:k]]] = MASK_ID
         areas.append(k / n)
     p = np.asarray(predict(np.concatenate([ids, masked])), dtype=np.float64)
     p = p.reshape(2, len(ids), -1)[:, np.arange(len(ids)), labels]

@@ -22,13 +22,15 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .blocks import MhexParams, run_block, mhex_loss
+from .datasets import (IMAGE_SIZE, MAX_SEQ, PAD_ID, SHAPE_CLASSES,
+                       TOKEN_CLASSES, VOCAB_SIZE)
 from .errors import (CheckpointFormatError, CheckpointShapeError,
                      CheckpointVersionError, ConfigurationError,
                      ContractError, DimensionError, TrainingDivergedError)
@@ -42,7 +44,7 @@ EVAL_BATCH_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
-# configs
+# configs: the data-format fields default to the ``datasets`` constants
 
 
 @dataclass
@@ -50,8 +52,8 @@ class ResNetConfig:
     stage_channels: tuple = (8, 16, 32, 64)
     blocks_per_stage: int = 2
     in_channels: int = 1
-    image_size: int = 32
-    n_class: int = 4
+    image_size: int = IMAGE_SIZE
+    n_class: int = len(SHAPE_CLASSES)
     mhex_sites: object = "downsample"   # "downsample" | "all" | explicit indices
 
     def validate(self):
@@ -99,14 +101,14 @@ class ResNetConfig:
 
 @dataclass
 class TransformerConfig:
-    vocab_size: int = 48
+    vocab_size: int = VOCAB_SIZE
     d_model: int = 32
     n_heads: int = 4
     n_layers: int = 4
-    max_seq: int = 16
-    n_class: int = 4
+    max_seq: int = MAX_SEQ
+    n_class: int = TOKEN_CLASSES
     ffn_mult: int = 2
-    pad_id: int = 1
+    pad_id: int = PAD_ID
 
     def validate(self):
         if self.n_layers < 1 or self.ffn_mult < 1:
@@ -447,18 +449,10 @@ class TransformerModel(_Host):
 
 
 # ---------------------------------------------------------------------------
-# builders and parameter accounting
+# host kinds and parameter accounting
 
 
 HOSTS = {"resnet": ResNetModel, "transformer": TransformerModel}
-
-
-def build_resnet(cfg: ResNetConfig, seed=0):
-    return ResNetModel(cfg, seed=seed)
-
-
-def build_transformer(cfg: TransformerConfig, seed=0):
-    return TransformerModel(cfg, seed=seed)
 
 
 def count_mhex_params(cfg):
@@ -476,11 +470,6 @@ class EpochLog:
     epoch: int
     loss: float
     head_accuracy: list   # one entry per auxiliary head, final head last
-
-
-@dataclass
-class TrainLog:
-    entries: list = field(default_factory=list)
 
 
 def _dataset_arrays(dataset):
@@ -507,7 +496,8 @@ def head_accuracies(model, dataset):
 def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
           batch_size=64, eval_accuracy=True):
     """Minimize the combined head loss with a constant-rate AdamW-style
-    update. Deterministic for fixed (seed, config, dataset)."""
+    update and return one ``EpochLog`` per epoch. Deterministic for fixed
+    (seed, config, dataset)."""
     if len(dataset) == 0:
         raise ContractError("train: dataset is empty")
     if batch_size < 1:
@@ -518,7 +508,7 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
     m = {k: np.zeros_like(t.data) for k, t in model.params.items()}
     v = {k: np.zeros_like(t.data) for k, t in model.params.items()}
     step = 0
-    log = TrainLog()
+    log = []
     for epoch in range(epochs):
         perm = np.random.Generator(
             np.random.Philox(key=(int(seed) << 64) | epoch)).permutation(n)
@@ -544,8 +534,7 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
             # free the step's tape before the next forward or the accuracy pass
             del rec, loss
         accs = head_accuracies(model, dataset) if eval_accuracy else []
-        log.entries.append(EpochLog(epoch=epoch, loss=float(np.mean(losses)),
-                                    head_accuracy=accs))
+        log.append(EpochLog(epoch=epoch, loss=float(np.mean(losses)), head_accuracy=accs))
     return log
 
 

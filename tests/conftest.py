@@ -12,12 +12,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import mhexlab as mx
 from mhexlab.errors import CheckpointError
-from mhexlab.models import (ResNetConfig, TransformerConfig, build_resnet,
-                            build_transformer, load_checkpoint,
+from mhexlab.models import (ResNetConfig, ResNetModel, TransformerConfig,
+                            TransformerModel, load_checkpoint,
                             save_checkpoint, train)
 
 CACHE = Path(__file__).parent / "_cache"
 SRC = Path(mx.__file__).parent
+# the CI cache key (.github/workflows/tier1.yml) hashes the same files
 CACHE_SOURCES = ("autodiff.py", "blocks.py", "models.py", "datasets.py")
 CACHE.mkdir(exist_ok=True)
 
@@ -59,7 +60,7 @@ def _cached_model(path, builder):
     model, log = builder()
     save_checkpoint(model, ckpt)
     with open(CACHE / (path + ".log"), "w") as fh:
-        for e in log.entries:
+        for e in log:
             fh.write(f"{e.epoch} {e.loss} {e.head_accuracy}\n")
     digest_path.write_text(digest + "\n")
     return model
@@ -70,7 +71,7 @@ def trained_cnn(shapes_2000):
     """CNN host trained to criterion on the planted-shape set; cached on disk
     so a cold run pays the cost once."""
     def build():
-        m = build_resnet(ResNetConfig(n_class=shapes_2000.n_class), seed=0)
+        m = ResNetModel(ResNetConfig(), seed=0)
         log = train(m, shapes_2000, mode="finetune", epochs=10, lr=3e-3,
                     seed=0, batch_size=64)
         return m, log
@@ -95,9 +96,7 @@ def trained_transformer():
     locality of the learned features (picked by a pilot sweep)."""
     def build():
         data = mx.gen_tokens(2000, seed=0)
-        cfg = TransformerConfig(vocab_size=data.vocab_size,
-                                n_class=data.n_class, max_seq=data.max_seq)
-        m = build_transformer(cfg, seed=0)
+        m = TransformerModel(TransformerConfig(), seed=0)
         train(m, data, mode="finetune", epochs=4, lr=2e-3, seed=0,
               batch_size=64, eval_accuracy=False)
         log = train(m, data, mode="finetune", epochs=4, lr=2e-3, seed=4,
@@ -109,9 +108,9 @@ def trained_transformer():
 @pytest.fixture(scope="session")
 def small_cnn():
     """Untrained small host for plumbing tests."""
-    return build_resnet(ResNetConfig(), seed=3)
+    return ResNetModel(ResNetConfig(), seed=3)
 
 
 @pytest.fixture(scope="session")
 def small_transformer():
-    return build_transformer(TransformerConfig(), seed=3)
+    return TransformerModel(TransformerConfig(), seed=3)

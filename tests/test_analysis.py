@@ -41,6 +41,19 @@ def test_student_t_p_against_scipy():
     assert A.student_t_two_sided_p(math.inf, 10) == 0.0
 
 
+@pytest.mark.parametrize("t, df, error", [
+    (math.nan, 5, UndefinedCorrelationError),
+    (1.0, 0, ConfigurationError),
+    (2.0, -1, ConfigurationError),
+    (1.0, -1, ConfigurationError),
+])
+def test_student_t_p_rejects_undefined_input(t, df, error):
+    """A NaN statistic or df <= 0 has no p-value; neither may read as 0.0,
+    maximal significance."""
+    with pytest.raises(error):
+        A.student_t_two_sided_p(t, df)
+
+
 def test_pearson_against_scipy():
     rng = np.random.default_rng(1)
     for n in (5, 20, 100):
@@ -309,12 +322,23 @@ def test_collab_records_equal_collaboration_cosine(small_cnn, monkeypatch):
         assert r.cosine == cos
     # one site, without a successor: the parent returned [] and
     # correlation_triangle then died with a bare IndexError
-    one_site = models.build_resnet(models.ResNetConfig(
+    one_site = models.ResNetModel(models.ResNetConfig(
         stage_channels=(4, 8), blocks_per_stage=1, mhex_sites=(1,)), seed=3)
     calls = count_calls(type(one_site), "_backbone", monkeypatch)
     for collect in (A.collect_collab_records, A.correlation_triangle):
         with pytest.raises(ContractError, match="successor"):
             collect(one_site, ds, n_samples=3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, n_samples", [(2, None), (5, 2)])
+def test_collab_records_need_three_samples(small_cnn, monkeypatch, n, n_samples):
+    """Fewer than 3 samples leave no correlation to compute: a
+    ``ContractError`` before any forward."""
+    ds = mx.gen_shapes(n, seed=45)
+    calls = count_calls(type(small_cnn), "_backbone", monkeypatch)
+    with pytest.raises(ContractError, match="at least 3"):
+        A.collect_collab_records(small_cnn, ds, n_samples=n_samples)
     assert calls == []
 
 

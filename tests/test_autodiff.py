@@ -9,7 +9,7 @@ import mhexlab as mx
 import mhexlab.autodiff as ad
 from mhexlab.autodiff import Tensor, backward, grad_wrt
 from mhexlab.blocks import mhex_loss
-from mhexlab.errors import ContractError, DimensionError
+from mhexlab.errors import ConfigurationError, ContractError, DimensionError
 
 from helpers import (adjoints_reference, check_grads, closure_arrays,
                      conv2d_backward_reference, conv2d_forward_reference,
@@ -91,8 +91,37 @@ def test_softmax_cross_entropy_forward():
     p /= p.sum(axis=1, keepdims=True)
     ref = -np.mean(np.log(p[np.arange(2), t]))
     assert abs(float(loss.data) - ref) < 1e-12
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigurationError):
         ad.softmax_cross_entropy(Tensor(logits), [3, 0])
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape), requires_grad=True)
+
+
+PRIMITIVE_ERRORS = {
+    "matmul_leading_dims": (DimensionError, lambda: ad.matmul(_zeros(2, 3, 4), _zeros(3, 4, 5))),
+    "conv2d_channels": (DimensionError, lambda: ad.conv2d(_zeros(1, 2, 5, 5), _zeros(3, 1, 3, 3))),
+    "conv2d_kernel_above_input": (DimensionError,
+                                  lambda: ad.conv2d(_zeros(1, 1, 2, 2), _zeros(3, 1, 5, 5), pad=1)),
+    "conv2d_stride_0": (ConfigurationError,
+                        lambda: ad.conv2d(_zeros(1, 1, 5, 5), _zeros(3, 1, 3, 3), stride=0)),
+    "global_avg_pool_2d": (DimensionError, lambda: ad.global_avg_pool(_zeros(2, 3))),
+    "cross_entropy_targets_shape": (DimensionError,
+                                    lambda: ad.softmax_cross_entropy(_zeros(2, 3), [0, 1, 2])),
+    "masked_seq_mean_empty_row": (ContractError, lambda: ad.masked_seq_mean(
+        _zeros(2, 3, 4), np.array([[True, True, False], [False, False, False]]))),
+    "backward_non_scalar": (ContractError, lambda: ad.backward(_zeros(2, 2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRIMITIVE_ERRORS))
+def test_primitive_input_errors(case):
+    """Operands a primitive cannot take raise from the taxonomy before any
+    arithmetic."""
+    error, call = PRIMITIVE_ERRORS[case]
+    with pytest.raises(error):
+        call()
 
 
 def test_nearest_resize_forward():
@@ -426,7 +455,7 @@ def test_sweep_releases_consumed_adjoints(small_cnn):
 def test_targeted_sweeps_equal_a_sweep_that_keeps_adjoints():
     """``grad_wrt``, ``backward`` and the interior-node ``adjoint`` that
     Grad-CAM asks for are bit-identical to a sweep without the release."""
-    model = mx.build_resnet(mx.ResNetConfig(), seed=3)
+    model = mx.ResNetModel(mx.ResNetConfig(), seed=3)
     loss, final_feats = _cnn_tape(model, 2, seed=17)
     ref = adjoints_reference(loss)
     assert np.array_equal(ad.adjoint(loss, final_feats), ref[id(final_feats)])

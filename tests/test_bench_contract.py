@@ -10,8 +10,8 @@ import pytest
 
 import mhexlab  # noqa: F401  (loads every mhexlab module the tracer patches)
 from mhexlab import models
-from mhexlab.models import (ResNetConfig, TransformerConfig, build_resnet,
-                            build_transformer, save_checkpoint)
+from mhexlab.models import (ResNetConfig, ResNetModel, TransformerConfig,
+                            TransformerModel, save_checkpoint)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,8 +26,8 @@ def _load(name):
 @pytest.mark.parametrize("host", ["resnet", "transformer"])
 def test_perfbench_invariants_hold(tmp_path, host):
     ckpt = tmp_path / f"{host}.ckpt"
-    model = (build_resnet(ResNetConfig(), seed=3) if host == "resnet"
-             else build_transformer(TransformerConfig(), seed=3))
+    model = (ResNetModel(ResNetConfig(), seed=3) if host == "resnet"
+             else TransformerModel(TransformerConfig(), seed=3))
     save_checkpoint(model, ckpt)
     assert _load("checks").invariants(ckpt, host, tmp_path) == []
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mhexlab.autodiff as ad
+import mhexlab.blocks as blocks
 from mhexlab.autodiff import Tensor
 from mhexlab.blocks import (MhexParams, attention_gate, ds_logits,
                             equivalent_matrix, mhex_loss, run_block)
@@ -136,6 +137,21 @@ def test_shape_mismatch_raises():
     xg = Tensor(np.zeros((2, 6, 5, 5)))
     with pytest.raises(DimensionError):
         attention_gate(x, xg, p)
+
+
+@pytest.mark.parametrize("case", ["gate_on_2d", "gate_on_other_width", "global_widens_input"])
+def test_block_shape_checks(case):
+    """A gate that fits neither an image nor a token feature tensor, and
+    global features that broadcast but would widen the block input, are
+    shape errors."""
+    with pytest.raises(DimensionError):
+        if case == "gate_on_2d":
+            blocks._gate_broadcast(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5))))
+        elif case == "gate_on_other_width":
+            blocks._gate_broadcast(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 4, 6))))
+        else:
+            attention_gate(Tensor(np.zeros((2, 6, 1, 1))), Tensor(np.zeros((2, 6, 4, 4))),
+                           _params())
 
 
 def test_loss_modes():

@@ -196,6 +196,24 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys, command):
     assert "--checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", ["missing", "binary", "unknown_dataset"])
+def test_bad_config_file_exits_1(shape_ckpt, tmp_path, capsys, config):
+    """--config naming a missing file, a non-text one (a checkpoint) or one
+    whose value is not among its flag's choices prints one error line naming
+    the file, and leaves no out directory."""
+    path = {"missing": tmp_path / "nonexistent.txt", "binary": shape_ckpt,
+            "unknown_dataset": tmp_path / "config.txt"}[config]
+    if config == "unknown_dataset":
+        path.write_text("dataset=images\n")
+    out = tmp_path / "out"
+    rc = cli.main(["explain", "--config", str(path), "--checkpoint", str(shape_ckpt),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 REPLAYS = {
     "lr": (["train", "--dataset", "tokens", "--n-samples", "32", "--epochs", "1",
             "--lr", "0.002"], ["checkpoint.ckpt", "trainlog.csv"]),

@@ -4,6 +4,7 @@ import pytest
 import mhexlab as mx
 import mhexlab.metrics as M
 import mhexlab.saliency as S
+from mhexlab.datasets import PAD_ID
 from mhexlab.errors import ConfigurationError, ContractError, DimensionError
 
 from helpers import perturbation_curve_images
@@ -330,13 +331,12 @@ def test_token_perturb_drop_batch_matches_rows(small_transformer):
     batch-of-one record, numbered from ``sample_id``."""
     td = mx.gen_tokens(12, seed=26)
     sals = S.explain_tokens(small_transformer, td.ids, td.labels)
-    kw = dict(top_frac=0.25, mask_token=td.mask_id, pad_id=td.pad_id)
     predict = small_transformer.predict_proba
-    batch = M.token_perturb_drop(predict, td.ids, sals, td.labels, sample_id=40, **kw)
+    batch = M.token_perturb_drop(predict, td.ids, sals, td.labels, top_frac=0.25, sample_id=40)
     assert [r.sample_id for r in batch] == list(range(40, 52))
     for b, r in enumerate(batch):
         (one,) = M.token_perturb_drop(predict, td.ids[b:b + 1], sals[b:b + 1],
-                                      td.labels[b:b + 1], sample_id=40 + b, **kw)
+                                      td.labels[b:b + 1], top_frac=0.25, sample_id=40 + b)
         assert r.sample_id == one.sample_id and r.area == one.area
         for f in ("p_orig", "p_mask", "drop"):
             assert getattr(r, f) == pytest.approx(getattr(one, f), rel=1e-12, abs=0)
@@ -346,7 +346,7 @@ def test_token_perturb_drop_batch_contracts(small_transformer):
     td = mx.gen_tokens(3, seed=27)
     sals = S.explain_tokens(small_transformer, td.ids, td.labels)
     ids = td.ids.copy()
-    ids[2] = td.pad_id
+    ids[2] = PAD_ID
     predict = small_transformer.predict_proba
     with pytest.raises(ContractError):
         M.token_perturb_drop(predict, ids, sals, td.labels)

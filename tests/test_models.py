@@ -14,8 +14,8 @@ from mhexlab.errors import (CheckpointError, CheckpointFormatError,
                             CheckpointShapeError, CheckpointVersionError,
                             ConfigurationError, ContractError, DimensionError,
                             TrainingDivergedError)
-from mhexlab.models import (EpochLog, ResNetConfig, TrainLog, TransformerConfig,
-                            build_resnet, build_transformer, clone_model,
+from mhexlab.models import (EpochLog, ResNetConfig, ResNetModel, TransformerConfig,
+                            TransformerModel, clone_model,
                             count_mhex_params, head_accuracies, load_checkpoint,
                             save_checkpoint, strip_mhex, train)
 
@@ -45,6 +45,14 @@ def test_transformer_config_validation():
         TransformerConfig(vocab_size=3).validate()
 
 
+@pytest.mark.parametrize("cfg", [ResNetConfig(blocks_per_stage=0), ResNetConfig(in_channels=2),
+                                 TransformerConfig(max_seq=0)],
+                         ids=["blocks_per_stage_0", "in_channels_2", "max_seq_0"])
+def test_config_validation_bounds(cfg):
+    with pytest.raises(ConfigurationError):
+        cfg.validate()
+
+
 def test_site_selection():
     cfg = ResNetConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=2)
     assert cfg.downsample_blocks() == [2, 4, 6]
@@ -58,7 +66,7 @@ def test_param_count_formula():
                        n_class=3, mhex_sites="all")
     # sites at channels 8 and 16: 8^2 + 3*8 + 16^2 + 3*16 = 392
     assert count_mhex_params(cfg) == 392
-    model = build_resnet(cfg, seed=0)
+    model = ResNetModel(cfg, seed=0)
     actual = sum(model.params[n].data.size for n in model.mhex_param_names()
                  if ".w1" in n or ".w2" in n)
     assert actual == 392
@@ -132,6 +140,14 @@ def test_transformer_site_mask_shape_contract(small_transformer, length):
         small_transformer.forward_collect(ids, site_mask=(1, np.ones(length)))
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (16,)])
+def test_resnet_site_mask_shape_contract(small_cnn, shape):
+    """An image site mask must match the site's (h, w) resolution."""
+    x = mx.gen_shapes(1, seed=5).images
+    with pytest.raises(DimensionError, match="site resolution"):
+        small_cnn.forward_collect(x, site_mask=(0, np.ones(shape)))
+
+
 def test_head_removal_bit_identical(small_cnn, small_transformer):
     ds = mx.gen_shapes(3, seed=6)
     stripped = strip_mhex(small_cnn)
@@ -161,8 +177,7 @@ def test_training_determinism():
     ds = mx.gen_shapes(32, seed=8)
     outs = []
     for _ in range(2):
-        m = build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1),
-                         seed=1)
+        m = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=1)
         train(m, ds, epochs=1, lr=1e-3, seed=3, batch_size=16,
               eval_accuracy=False)
         outs.append(np.concatenate([t.data.ravel() for t in m.params.values()]))
@@ -171,11 +186,11 @@ def test_training_determinism():
 
 def test_training_modes_and_divergence():
     ds = mx.gen_shapes(16, seed=9)
-    m = build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=2)
+    m = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=2)
     log = train(m, ds, mode="pretrain", epochs=1, lr=1e-3, batch_size=8,
                 eval_accuracy=False)
-    assert len(log.entries) == 1 and np.isfinite(log.entries[0].loss)
-    m2 = build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=2)
+    assert len(log) == 1 and np.isfinite(log[0].loss)
+    m2 = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=2)
     m2.params["head.b"].data[:] = np.nan
     with pytest.raises(TrainingDivergedError) as exc:
         train(m2, ds, epochs=2, lr=1e-3, batch_size=8, eval_accuracy=False)
@@ -185,6 +200,15 @@ def test_training_modes_and_divergence():
                                 truth_masks=ds.truth_masks[:0])
     with pytest.raises(ContractError):
         train(m, empty, epochs=1)
+
+
+def test_train_rejects_labels_outside_the_host_classes():
+    """A 2-class host on the 4-class shapes set: a ``ConfigurationError``
+    from the loss, not a bare ``IndexError``."""
+    ds = mx.gen_shapes(8, seed=9)
+    m = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1, n_class=2), seed=2)
+    with pytest.raises(ConfigurationError, match="outside"):
+        train(m, ds, epochs=1, batch_size=8, eval_accuracy=False)
 
 
 def test_head_accuracies_reports_all_heads(small_cnn):
@@ -249,7 +273,7 @@ def test_training_step_peak_below_300_mb():
     """One taped batch-64 forward plus backward of the default CNN holds its
     activations, not im2col columns, padded copies or consumed adjoints: its
     tracemalloc peak is under 300 MB (574 MB when the tape kept them)."""
-    model = build_resnet(ResNetConfig(), seed=3)
+    model = ResNetModel(ResNetConfig(), seed=3)
     ds = mx.gen_shapes(64, seed=13)
 
     def step():
@@ -265,7 +289,7 @@ def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):
     alive while ``train`` runs its per-epoch accuracy pass."""
     import mhexlab.models as models_mod
     ds = mx.gen_shapes(16, seed=11)
-    m = build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=4)
+    m = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=4)
     params = {id(t) for t in m.params.values()}
     live = []
     accuracies = models_mod.head_accuracies
@@ -307,7 +331,7 @@ def test_train_checkpoint_same_bytes_for_any_worker_count(monkeypatch, tmp_path)
     blobs = []
     for workers in (1, 2):
         with conv_workers(monkeypatch, workers):
-            m = build_resnet(ResNetConfig(n_class=ds.n_class), seed=0)
+            m = ResNetModel(ResNetConfig(), seed=0)
             train(m, ds, epochs=1, lr=3e-3, seed=0, batch_size=64)
         path = tmp_path / f"w{workers}.ckpt"
         save_checkpoint(m, path)
@@ -352,6 +376,23 @@ def test_checkpoint_truncated(tmp_path, small_cnn):
     data = p.read_bytes()
     p.write_bytes(data[:len(data) // 2])
     with pytest.raises(CheckpointFormatError):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("fmt, cut, what", [
+    ("v2", 9, "version"), ("v2", 11, "version"),
+    ("v1", 14, "config length"), ("v1", 60, "config"), ("v1", -1, "data for mhex3.proj_carry"),
+])
+def test_checkpoint_truncated_field(tmp_path, small_cnn, fmt, cut, what):
+    """A file cut inside its version field, or a format-v1 file (which has
+    no checksum to fail first) cut inside a field, names the field."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(small_cnn, p)
+    data = p.read_bytes()
+    if fmt == "v1":
+        data = as_format_v1(data)
+    p.write_bytes(data[:cut])
+    with pytest.raises(CheckpointFormatError, match=f"truncated checkpoint while reading {what}$"):
         load_checkpoint(p)
 
 
@@ -420,7 +461,7 @@ def test_checkpoint_non_utf8_tensor_name(tmp_path, small_transformer):
 @pytest.mark.parametrize("sites", [(1, 3), (5,)])
 def test_checkpoint_roundtrip_explicit_sites(tmp_path, sites):
     """A CNN with explicit site indices loads with the same sites."""
-    model = build_resnet(ResNetConfig(mhex_sites=sites), seed=5)
+    model = ResNetModel(ResNetConfig(mhex_sites=sites), seed=5)
     p = tmp_path / "m.ckpt"
     save_checkpoint(model, p)
     twin = load_checkpoint(p)
@@ -509,8 +550,8 @@ def test_checkpoint_corruption_raises_only_checkpoint_error(tmp_path, request, h
 
 
 @pytest.mark.parametrize("model", [
-    build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=5),
-    build_transformer(TransformerConfig(d_model=8, n_heads=2, n_layers=2), seed=5),
+    ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=5),
+    TransformerModel(TransformerConfig(d_model=8, n_heads=2, n_layers=2), seed=5),
 ], ids=["cnn", "transformer"])
 def test_checkpoint_every_header_bit_flip_raises(tmp_path, model):
     """Every single-bit flip before the tensor data raises a
@@ -556,8 +597,8 @@ def test_fixture_cache_retrains_stale_or_corrupt(tmp_path, monkeypatch):
 
     def build():
         builds.append(1)
-        m = build_resnet(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=5)
-        return m, TrainLog([EpochLog(0, 1.5, [0.25, 0.5])])
+        m = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=5)
+        return m, [EpochLog(0, 1.5, [0.25, 0.5])]
 
     with pytest.warns(UserWarning, match="no cached checkpoint"):
         first = conftest._cached_model("m.ckpt", build)

@@ -4,6 +4,7 @@ import pytest
 import mhexlab as mx
 from mhexlab import autodiff as ad, saliency as S
 from mhexlab.blocks import equivalent_matrix
+from mhexlab.datasets import PAD_ID
 from mhexlab.errors import (ConfigurationError, ContractError, DimensionError)
 from mhexlab.models import EVAL_BATCH_SIZE, clone_model
 
@@ -176,9 +177,9 @@ def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
 def test_explain_tokens_shapes(small_transformer):
     td = mx.gen_tokens(2, seed=20)
     sal = S.explain_tokens(small_transformer, td.ids[0], int(td.labels[0]))
-    n_live = int((td.ids[0] != td.pad_id).sum())
+    n_live = int((td.ids[0] != PAD_ID).sum())
     assert sal.scores.shape == (n_live,)
-    assert np.array_equal(sal.positions, np.flatnonzero(td.ids[0] != td.pad_id))
+    assert np.array_equal(sal.positions, np.flatnonzero(td.ids[0] != PAD_ID))
     assert len(sal.layer_scores) == 3
 
 
@@ -206,7 +207,7 @@ def test_token_saliency_shares_cam_kernel(small_transformer):
     cfg = S.WeightFilterConfig(token_layers=2, layer_decay=0.7)
     sal = S.explain_tokens(small_transformer, ids, label, cfg)
     rec = small_transformer.forward_collect(ids)
-    live = np.flatnonzero(ids != td.pad_id)
+    live = np.flatnonzero(ids != PAD_ID)
     ref = np.zeros(len(live))
     for l in range(2):
         wf = S.final_weights(equivalent_matrix(small_transformer.mhex_params(l)), cfg)[label]
@@ -268,11 +269,11 @@ def test_explain_tokens_batch_rows_match_single_calls(trained_transformer):
     row and on the row without its pad tail: the batched matmuls change only
     rounding, never positions or rankings."""
     td = mx.gen_tokens(24, seed=23)
-    assert len(set((td.ids != td.pad_id).sum(axis=1).tolist())) > 1
+    assert len(set((td.ids != PAD_ID).sum(axis=1).tolist())) > 1
     batch = S.explain_tokens(trained_transformer, td.ids, td.labels)
     assert len(batch) == len(td)
     for row, label, sal in zip(td.ids, td.labels, batch):
-        for ids in (row, row[row != td.pad_id]):
+        for ids in (row, row[row != PAD_ID]):
             one = S.explain_tokens(trained_transformer, ids, int(label))
             assert sal.class_id == one.class_id == label
             assert np.array_equal(sal.positions, one.positions)
@@ -296,7 +297,7 @@ def test_explain_tokens_batch_of_one_is_the_single_call(small_transformer):
 def test_explain_tokens_batch_contracts(small_transformer):
     td = mx.gen_tokens(3, seed=25)
     ids = td.ids.copy()
-    ids[1] = td.pad_id
+    ids[1] = PAD_ID
     with pytest.raises(ContractError):
         S.explain_tokens(small_transformer, ids, td.labels)
     with pytest.raises(DimensionError):
