@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as met
 from . import saliency as sal_mod
+from .datasets import seeded_rng
 from .errors import (ConfigurationError, ContractError,
                      UndefinedCorrelationError)
 from .formats import write_csv
@@ -76,7 +77,7 @@ def _check_successor(model, site):
 
 def _gradient_pair(model, rec, label, site, linear_class=None):
     """``site_gradient_pair`` on an existing ``ForwardRecord``."""
-    w1 = model.params[f"mhex{site}.w1"]
+    w1 = model.mhex_params(site).w1
     loss_own = _head_loss(rec, site, label, linear_class)
     loss_next = _head_loss(rec, site + 1, label, linear_class)
     return ad.grad_wrt(loss_own, w1).data, ad.grad_wrt(loss_next, w1).data
@@ -311,7 +312,7 @@ def relu_entropy_drop(n_samples=1_000_000, seed=0):
     n_samples = int(n_samples)
     if n_samples < 100_000:
         raise ConfigurationError("relu_entropy_drop needs n_samples >= 1e5")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = seeded_rng(seed)
     z = rng.standard_normal(n_samples)
     h_in = _hist_entropy(z, ENTROPY_BINS)
     p0 = float((z <= 0).mean())

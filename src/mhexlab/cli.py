@@ -1,14 +1,13 @@
 """Command-line entry point: reproducible train / explain / evaluate /
 analyze runs over the synthetic datasets.
 
-Every command writes its resolved configuration next to its artifacts, and
-reruns from that file are deterministic.
+``main`` writes each command's resolved configuration to ``config.txt`` once
+it returns; a ``--config`` rerun of the same command from it is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -25,19 +24,13 @@ _DATASETS = {"shapes": (gen_shapes, ResNetModel, 3e-3),
              "tokens": (gen_tokens, TransformerModel, 2e-3)}
 
 
-def _resolve_out(args):
-    """The output directory, not yet created: each command makes it just
-    before its first write, so a command that fails earlier leaves none."""
-    return Path(os.environ.get("MHEX_OUT") or args.out)
-
-
 def _made(out):
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_config(args, out_dir):
-    (out_dir / "config.txt").write_text(formats.kv_text(
+def _write_config(args):
+    (Path(args.out) / "config.txt").write_text(formats.kv_text(
         (key, val) for key, val in sorted(vars(args).items()) if key not in ("func", "config")))
 
 
@@ -50,15 +43,18 @@ def _command_parser(parser, command):
 def _load_config_defaults(parser, args):
     """--config FILE makes its key=value pairs the command's defaults, so
     argparse converts them with each flag's type and flags given on the
-    command line win. Keys no flag reads (removed flags) and ``None``
-    values are skipped."""
+    command line win. The file must be a ``config.txt`` of the same command.
+    Keys no flag reads (removed flags) and ``None`` values are skipped."""
     try:
         text = Path(args.config).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read --config {args.config}: {exc}") from None
+    kv = formats.parse_kv(text)
+    if kv.get("command") != args.command:
+        raise ConfigurationError(f"--config {args.config} is not a config.txt of {args.command}")
     choices = {a.dest: a.choices for a in _command_parser(parser, args.command)._actions if a.choices}
     defaults = {}
-    for key, val in formats.parse_kv(text).items():
+    for key, val in kv.items():
         key = key.replace("-", "_")
         if key in ("command", "config", "func") or not hasattr(args, key) or val == "None":
             continue
@@ -95,8 +91,7 @@ def _wf_config(args):
 # commands
 
 
-def cmd_train(args):
-    out = _resolve_out(args)
+def cmd_train(args, out):
     _, host, lr = _DATASETS[args.dataset]
     model = host(host.config_class(), seed=args.seed)
     log = train(model, _make_dataset(args), mode=args.mode, epochs=args.epochs,
@@ -106,7 +101,6 @@ def cmd_train(args):
     formats.write_csv(out / "trainlog.csv", ["epoch", "loss", "head_accuracies"],
                       ([e.epoch, f"{e.loss:.6g}", " ".join(f"{a:.4f}" for a in e.head_accuracy)]
                        for e in log))
-    _write_config(args, out)
     if log:
         print(f"trained {args.epochs} epochs; final loss {log[-1].loss:.4f}; "
               f"head accuracies {log[-1].head_accuracy}")
@@ -132,11 +126,10 @@ def _chunks(ids):
     return [ids[lo:lo + EVAL_BATCH_SIZE] for lo in range(0, len(ids), EVAL_BATCH_SIZE)]
 
 
-def cmd_explain(args):
+def cmd_explain(args, out):
     if args.dataset == "tokens" and args.grad_cam:
         raise ConfigurationError("--grad-cam needs --dataset shapes")
     wf = _wf_config(args)
-    out = _resolve_out(args)
     model = _load_host(args)
     dataset = _make_dataset(args)
     ids = _sample_ids(args, dataset)
@@ -170,11 +163,10 @@ def cmd_explain(args):
                 saliency.render_heatmap(gmap, p)
                 manifest.append((i, "gradcam", p.name))
     formats.write_csv(out / "manifest.csv", ["sample", "method", "artifact"], manifest)
-    _write_config(args, out)
     print(f"wrote {len(manifest)} artifacts to {out}")
 
 
-def cmd_evaluate(args):
+def cmd_evaluate(args, out):
     if args.dataset == "tokens" and (args.grad_cam or args.oracle_explainer):
         raise ConfigurationError("--grad-cam and --oracle-explainer need --dataset shapes")
     if args.dataset == "shapes" and args.curve_samples < 1:
@@ -182,7 +174,6 @@ def cmd_evaluate(args):
     if args.dataset == "shapes" and args.steps < 2:
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
     wf = _wf_config(args)
-    out = _resolve_out(args)
     model = _load_host(args)
     dataset = _make_dataset(args)
     n = min(args.n_samples, len(dataset))
@@ -195,7 +186,6 @@ def cmd_evaluate(args):
             records += metrics.token_perturb_drop(model.predict_proba, ids, sals, labels,
                                                   top_frac=args.top_frac, sample_id=chunk[0])
         metrics.write_drop_csv(records, _made(out) / "token_drop.csv", method="mhex")
-        _write_config(args, out)
         print(f"token mean drop: {np.mean([r.drop for r in records]):.4f}")
         return
 
@@ -237,14 +227,12 @@ def cmd_evaluate(args):
     formats.write_csv(out / "summary.csv", ["method", "avg_drop", "ead", "deletion_auc",
                                             "insertion_auc", "localization"],
                       ([row[0]] + [f"{v:.6g}" for v in row[1:]] for row in summary))
-    _write_config(args, out)
     for row in summary:
         print(f"{row[0]}: avg_drop={row[1]:.4f} ead={row[2]:.4f} "
               f"del_auc={row[3]:.4f} ins_auc={row[4]:.4f} loc={row[5]:.4f}")
 
 
-def cmd_analyze(args):
-    out = _resolve_out(args)
+def cmd_analyze(args, out):
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
     analysis.check_collab_inputs(model, dataset)
@@ -265,7 +253,6 @@ def cmd_analyze(args):
         saliency.render_heatmap(saliency.normalize_map(bq),
                                 out / f"sample{i:04d}_blockwise.pgm")
     (out / "entropy.txt").write_text(formats.kv_text([("entropy_drop_estimate", f"{dh:.6f}")]))
-    _write_config(args, out)
     print(f"entropy drop estimate: {dh:.5f} (target 0.34657)")
     print(f"correlation report: {out / 'correlation.csv'}")
 
@@ -285,13 +272,14 @@ def build_parser():
         p.add_argument("--out", default="mhex_out")
         p.add_argument("--n-samples", type=int, default=512)
         p.add_argument("--config", default=None,
-                       help="key=value file of defaults (emitted by earlier runs)")
+                       help="config.txt of an earlier run of the same command")
 
     def wf_flags(p):
-        p.add_argument("--alpha", type=float, default=0.25)
-        p.add_argument("--ss", type=float, default=None)
-        p.add_argument("--decay", type=float, default=0.9)
-        p.add_argument("--layers", type=int, default=3,
+        wf = saliency.WeightFilterConfig()
+        p.add_argument("--alpha", type=float, default=wf.neg_mix)
+        p.add_argument("--ss", type=float, default=wf.ss_threshold)
+        p.add_argument("--decay", type=float, default=wf.layer_decay)
+        p.add_argument("--layers", type=int, default=wf.token_layers,
                        help="token layer cutoff (tokens only; an image map "
                             "weights every site by --decay)")
 
@@ -349,7 +337,9 @@ def main(argv=None):
         if args.command != "train" and args.checkpoint is None:
             _command_parser(parser, args.command).error(
                 "the following arguments are required: --checkpoint")
-        args.func(args)
+        # a command makes `out` at its first write: one failing sooner leaves no config.txt
+        args.func(args, Path(args.out))
+        _write_config(args)
     except (MhexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,8 +32,13 @@ MAX_SEQ = 16
 MIN_SEQ = 8
 
 
-def _rng(seed, index):
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(index)))
+def seeded_rng(seed, index=None):
+    """Philox generator keyed by ``seed`` alone, or by ``(seed, index)`` with
+    the seed in the key's upper 64 bits; the one place a seed becomes a key."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
+    key = int(seed) if index is None else (int(seed) << 64) | int(index)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -118,7 +123,7 @@ def gen_shapes(n, seed=0):
     labels = np.empty(n, dtype=np.intp)
     masks = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=bool)
     for i in range(n):
-        rng = _rng(seed, i)
+        rng = seeded_rng(seed, i)
         label = i % len(SHAPE_CLASSES)
         bg = _value_noise(rng)
         mask = _shape_mask(rng, label)
@@ -147,7 +152,7 @@ def gen_tokens(n, seed=0):
     labels = np.empty(n, dtype=np.intp)
     masks = np.zeros((n, MAX_SEQ), dtype=bool)
     for i in range(n):
-        rng = _rng(seed, i)
+        rng = seeded_rng(seed, i)
         label = i % TOKEN_CLASSES
         length = int(rng.integers(MIN_SEQ, MAX_SEQ + 1))
         seq = rng.integers(filler_lo, VOCAB_SIZE, size=length)

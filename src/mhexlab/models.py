@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .blocks import MhexParams, run_block, mhex_loss
 from .datasets import (IMAGE_SIZE, MAX_SEQ, PAD_ID, SHAPE_CLASSES,
-                       TOKEN_CLASSES, VOCAB_SIZE)
+                       TOKEN_CLASSES, VOCAB_SIZE, seeded_rng)
 from .errors import (CheckpointFormatError, CheckpointShapeError,
                      CheckpointVersionError, ConfigurationError,
                      ContractError, DimensionError, TrainingDivergedError)
@@ -144,7 +144,7 @@ class ForwardRecord:
 
 class _ParamStore:
     def __init__(self, seed):
-        self.rng = np.random.Generator(np.random.Philox(key=int(seed)))
+        self.rng = seeded_rng(seed)
         self.params = {}
 
     def put(self, name, data):
@@ -510,8 +510,7 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
     step = 0
     log = []
     for epoch in range(epochs):
-        perm = np.random.Generator(
-            np.random.Philox(key=(int(seed) << 64) | epoch)).permutation(n)
+        perm = seeded_rng(seed, epoch).permutation(n)
         losses = []
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
@@ -523,16 +522,19 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
                 t.grad = None
             ad.backward(loss)
             step += 1
-            for k, t in model.params.items():
-                g = t.grad
-                m[k] = beta1 * m[k] + (1 - beta1) * g
-                v[k] = beta2 * v[k] + (1 - beta2) * g * g
-                mh = m[k] / (1 - beta1 ** step)
-                vh = v[k] / (1 - beta2 ** step)
-                t.data -= lr * (mh / (np.sqrt(vh) + eps) + weight_decay * t.data)
+            with np.errstate(over="ignore", invalid="ignore"):      # checked after the epoch
+                for k, t in model.params.items():
+                    g = t.grad
+                    m[k] = beta1 * m[k] + (1 - beta1) * g
+                    v[k] = beta2 * v[k] + (1 - beta2) * g * g
+                    mh = m[k] / (1 - beta1 ** step)
+                    vh = v[k] / (1 - beta2 ** step)
+                    t.data -= lr * (mh / (np.sqrt(vh) + eps) + weight_decay * t.data)
             losses.append(float(loss.data))
             # free the step's tape before the next forward or the accuracy pass
             del rec, loss
+        if not all(np.isfinite(t.data).all() for t in model.params.values()):
+            raise TrainingDivergedError(epoch)      # the loss checks miss the last update
         accs = head_accuracies(model, dataset) if eval_accuracy else []
         log.append(EpochLog(epoch=epoch, loss=float(np.mean(losses)), head_accuracy=accs))
     return log

@@ -122,7 +122,7 @@ def normalize_map(raw):
     return (raw - lo) / (hi - lo)
 
 
-def aggregate_cams(layer_grids, layer_decay=0.9, class_id=-1):
+def aggregate_cams(layer_grids, layer_decay, class_id=-1):
     """Decay-weighted sum of per-site grids (ordered shallow to deep) on the
     finest grid, normalized into a ``SaliencyMap``."""
     if not layer_grids:

@@ -18,7 +18,8 @@ from mhexlab.models import (ResNetConfig, ResNetModel, TransformerConfig,
 
 CACHE = Path(__file__).parent / "_cache"
 SRC = Path(mx.__file__).parent
-# the CI cache key (.github/workflows/tier1.yml) hashes the same files
+# the CI cache key (.github/workflows/tier1.yml) hashes the same files, in this
+# order; test_workflow checks it
 CACHE_SOURCES = ("autodiff.py", "blocks.py", "models.py", "datasets.py")
 CACHE.mkdir(exist_ok=True)
 

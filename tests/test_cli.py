@@ -1,6 +1,5 @@
 import csv
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +56,7 @@ def test_config_echo_reusable(token_ckpt, tmp_path):
     _, out = token_ckpt
     text = (out / "config.txt").read_text()
     kv = dict(line.split("=", 1) for line in text.strip().splitlines())
+    assert kv["command"] == "train"
     assert kv["dataset"] == "tokens"
     assert kv["epochs"] == "1"
     rc = cli.main(["train", "--config", str(out / "config.txt"),
@@ -196,15 +196,19 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys, command):
     assert "--checkpoint" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", ["missing", "binary", "unknown_dataset"])
-def test_bad_config_file_exits_1(shape_ckpt, tmp_path, capsys, config):
-    """--config naming a missing file, a non-text one (a checkpoint) or one
-    whose value is not among its flag's choices prints one error line naming
-    the file, and leaves no out directory."""
+@pytest.mark.parametrize("config", ["missing", "binary", "unknown_dataset", "not_a_config",
+                                    "other_command"])
+def test_bad_config_file_exits_1(token_ckpt, shape_ckpt, tmp_path, capsys, config):
+    """--config naming a missing file, a non-text one (a checkpoint), one
+    whose value is not among its flag's choices, a text file that is no
+    config.txt (it has no command= line) or another command's config.txt
+    prints one error line naming the file, and leaves no out directory."""
     path = {"missing": tmp_path / "nonexistent.txt", "binary": shape_ckpt,
-            "unknown_dataset": tmp_path / "config.txt"}[config]
+            "unknown_dataset": tmp_path / "config.txt",
+            "not_a_config": Path(__file__).resolve().parent.parent / "README.md",
+            "other_command": token_ckpt[1] / "config.txt"}[config]
     if config == "unknown_dataset":
-        path.write_text("dataset=images\n")
+        path.write_text("command=explain\ndataset=images\n")
     out = tmp_path / "out"
     rc = cli.main(["explain", "--config", str(path), "--checkpoint", str(shape_ckpt),
                    "--out", str(out)])
@@ -399,18 +403,6 @@ def test_analyze_tokens_exits_1(token_ckpt, tmp_path, capsys):
         capsys.readouterr().err
 
 
-def test_out_env_override(token_ckpt, tmp_path, monkeypatch):
-    ckpt, _ = token_ckpt
-    target = tmp_path / "envout"
-    monkeypatch.setenv("MHEX_OUT", str(target))
-    rc = cli.main(["explain", "--dataset", "tokens", "--n-samples", "64",
-                   "--checkpoint", str(ckpt), "--samples", "0",
-                   "--out", str(tmp_path / "ignored")])
-    assert rc == 0
-    assert (target / "manifest.csv").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 def test_errors_exit_nonzero(tmp_path, capsys):
     rc = cli.main(["explain", "--dataset", "tokens",
                    "--checkpoint", str(tmp_path / "missing.ckpt"),
@@ -426,6 +418,10 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 BAD_INPUTS = {
     "samples_not_int": ["explain", "--dataset", "tokens", "--samples", "1,a"],
     "batch_size_0": ["train", "--dataset", "tokens", "--batch-size", "0"],
+    "seed_negative": ["train", "--dataset", "tokens", "--seed", "-1"],
+    "seed_2_64": ["train", "--dataset", "tokens", "--seed", str(2 ** 64)],
+    # one batch: no later loss sees the infinite step, the epoch's check does
+    "lr_inf": ["train", "--dataset", "tokens", "--lr", "inf", "--epochs", "1"],
     "curve_samples_0": ["evaluate", "--curve-samples", "0"],
     "steps_1": ["evaluate", "--steps", "1"],
     "grid_0": ["analyze", "--grid", "0"],

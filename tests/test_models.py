@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import mhexlab as mx
 import mhexlab.autodiff as ad
+from mhexlab import models
+from mhexlab.analysis import relu_entropy_drop
 from mhexlab.blocks import mhex_loss
 from mhexlab.errors import (CheckpointError, CheckpointFormatError,
                             CheckpointShapeError, CheckpointVersionError,
@@ -20,7 +22,7 @@ from mhexlab.models import (EpochLog, ResNetConfig, ResNetModel, TransformerConf
                             save_checkpoint, strip_mhex, train)
 
 from helpers import (as_format_v1, checkpoint_with_config, checkpoint_with_value,
-                     conv_workers, peak_mb, reseal)
+                     conv_workers, count_calls, peak_mb, reseal)
 
 
 def test_resnet_config_validation():
@@ -200,6 +202,33 @@ def test_training_modes_and_divergence():
                                 truth_masks=ds.truth_masks[:0])
     with pytest.raises(ContractError):
         train(m, empty, epochs=1)
+
+
+def test_train_rejects_non_finite_parameters_after_an_epoch(monkeypatch):
+    """One batch per epoch: the loss is finite before the only update, and
+    an infinite step leaves non-finite parameters. ``train`` raises before
+    the accuracy pass instead of returning a model no checkpoint can hold."""
+    accuracy_passes = count_calls(models, "head_accuracies", monkeypatch)
+    ds = mx.gen_shapes(8, seed=9)
+    m = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=2)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train(m, ds, epochs=1, lr=math.inf, batch_size=8)
+    assert exc.value.epoch == 0
+    assert accuracy_passes == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_philox_key_range_rejected(seed):
+    """Each place that turns a seed into a Philox key raises a
+    ``ConfigurationError``, not numpy's bare ``ValueError``."""
+    small = ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1)
+    for make in (lambda: mx.gen_shapes(4, seed=seed), lambda: mx.gen_tokens(4, seed=seed),
+                 lambda: ResNetModel(small, seed=seed),
+                 lambda: train(ResNetModel(small), mx.gen_shapes(4), epochs=1, seed=seed),
+                 lambda: relu_entropy_drop(100_000, seed=seed)):
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            make()
+    mx.gen_shapes(1, seed=2 ** 64 - 1)       # the largest seed is a valid key half
 
 
 def test_train_rejects_labels_outside_the_host_classes():

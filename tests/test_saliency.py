@@ -92,7 +92,7 @@ def test_aggregate_cams_decay_and_resolution():
     assert np.allclose(out.raw, 1.0)
     assert np.all(out.grid == 0.0)      # constant map -> zeros
     with pytest.raises(ContractError):
-        S.aggregate_cams([])
+        S.aggregate_cams([], 0.9)
 
 
 def test_resize_map_nearest():
