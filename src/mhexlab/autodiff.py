@@ -15,8 +15,12 @@ sweep's, because the same adjoints are summed in the same order.
 The tape holds the activations and little else. ``conv2d`` builds its
 im2col columns in chunks of samples of at most ``_COLS_BYTES`` and rebuilds
 them in its backward closure instead of keeping them (the recomputation trade
-of Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016). The
-reverse sweep drops each adjoint once the node's closure has consumed it.
+of Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016). It
+adds a layer's bias itself, so the tape keeps no unbiased copy of its output,
+and ``relu`` reads its gradient mask from its own output instead of storing
+one (no buffer that no backward reads, as in Rota Bulò et al., *In-Place
+Activated BatchNorm*, 2018). The reverse sweep drops each adjoint once the
+node's closure has consumed it.
 
 ``conv2d`` spreads a batch's chunks over the usable CPUs (the batch split of
 Hadjis et al., *Caffe con Troll*, 2015): one contiguous range of samples per
@@ -36,6 +40,7 @@ has read it.
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import contextmanager
 
@@ -152,12 +157,16 @@ def mul(a, b):
 
 def relu(x):
     x = _as_tensor(x)
-    mask = x.data > 0  # subgradient at 0 is 0
+    # the bits of np.where(x > 0, x, 0.0) without its branchy select: fmax
+    # gives 0.0 for NaN but keeps -0.0, which adding +0.0 turns into +0.0 (a
+    # signalling NaN, which no arithmetic makes, may come back as NaN)
+    out_data = np.fmax(x.data, 0.0)
+    out_data += 0.0
 
     def backward(g):
-        return (g * mask,)
+        return (g * (out_data > 0),)   # out > 0 where x > 0; 0 is subgradient at 0
 
-    return Tensor(np.where(mask, x.data, 0.0), _parents=(x,), _backward=backward)
+    return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
 def sigmoid(x):
@@ -303,13 +312,16 @@ def _spread(task, ranges):
             raise err
 
 
-def conv2d(x, w, stride=1, pad=0):
-    """Cross-correlation with zero padding.
+def conv2d(x, w, stride=1, pad=0, bias=None):
+    """Cross-correlation with zero padding, plus ``bias`` (O,) per channel.
 
     ``x`` is (N,C,H,W); ``w`` is (O,C,kh,kw). The output extent is
-    floor((H + 2*pad - kh) / stride) + 1.
+    floor((H + 2*pad - kh) / stride) + 1. The bias makes the same additions
+    as ``add(conv2d(x, w), reshape(bias, (1, -1, 1, 1)))`` without that
+    pair's two nodes or the tape's copy of the unbiased output.
     """
     x, w = _as_tensor(x), _as_tensor(w)
+    bias = None if bias is None else _as_tensor(bias)
     xd = x.data
     if xd.ndim != 4 or w.data.ndim != 4:
         raise DimensionError(f"conv2d expects (N,C,H,W) and (O,C,kh,kw), got {x.shape}, {w.shape}")
@@ -321,6 +333,8 @@ def conv2d(x, w, stride=1, pad=0):
         raise DimensionError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{wd_ + 2 * pad}")
     if stride < 1:
         raise ConfigurationError(f"conv2d stride must be >= 1, got {stride}")
+    if bias is not None and bias.data.shape != (w.data.shape[0],):
+        raise DimensionError(f"conv2d bias {bias.shape} does not match {w.data.shape[0]} kernels")
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd_ + 2 * pad - kw) // stride + 1
     k, l = c * kh * kw, oh * ow
@@ -340,6 +354,12 @@ def conv2d(x, w, stride=1, pad=0):
             np.matmul(wk, _columns(xd[a:b], kh, kw, stride, pad, xp, cols), out=out_data[a:b])
 
     _spread(forward, ranges)
+    del scratch
+    if bias is not None:
+        # a new array once the scratch is freed, where a separate add put its
+        # output: added in place, per chunk or after the spread, the batch-20
+        # curves of evaluate peaked 1.5 MB higher (glibc's heap placement)
+        out_data = out_data + bias.data.reshape(o, 1)
     out_data = out_data.reshape(n, o, oh, ow)
 
     def backward(g):
@@ -371,9 +391,12 @@ def conv2d(x, w, stride=1, pad=0):
         _spread(task, ranges)
         gwn.sum(axis=0, out=gw.reshape(o, k))
         gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad else gxp
-        return gx, gw
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return Tensor(out_data, _parents=(x, w), _backward=backward)
+    parents = (x, w) if bias is None else (x, w, bias)
+    return Tensor(out_data, _parents=parents, _backward=backward)
 
 
 def global_avg_pool(x):
@@ -423,7 +446,14 @@ def softmax_last(x, additive_mask=None):
     logits first (large negatives suppress padded positions)."""
     x = _as_tensor(x)
     z = x.data + additive_mask if additive_mask is not None else x.data
-    z = z - z.max(axis=-1, keepdims=True)
+    # numpy reduces a short last axis one row at a time; over a class-first
+    # copy the max is one elementwise pass, and max rounds nothing. A zero max
+    # of either sign gives the same exp; which NaN a row returns depends on
+    # the order, so a NaN row max takes the last-axis reduction
+    zmax = np.moveaxis(z, -1, 0).copy().max(axis=0)
+    if np.isnan(zmax).any():
+        zmax = z.max(axis=-1)
+    z = z - zmax[..., None]
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
 
@@ -462,6 +492,40 @@ def softmax_cross_entropy(logits, targets):
     return Tensor(loss, _parents=(logits,), _backward=backward)
 
 
+def _replicas(n_out, n_in):
+    """``nearest_resize``'s map along one axis, where output ``i`` reads
+    input ``i * n_in // n_out``, split by replica offset: for offset ``a``,
+    the (inputs, outputs) index arrays of every input read more than ``a``
+    times and of the ``a``-th output that reads it."""
+    src = (np.arange(n_out) * n_in) // n_out
+    first = np.flatnonzero(np.diff(src, prepend=-1))     # an input's first output
+    reads = np.diff(first, append=n_out)
+    return [(src[first[reads > a]], first[reads > a] + a) for a in range(reads.max())]
+
+
+def _grid(rows, cols):
+    """Index of the (rows, cols) grid of the trailing two axes: slices, so a
+    view, where both are evenly spaced, else read-only index arrays."""
+    steps = [int(v[1] - v[0]) if len(v) > 1 else 1 for v in (rows, cols)]
+    if all(np.all(np.diff(v) == step) for v, step in zip((rows, cols), steps)):
+        return (...,) + tuple(slice(int(v[0]), int(v[-1]) + 1, step)
+                              for v, step in zip((rows, cols), steps))
+    for v in (rows, cols):
+        v.setflags(write=False)
+    return ..., rows[:, None], cols
+
+
+@functools.lru_cache(maxsize=64)      # a host resizes between a few extents
+def _resize_plan(in_hw, out_hw):
+    """(input index, output index) pairs of ``nearest_resize``'s backward:
+    each adds every input's ``(a, b)``-th reading output, row offset ``a``
+    outer, so an input sums its outputs from zero in row-major order, as
+    ``np.add.at`` does. No input occurs twice in one index."""
+    return tuple((_grid(ri, ci), _grid(ro, co))
+                 for ri, ro in _replicas(out_hw[0], in_hw[0])
+                 for ci, co in _replicas(out_hw[1], in_hw[1]))
+
+
 def nearest_resize(x, out_hw):
     """Nearest-neighbor resize of the trailing two axes."""
     x = _as_tensor(x)
@@ -472,11 +536,16 @@ def nearest_resize(x, out_hw):
     out_data = x.data[..., ir[:, None], ic[None, :]]
 
     def backward(g):
-        gx = np.zeros_like(x.data).reshape(-1, h, w)
-        gg = g.reshape(-1, h2, w2)
-        m = gx.shape[0]
-        np.add.at(gx, (np.arange(m)[:, None, None], ir[None, :, None], ic[None, None, :]), gg)
-        return (gx.reshape(x.data.shape),)
+        gx = np.zeros(x.data.shape)
+        for ik, ok in _resize_plan((h, w), (h2, w2)):
+            # the output's adjoint is the first operand, as in np.add.at's
+            # sum: of two NaNs, the order picks the payload that is kept
+            if isinstance(ik[-1], slice):
+                part = gx[ik]
+                np.add(g[ok], part, out=part)
+            else:
+                gx[ik] = g[ok] + gx[ik]
+        return (gx,)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 

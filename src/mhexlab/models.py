@@ -37,8 +37,10 @@ from .errors import (CheckpointFormatError, CheckpointShapeError,
 from .formats import kv_text, parse_kv
 
 CHECKPOINT_MAGIC = b"MHEXCKPT"
-# v2 appends a CRC32 of everything after the magic; v1 files still load
-CHECKPOINT_VERSION = 2
+# v2 appends a CRC32 of everything after the magic; v3 widens the seed from
+# <I to <Q, so a seed of 2**32 or more reloads as itself. v1 and v2 files
+# still load.
+CHECKPOINT_VERSION = 3
 # sequences or images per no-grad forward in the accuracy and token passes
 EVAL_BATCH_SIZE = 128
 
@@ -282,14 +284,12 @@ class ResNetModel(_Host):
             raise DimensionError(
                 f"input shape {x.data.shape} does not match configured "
                 f"{self.cfg.in_channels}x{self.cfg.image_size}x{self.cfg.image_size}")
-        h = ad.relu(ad.add(ad.conv2d(x, p["stem.w"], stride=1, pad=1),
-                           ad.reshape(p["stem.b"], (1, -1, 1, 1))))
+        h = ad.relu(ad.conv2d(x, p["stem.w"], stride=1, pad=1, bias=p["stem.b"]))
         acts = []
         for b, cin, cout, stride, has_proj in self._block_specs:
-            y = ad.relu(ad.add(ad.conv2d(h, p[f"block{b}.conv1"], stride=stride, pad=1),
-                               ad.reshape(p[f"block{b}.b1"], (1, -1, 1, 1))))
-            y = ad.add(ad.conv2d(y, p[f"block{b}.conv2"], stride=1, pad=1),
-                       ad.reshape(p[f"block{b}.b2"], (1, -1, 1, 1)))
+            y = ad.relu(ad.conv2d(h, p[f"block{b}.conv1"], stride=stride, pad=1,
+                                  bias=p[f"block{b}.b1"]))
+            y = ad.conv2d(y, p[f"block{b}.conv2"], stride=1, pad=1, bias=p[f"block{b}.b2"])
             skip = ad.conv2d(h, p[f"block{b}.proj"], stride=stride, pad=0) if has_proj else h
             h = ad.relu(ad.add(skip, y))
             acts.append(h)
@@ -586,7 +586,7 @@ def save_checkpoint(model, path):
         for key, val in vars(model.cfg).items()]).encode()
     buf.write(struct.pack("<I", len(cfg_bytes)))
     buf.write(cfg_bytes)
-    buf.write(struct.pack("<I", int(model.seed) & 0xFFFFFFFF))
+    buf.write(struct.pack("<Q", int(model.seed)))
     items = list(model.params.items())
     buf.write(struct.pack("<I", len(items)))
     for name, t in items:
@@ -622,7 +622,7 @@ def load_checkpoint(path):
     if len(data) < head:
         raise CheckpointFormatError("truncated checkpoint while reading version")
     (version,) = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC))
-    if version == CHECKPOINT_VERSION:
+    if version in (2, 3):
         # checked before any field is parsed, so a corrupt config cannot
         # build a model
         data, crc = data[:-4], data[-4:]
@@ -637,7 +637,7 @@ def load_checkpoint(path):
         fh.seek(head)
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
         host, cfg = _config_from_text(_read_exact(fh, cfg_len, "config"))
-        (seed,) = struct.unpack("<I", _read_exact(fh, 4, "seed"))
+        seed = int.from_bytes(_read_exact(fh, 8 if version == 3 else 4, "seed"), "little")
         try:
             model = host(cfg, seed=seed)
         except ConfigurationError as exc:

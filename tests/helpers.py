@@ -133,6 +133,55 @@ def conv2d_backward_reference(x, w, g, stride, pad):
     return gxp[:, :, pad:pad + h, pad:pad + wd], gw
 
 
+def conv2d_add_bias_reference(x, w, b, g, stride, pad):
+    """Forward and (x, w, bias) gradients, for the output adjoint ``g``, of
+    ``conv2d`` followed by a broadcast ``add`` of ``reshape(b, (1, -1, 1,
+    1))``: the two nodes that ``conv2d``'s ``bias`` replaced."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = ad.add(ad.conv2d(xt, wt, stride=stride, pad=pad), ad.reshape(bt, (1, -1, 1, 1)))
+    loss = ad.sum_axis(ad.mul(out, Tensor(g)))
+    return out.data, [ad.adjoint(loss, t) for t in (xt, wt, bt)]
+
+
+def relu_reference(x, g):
+    """``relu``'s output and input gradient the select way: ``np.where`` on
+    the mask ``x > 0``, and ``g`` times that mask."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), g * mask
+
+
+def nearest_resize_grad_reference(x_shape, g):
+    """``nearest_resize``'s input gradient as a scatter: ``np.add.at`` from
+    zeros, every input summing its reading outputs in row-major order."""
+    h, w = x_shape[-2:]
+    h2, w2 = g.shape[-2:]
+    ir = (np.arange(h2) * h) // h2
+    ic = (np.arange(w2) * w) // w2
+    gx = np.zeros(x_shape).reshape(-1, h, w)
+    index = (np.arange(gx.shape[0])[:, None, None], ir[None, :, None], ic[None, None, :])
+    np.add.at(gx, index, g.reshape(-1, h2, w2))
+    return gx.reshape(x_shape)
+
+
+def softmax_last_reference(z):
+    """Softmax over the last axis with the row max taken along that axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def same_bits(a, b):
+    """Whether float64 arrays ``a`` and ``b`` hold the same bytes: signed
+    zeros and NaN payloads count."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def tape_output_mib(loss):
+    """MiB held by the outputs of the nodes with a backward closure on the
+    tape of ``loss``; leaves such as the input and parameters are not counted."""
+    return sum(n.data.nbytes for n in _topo_order(loss) if n._backward is not None) / 2**20
+
+
 def adjoints_reference(loss):
     """Every node's adjoint from a full reverse sweep that keeps all of them:
     ``{id(tensor): ndarray}``, the sweep of ``autodiff`` without the release."""
@@ -208,15 +257,27 @@ def checkpoint_with_value(model, data, name, value):
 
 
 def reseal(data):
-    """Format-v2 checkpoint bytes with the trailing CRC32 of everything
+    """Format-v2 or v3 checkpoint bytes with the trailing CRC32 of everything
     after the 8-byte magic recomputed, as if the edit had been written."""
     data = bytes(data[:-4])
     return data + struct.pack("<I", zlib.crc32(data[8:]))
 
 
+def as_format_v2(data):
+    """The format-v2 file of a format-v3 checkpoint, as the v2 writer laid it
+    out: version 2 and the seed's low 32 bits in a 4-byte field (v3's is 8
+    bytes) after the config, then the shape table, data and checksum."""
+    (cfg_len,) = struct.unpack_from("<I", data, 12)
+    at = 16 + cfg_len
+    (seed,) = struct.unpack_from("<Q", data, at)
+    return reseal(data[:8] + struct.pack("<I", 2) + data[12:at]
+                  + struct.pack("<I", seed & 0xFFFFFFFF) + data[at + 8:])
+
+
 def as_format_v1(data):
-    """The format-v1 file of a format-v2 checkpoint: version 1 and no
-    trailing checksum."""
+    """The format-v1 file of a format-v3 checkpoint: the v2 layout with
+    version 1 and no trailing checksum."""
+    data = as_format_v2(data)
     return data[:8] + struct.pack("<I", 1) + data[12:-4]
 
 

@@ -12,13 +12,32 @@ from mhexlab.blocks import mhex_loss
 from mhexlab.errors import ConfigurationError, ContractError, DimensionError
 
 from helpers import (adjoints_reference, check_grads, closure_arrays,
-                     conv2d_backward_reference, conv2d_forward_reference,
-                     conv2d_weight_grad_stacked, conv_workers, mean_all, rel_err,
-                     rng_tensor)
+                     conv2d_add_bias_reference, conv2d_backward_reference,
+                     conv2d_forward_reference, conv2d_weight_grad_stacked,
+                     conv_workers, mean_all, nearest_resize_grad_reference,
+                     rel_err, relu_reference, rng_tensor, same_bits,
+                     softmax_last_reference, tape_output_mib)
+
+# values whose bits a select, a max or a scatter may treat apart: NaN of
+# either sign and with a payload, signed zeros and infinities, subnormals
+# and the smallest normals
+SPECIALS = np.concatenate([
+    [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+     -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -1.0],
+    np.array([0x7FF8000000000123, 0xFFF80000DEADBEEF], dtype=np.uint64).view(np.float64)])
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _with_specials(rng, shape, share=0.3):
+    """Normal draws of ``shape`` with about ``share`` of them replaced by
+    ``SPECIALS``."""
+    x = rng.normal(size=shape)
+    pick = rng.random(shape) < share
+    x[pick] = rng.choice(SPECIALS, size=int(pick.sum()))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +59,24 @@ def test_relu_sigmoid_forward():
     # numerically stable at extremes
     big = ad.sigmoid(Tensor(np.array([-1e4, 1e4]))).data
     assert np.all(np.isfinite(big)) and big[0] == 0.0 and big[1] == 1.0
+
+
+def test_relu_equals_select_bit_for_bit():
+    """``relu``'s output and gradient have the bits of ``np.where(x > 0, x,
+    0.0)`` and ``g * (x > 0)``: NaN and -0.0 give +0.0, at every length
+    (vector loop and scalar tail) and on a strided input. Its closure keeps
+    the node's own output and no mask."""
+    rng = _rng(21)
+    for n in list(range(1, 40)) + [1000]:
+        for x in (_with_specials(rng, n), _with_specials(rng, (n, 3))[:, 1]):
+            g = _with_specials(rng, n)
+            out = ad.relu(Tensor(x))
+            with np.errstate(invalid="ignore"):         # inf * 0 in g * mask
+                ref_out, ref_gx = relu_reference(x, g)
+                gx = out._backward(g)[0]
+            assert same_bits(out.data, ref_out), n
+            assert same_bits(gx, ref_gx), n
+            assert all(a is out.data for a in closure_arrays(out._backward))
 
 
 def test_sigmoid_equals_two_branch_formula_bit_for_bit():
@@ -292,6 +329,40 @@ def test_conv_workers_match_references(monkeypatch, shape, n):
         assert np.array_equal(gw, ref_gw), workers
 
 
+@pytest.mark.parametrize("n", [1, 5, 64])
+@pytest.mark.parametrize("shape", HOST_CONVS)
+def test_conv_bias_matches_add_of_reshaped_bias(monkeypatch, shape, n):
+    """``conv2d(..., bias=b)`` on 1, 2 or 3 workers keeps the bits of
+    ``add(conv2d(...), reshape(b, (1, -1, 1, 1)))``: forward with and
+    without a tape, and the gradients of input, kernel and bias."""
+    c, h, o, k, stride, pad = shape
+    rng = _rng(22)
+    x = rng.normal(size=(n, c, h, h))
+    w = rng.normal(size=(o, c, k, k))
+    b = rng.normal(size=o)
+    oh = (h + 2 * pad - k) // stride + 1
+    g = rng.normal(size=(n, o, oh, oh))
+    for workers in (1, 2, 3):
+        with conv_workers(monkeypatch, workers):
+            ref, ref_grads = conv2d_add_bias_reference(x, w, b, g, stride, pad)
+            out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad, bias=Tensor(b))
+            grads = out._backward(g)
+            with ad.no_grad():
+                untaped = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad,
+                                    bias=Tensor(b))
+        assert same_bits(out.data, ref), workers
+        assert same_bits(untaped.data, ref), workers
+        assert len(grads) == 3
+        for got, want in zip(grads, ref_grads):
+            assert same_bits(got, want), workers
+
+
+def test_conv_bias_shape_checked():
+    with pytest.raises(DimensionError):
+        ad.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((2, 1, 3, 3))),
+                  bias=Tensor(np.zeros(3)))
+
+
 def test_conv_chunk_split_covers_batch_in_equal_chunks(monkeypatch):
     """Contiguous, near-equal sample ranges, one per worker that gets a full
     chunk's columns and 32 samples, and one chunk size whose columns fit
@@ -427,6 +498,14 @@ def test_tape_holds_no_columns_or_padded_copies(small_cnn):
     assert convs > 0
 
 
+def test_cnn_tape_outputs_stay_under_120_mib(small_cnn):
+    """A batch-64 taped forward of the default CNN with its head losses keeps
+    under 120 MiB of node outputs (146.7 MiB when each conv's bias was a
+    separate ``add`` of a ``reshape``)."""
+    loss, _ = _cnn_tape(small_cnn, 64, seed=15)
+    assert tape_output_mib(loss) < 120
+
+
 def test_sweep_releases_consumed_adjoints(small_cnn):
     """After ``_adjoints`` every node whose closure ran is still a key (the
     sweep counter of ``perfbench`` reads ``key in adj``) with its entry set to
@@ -520,6 +599,29 @@ def test_embedding_and_masked_mean_gradcheck():
     check_grads(f, [table], tol=1e-4)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_softmax_last_equals_last_axis_max_bit_for_bit(seed):
+    """The row max over a class-first copy gives the bits of the last-axis
+    max formula, forward and backward, on attention scores with padded keys
+    and on logits, with NaN, infinities and signed zeros in the rows."""
+    rng = _rng(24 + seed)
+    pad = rng.random((64, 1, 1, 16)) < 0.25
+    pad[:, ..., 0] = False                      # no sequence is all padding
+    mask = np.where(pad, -1e9, 0.0)
+    for z, m in ((_with_specials(rng, (64, 4, 16, 16), 0.01), mask),
+                 (_with_specials(rng, (64, 4, 16, 16), 0.01), None),
+                 (np.where(rng.random((64, 4, 16, 16)) < 0.5, -0.0, 0.0), mask),
+                 (_with_specials(rng, (128, 4), 0.1), None)):
+        g = rng.normal(size=z.shape)
+        with np.errstate(invalid="ignore"):             # inf - inf
+            out = ad.softmax_last(Tensor(z), additive_mask=m)
+            ref = softmax_last_reference(z + m if m is not None else z)
+            gx = out._backward(g)[0]
+            ref_gx = ref * (g - (g * ref).sum(axis=-1, keepdims=True))
+        assert same_bits(out.data, ref)
+        assert same_bits(gx, ref_gx)
+
+
 def test_softmax_last_gradcheck():
     rng = _rng(13)
     x = rng_tensor(rng, (2, 3, 4), 1.0)
@@ -531,6 +633,28 @@ def test_softmax_last_gradcheck():
                                   Tensor(np.arange(4.0))))
 
     check_grads(f, [x], tol=1e-4)
+
+
+# (input, output) extents: the CNN host's factors (up 8, 4, 2 and 1, and down
+# 2 for the carry), a non-integer resize each way and a single pixel
+RESIZES = [((4, 4), (32, 32)), ((4, 4), (16, 16)), ((4, 4), (8, 8)), ((4, 4), (4, 4)),
+           ((16, 16), (8, 8)), ((8, 8), (4, 4)), ((3, 3), (5, 5)), ((5, 5), (3, 3)),
+           ((3, 5), (5, 3)), ((1, 1), (3, 3))]
+
+
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("src, dst", RESIZES)
+def test_nearest_resize_backward_matches_add_at(n, src, dst):
+    """The resize gradient has the bits of ``np.add.at`` from zeros: the
+    same sums in the same order, signed zeros, infinities and NaN included."""
+    rng = _rng(23)
+    x = Tensor(rng.normal(size=(n, 8) + src))
+    out = ad.nearest_resize(x, dst)
+    g = _with_specials(rng, out.shape, share=0.05)
+    with np.errstate(invalid="ignore"):                 # inf + -inf
+        assert same_bits(out._backward(g)[0], nearest_resize_grad_reference(x.shape, g))
+    zeros = np.where(rng.random(out.shape) < 0.5, -0.0, 0.0)
+    assert same_bits(out._backward(zeros)[0], nearest_resize_grad_reference(x.shape, zeros))
 
 
 def test_nearest_resize_gradcheck():

@@ -21,7 +21,7 @@ from mhexlab.models import (EpochLog, ResNetConfig, ResNetModel, TransformerConf
                             count_mhex_params, head_accuracies, load_checkpoint,
                             save_checkpoint, strip_mhex, train)
 
-from helpers import (as_format_v1, checkpoint_with_config, checkpoint_with_value,
+from helpers import (as_format_v1, as_format_v2, checkpoint_with_config, checkpoint_with_value,
                      conv_workers, count_calls, peak_mb, reseal)
 
 
@@ -409,7 +409,7 @@ def test_checkpoint_truncated(tmp_path, small_cnn):
 
 
 @pytest.mark.parametrize("fmt, cut, what", [
-    ("v2", 9, "version"), ("v2", 11, "version"),
+    ("v3", 10, "version"), ("v2", 9, "version"), ("v2", 11, "version"),
     ("v1", 14, "config length"), ("v1", 60, "config"), ("v1", -1, "data for mhex3.proj_carry"),
 ])
 def test_checkpoint_truncated_field(tmp_path, small_cnn, fmt, cut, what):
@@ -417,9 +417,7 @@ def test_checkpoint_truncated_field(tmp_path, small_cnn, fmt, cut, what):
     no checksum to fail first) cut inside a field, names the field."""
     p = tmp_path / "m.ckpt"
     save_checkpoint(small_cnn, p)
-    data = p.read_bytes()
-    if fmt == "v1":
-        data = as_format_v1(data)
+    data = {"v3": bytes, "v2": as_format_v2, "v1": as_format_v1}[fmt](p.read_bytes())
     p.write_bytes(data[:cut])
     with pytest.raises(CheckpointFormatError, match=f"truncated checkpoint while reading {what}$"):
         load_checkpoint(p)
@@ -443,7 +441,7 @@ def test_checkpoint_shape_mismatch(tmp_path, small_cnn):
     import struct
     magic_len = 8
     (cfg_len,) = struct.unpack_from("<I", data, magic_len + 4)
-    off = magic_len + 4 + 4 + cfg_len + 4 + 4   # + seed + tensor count
+    off = magic_len + 4 + 4 + cfg_len + 8 + 4   # + seed + tensor count
     (name_len,) = struct.unpack_from("<H", data, off)
     dim_off = off + 2 + name_len + 1
     bad = bytearray(data)
@@ -529,7 +527,7 @@ def test_checkpoint_non_finite_tensor_rejected(tmp_path, small_transformer, valu
 
 
 def _header_bits(model, data):
-    """Bit count of a v2 file's magic, version, config, seed and shape
+    """Bit count of a v3 file's magic, version, config, seed and shape
     table: all but the tensor data and the checksum."""
     return 8 * (len(data) - 4 - 8 * sum(t.data.size for t in model.params.values()))
 
@@ -607,6 +605,41 @@ def test_checkpoint_format_v1_still_loads(tmp_path, request, host):
         assert np.array_equal(t.data, twin.params[name].data), name
     p.write_bytes(v1 + b"\x00" * 4)
     with pytest.raises(CheckpointFormatError, match="trailing"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("host", ["resnet", "transformer"])
+def test_checkpoint_roundtrip_keeps_a_seed_above_32_bits(tmp_path, host):
+    """A host built with seed 2**40 + 5 reloads with that seed, not with its
+    low 32 bits (5), and with equal parameters."""
+    seed = 2 ** 40 + 5
+    model = (ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=seed)
+             if host == "resnet" else
+             TransformerModel(TransformerConfig(d_model=8, n_heads=2, n_layers=2), seed=seed))
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    twin = load_checkpoint(p)
+    assert twin.seed == seed
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, twin.params[name].data), name
+
+
+@pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
+def test_checkpoint_format_v2_still_loads(tmp_path, request, host):
+    """A file in the format-v2 layout (a 4-byte seed) loads to the same
+    config, seed and parameters, and its checksum is still checked."""
+    model = request.getfixturevalue(host)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    v2 = as_format_v2(p.read_bytes())
+    assert v2[8:12] == b"\x02\x00\x00\x00"
+    p.write_bytes(v2)
+    twin = load_checkpoint(p)
+    assert twin.cfg == model.cfg and twin.seed == model.seed
+    for name, t in model.params.items():
+        assert np.array_equal(t.data, twin.params[name].data), name
+    p.write_bytes(v2[:-1] + bytes([v2[-1] ^ 1]))
+    with pytest.raises(CheckpointFormatError, match="checksum"):
         load_checkpoint(p)
 
 
