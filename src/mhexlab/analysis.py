@@ -80,7 +80,7 @@ def _gradient_pair(model, rec, label, site, linear_class=None):
     w1 = model.mhex_params(site).w1
     loss_own = _head_loss(rec, site, label, linear_class)
     loss_next = _head_loss(rec, site + 1, label, linear_class)
-    return ad.grad_wrt(loss_own, w1).data, ad.grad_wrt(loss_next, w1).data
+    return ad.grad_wrt(loss_own, w1), ad.grad_wrt(loss_next, w1)
 
 
 def site_gradient_pair(model, x, label, site, site_mask=None, linear_class=None):
@@ -93,7 +93,9 @@ def site_gradient_pair(model, x, label, site, site_mask=None, linear_class=None)
     the additivity oracle.
     """
     _check_successor(model, site)
-    rec = model.forward_collect(x, site_mask=(site, site_mask) if site_mask is not None else None)
+    with ad.no_grad():      # no backbone node leads to an explainer parameter
+        backbone = model._backbone(x)
+    rec = model.side_chain(backbone, (site, site_mask) if site_mask is not None else None)
     return _gradient_pair(model, rec, label, site, linear_class)
 
 
@@ -108,13 +110,15 @@ def blockwise_quality(model, x, label, grid=7, site=0):
     """Per-cell collaboration cosine with the block input masked to the
     cell's region, as a (grid, grid) map.
 
-    The backbone runs once; each cell replays the side chain up to block ``site + 1``."""
+    The backbone runs once, without a tape; each cell replays the side chain
+    up to block ``site + 1``."""
     if getattr(model, "kind", None) != "resnet":
         raise ContractError("blockwise_quality supports only the CNN host")
     if grid < 1:
         raise ConfigurationError("grid must be >= 1")
     _check_successor(model, site)
-    backbone = model._backbone(x)
+    with ad.no_grad():
+        backbone = model._backbone(x)
     # the site's block input has the shape of its backbone activation
     h, w = backbone[0][model.sites[site]].data.shape[-2:]
     if grid > min(h, w):
@@ -239,9 +243,10 @@ def check_collab_inputs(model, dataset):
 
 def collect_collab_records(model, dataset, n_samples=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
-    measured sites, the last three that have a successor. One taped forward
-    per sample feeds the default-filter map, ``p_orig`` and the gradient
-    pairs; only the soft-masked copy needs a second forward."""
+    measured sites, the last three that have a successor. One forward per
+    sample, whose side chain alone records a tape, feeds the default-filter
+    map, ``p_orig`` and the gradient pairs; only the soft-masked copy needs
+    a second forward."""
     check_collab_inputs(model, dataset)
     sites = list(range(len(model.sites) - 1))[-3:]
     if not sites:
@@ -253,7 +258,9 @@ def collect_collab_records(model, dataset, n_samples=None):
     for i in range(n):
         image = dataset.images[i]
         label = int(dataset.labels[i])
-        fwd = model.forward_collect(image)
+        with ad.no_grad():
+            backbone = model._backbone(image)
+        fwd = model.side_chain(backbone)
         cam = sal_mod.resize_map(sal_mod.image_map(model, fwd, label).grid,
                                  image.shape[-2:])
         p_orig = float(ad.softmax_last(fwd.final_logits).data[0, label])

@@ -2,15 +2,15 @@
 
 A ``Tensor`` wraps an ndarray together with backward closures; the recorded
 forward graph (the tape) is the DAG of parent links. The graph is retained
-after backward passes so several losses from one forward pass can each be
+after a sweep, so several losses from one forward pass can each be
 differentiated with respect to the same parameter (``grad_wrt``).
 
-``backward`` sweeps every node that leads to the loss. A single-target
-gradient (``grad_wrt``, ``adjoint``) sweeps only the nodes that both
-descend from the target and lead to the loss (activity analysis, as in
-Griewank & Walther, *Evaluating Derivatives*, 2008); every other node's
-adjoint cannot reach the target. The result is bit-identical to the full
-sweep's, because the same adjoints are summed in the same order.
+Gradients are returned, not stored: ``backward`` gives every
+``requires_grad`` tensor's, ``grad_wrt`` one parameter's. Each sweeps only
+the nodes that descend from such a tensor and lead to the loss (activity
+analysis, as in Griewank & Walther, *Evaluating Derivatives*, 2008), so a
+frozen parameter or the input gets no adjoint. The result is bit-identical
+to a full sweep's, because the same adjoints are summed in the same order.
 
 The tape holds the activations and little else. ``conv2d`` builds its
 im2col columns in chunks of samples of at most ``_COLS_BYTES`` and rebuilds
@@ -89,16 +89,15 @@ def no_grad():
 class Tensor:
     """Node of the differentiation tape.
 
-    ``data`` is always float64. ``grad`` stays ``None`` until ``backward``
-    populates it; repeated backward calls accumulate. Under ``no_grad`` the
-    parents and the backward closure are dropped here, for every primitive.
+    ``data`` is always float64; ``requires_grad`` asks ``backward`` for the
+    tensor's gradient. Under ``no_grad`` the parents and the backward closure
+    are dropped here, for every primitive.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(_parents) if _recording else ()
         self._backward = _backward if _recording else None
@@ -601,75 +600,63 @@ def _topo_order(root):
     return order  # parents before children
 
 
-def _reverse(loss, order, marked=None):
-    """Reverse loop over ``order`` (parents before children); with
-    ``marked`` (a set of ids), adjoints flow only into marked parents.
+def _path(order, marked):
+    """The nodes of ``order`` (parents before children) that descend from a
+    node in ``marked``, a set of ids that gains each of theirs. Every child
+    of a path node that leads to the loss is on the path too."""
+    path = []
+    for node in order:
+        if any(id(p) in marked for p in node._parents):
+            marked.add(id(node))
+            path.append(node)
+    return path
+
+
+def _reverse(loss, path, marked):
+    """Reverse loop over ``path`` (see ``_path``); adjoints flow only into
+    marked parents, and reach every path node before its closure runs.
 
     Once a node's closure has run, its entry is set to ``None``: every
     child has already added to it, so nothing reads it again. The key stays,
-    and so do the adjoints of nodes without a closure (leaves such as
-    parameters, and the target of ``adjoint``, which is not swept)."""
+    and so do the adjoints of the marked leaves, which are not swept."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     adj = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = adj.get(id(node))
-        if g is None or node._backward is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+    for node in reversed(path):
+        for parent, pg in zip(node._parents, node._backward(adj[id(node)])):
             key = id(parent)
-            if pg is None or (marked is not None and key not in marked):
-                continue
-            if key in adj:
-                adj[key] = adj[key] + pg
-            else:
-                adj[key] = pg
+            if key in marked:
+                adj[key] = adj[key] + pg if key in adj else pg
         adj[id(node)] = None
     return adj
 
 
 def _adjoints(loss):
-    """Full reverse sweep; returns ({id(tensor): adjoint ndarray}, order)
-    without touching any ``.grad`` buffer."""
+    """Sweep of the nodes between every ``requires_grad`` tensor and
+    ``loss``; returns ({id(tensor): adjoint ndarray}, order), ``order``
+    holding every node that ``loss`` depends on, parents before children."""
     order = _topo_order(loss)
-    return _reverse(loss, order), order
-
-
-def adjoint(loss, target):
-    """d(loss)/d(target) as an ndarray, or ``None`` when ``target`` does not
-    influence ``loss``. ``target`` may be any node on the tape.
-
-    Only the descendants of ``target`` are swept. Every child that adds to a
-    descendant's adjoint is itself a descendant, and the loop keeps the full
-    sweep's order, so the result equals the full sweep's bit for bit.
-    """
-    marked = {id(target)}
-    path = []
-    for node in _topo_order(loss):
-        if any(id(p) in marked for p in node._parents):
-            marked.add(id(node))
-            path.append(node)
-    return _reverse(loss, path, marked).get(id(target))
+    marked = {id(t) for t in order if t.requires_grad}
+    return _reverse(loss, _path(order, marked), marked), order
 
 
 def backward(loss):
-    """Populate ``.grad`` of every requires_grad tensor reachable from
-    ``loss`` (accumulating on repeated calls). The graph is retained."""
+    """``{tensor: d(loss)/d(tensor)}`` for every ``requires_grad`` tensor
+    that ``loss`` depends on. The arrays are the sweep's own, and one array
+    may serve two tensors, so callers must not write into them. The graph
+    is retained."""
     adj, order = _adjoints(loss)
-    for node in order:
-        if node.requires_grad and id(node) in adj:
-            g = adj[id(node)]
-            node.grad = g.copy() if node.grad is None else node.grad + g
+    return {t: adj[id(t)] for t in order if t.requires_grad}
 
 
 def grad_wrt(loss, param):
-    """d(loss)/d(param) without disturbing pending ``.grad`` buffers.
+    """d(loss)/d(param) as an ndarray (not to be written into, as in
+    ``backward``), zeros when ``loss`` does not depend on ``param``.
 
-    Sweeps only the nodes between ``param`` and ``loss`` (see ``adjoint``);
-    the result is bit-identical to the full sweep's. Returns a zero tensor
-    when ``param`` does not influence ``loss``.
-    """
+    Sweeps only the nodes between ``param`` and ``loss``, so a sweep for an
+    explainer parameter visits no backbone node."""
     if not isinstance(param, Tensor) or not param.requires_grad:
         raise ContractError("grad_wrt: param is not a differentiable tensor on the tape")
-    g = adjoint(loss, param)
-    return Tensor(np.zeros_like(param.data) if g is None else g)
+    marked = {id(param)}
+    g = _reverse(loss, _path(_topo_order(loss), marked), marked).get(id(param))
+    return np.zeros_like(param.data) if g is None else g

@@ -15,6 +15,9 @@ its activations; ``forward_collect`` is the two in turn. Because the backbone ne
 on the side chain, one backbone result can feed several side-chain passes
 (the block-wise analysis replays it once per masked cell), and a gradient
 sweep for an explainer parameter never visits a backbone node.
+
+``train`` is the only caller that tapes a backbone; the analysis tapes only
+the side chain, and Grad-CAM differentiates the CNN's ``_head`` alone.
 """
 
 from __future__ import annotations
@@ -293,10 +296,14 @@ class ResNetModel(_Host):
             skip = ad.conv2d(h, p[f"block{b}.proj"], stride=stride, pad=0) if has_proj else h
             h = ad.relu(ad.add(skip, y))
             acts.append(h)
-        pooled = ad.global_avg_pool(h)                      # (N, C_last)
-        logits = ad.add(ad.matmul(pooled, ad.transpose(p["head.w"], (1, 0))),
-                        ad.reshape(p["head.b"], (1, -1)))
-        return acts, h, logits, None
+        return acts, h, self._head(h), None
+
+    def _head(self, feats):
+        """Logits of the final features: the global pool and the linear head."""
+        p = self.params
+        pooled = ad.global_avg_pool(feats)                  # (N, C_last)
+        return ad.add(ad.matmul(pooled, ad.transpose(p["head.w"], (1, 0))),
+                      ad.reshape(p["head.b"], (1, -1)))
 
     def forward_logits(self, x):
         """Backbone-only forward; what the host computes with every explainer
@@ -496,8 +503,8 @@ def head_accuracies(model, dataset):
 def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
           batch_size=64, eval_accuracy=True):
     """Minimize the combined head loss with a constant-rate AdamW-style
-    update and return one ``EpochLog`` per epoch. Deterministic for fixed
-    (seed, config, dataset)."""
+    update of every tensor with ``requires_grad`` and return one
+    ``EpochLog`` per epoch. Deterministic for fixed (seed, config, dataset)."""
     if len(dataset) == 0:
         raise ContractError("train: dataset is empty")
     if batch_size < 1:
@@ -505,8 +512,8 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
     xs, ys = _dataset_arrays(dataset)
     n = len(ys)
     beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
-    m = {k: np.zeros_like(t.data) for k, t in model.params.items()}
-    v = {k: np.zeros_like(t.data) for k, t in model.params.items()}
+    m = {t: np.zeros_like(t.data) for t in model.params.values() if t.requires_grad}
+    v = {t: np.zeros_like(t.data) for t in m}
     step = 0
     log = []
     for epoch in range(epochs):
@@ -518,21 +525,18 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
             loss = mhex_loss(rec.head_logits(), ys[idx], mode)
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(epoch)
-            for t in model.params.values():
-                t.grad = None
-            ad.backward(loss)
+            grads = ad.backward(loss)
             step += 1
             with np.errstate(over="ignore", invalid="ignore"):      # checked after the epoch
-                for k, t in model.params.items():
-                    g = t.grad
-                    m[k] = beta1 * m[k] + (1 - beta1) * g
-                    v[k] = beta2 * v[k] + (1 - beta2) * g * g
-                    mh = m[k] / (1 - beta1 ** step)
-                    vh = v[k] / (1 - beta2 ** step)
+                for t, g in grads.items():
+                    m[t] = beta1 * m[t] + (1 - beta1) * g
+                    v[t] = beta2 * v[t] + (1 - beta2) * g * g
+                    mh = m[t] / (1 - beta1 ** step)
+                    vh = v[t] / (1 - beta2 ** step)
                     t.data -= lr * (mh / (np.sqrt(vh) + eps) + weight_decay * t.data)
             losses.append(float(loss.data))
             # free the step's tape before the next forward or the accuracy pass
-            del rec, loss
+            del rec, loss, grads
         if not all(np.isfinite(t.data).all() for t in model.params.values()):
             raise TrainingDivergedError(epoch)      # the loss checks miss the last update
         accs = head_accuracies(model, dataset) if eval_accuracy else []

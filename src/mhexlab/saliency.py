@@ -173,8 +173,7 @@ def _site_grids(model, rec, class_ids, cfg, n_sites):
 
 
 def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None):
-    """Full image pipeline: ``image_maps`` without a Grad-CAM map, so its
-    backbone records no tape."""
+    """Full image pipeline: ``image_maps`` without a Grad-CAM map."""
     return image_maps(model, image, class_id, cfg)[0]
 
 
@@ -182,18 +181,15 @@ def image_maps(model, image, class_id, cfg: WeightFilterConfig | None = None,
                grad_cam=False):
     """The MHEX map of one ``(C, H, W)`` image, its Grad-CAM map (``None``
     unless ``grad_cam``) and its ``(n_class,)`` probabilities, all from one
-    backbone pass. Only the Grad-CAM map needs a tape, so the backbone
-    records one only then, and the side chain never does."""
+    backbone pass. Neither the backbone nor the side chain records a tape:
+    the Grad-CAM map differentiates the head alone."""
     if grad_cam:
         _check_gradcam(model, class_id)
-        backbone_out = model._backbone(image)
-    else:
-        with ad.no_grad():
-            backbone_out = model._backbone(image)
     with ad.no_grad():
+        backbone_out = model._backbone(image)
         smap = image_map(model, model.side_chain(backbone_out), class_id, cfg)
         probs = ad.softmax_last(backbone_out[2]).data[0]
-    gmap = _gradcam_map(backbone_out, class_id) if grad_cam else None
+    gmap = _gradcam_map(model, backbone_out[1], class_id) if grad_cam else None
     return smap, gmap, probs
 
 
@@ -237,7 +233,9 @@ def gradcam_baseline(model, image, class_id):
     """Gradient-weighted activation map on the last convolutional features;
     comparison plumbing, not part of the blocks' own saliency path."""
     _check_gradcam(model, class_id)
-    return _gradcam_map(model._backbone(image), class_id)
+    with ad.no_grad():
+        final_feats = model._backbone(image)[1]
+    return _gradcam_map(model, final_feats, class_id)
 
 
 def _check_gradcam(model, class_id):
@@ -246,13 +244,16 @@ def _check_gradcam(model, class_id):
     _check_class_ids(model, [class_id])
 
 
-def _gradcam_map(backbone_out, class_id):
-    """Grad-CAM of the first image of a taped ``_backbone`` result."""
-    _, final_feats, logits, _ = backbone_out
+def _gradcam_map(model, final_feats, class_id):
+    """Grad-CAM of the first image of a ``_backbone`` result's final
+    features: the class logit's gradient on them is that of the CNN's
+    ``_head``, run on a ``requires_grad`` leaf that holds them."""
+    feats = ad.Tensor(final_feats.data, requires_grad=True)
+    logits = model._head(feats)
     onehot = np.zeros(logits.data.shape)
     onehot[..., class_id] = 1.0
     target = ad.sum_axis(ad.mul(logits, onehot))
-    weights = ad.adjoint(target, final_feats)[0].mean(axis=(1, 2))
+    weights = ad.grad_wrt(target, feats)[0].mean(axis=(1, 2))
     raw = np.maximum(cam_layer(weights, final_feats.data[0]), 0.0)
     return SaliencyMap(class_id=class_id, grid=normalize_map(raw), raw=raw,
                        layer_grids=[raw])

@@ -60,7 +60,7 @@ def numeric_grad(f, params, eps=1e-6):
 
 def analytic_grads(f, params):
     loss = f()
-    return [grad_wrt(loss, p).data for p in params]
+    return [grad_wrt(loss, p) for p in params]
 
 
 def rel_err(a, b):
@@ -140,7 +140,7 @@ def conv2d_add_bias_reference(x, w, b, g, stride, pad):
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
     out = ad.add(ad.conv2d(xt, wt, stride=stride, pad=pad), ad.reshape(bt, (1, -1, 1, 1)))
     loss = ad.sum_axis(ad.mul(out, Tensor(g)))
-    return out.data, [ad.adjoint(loss, t) for t in (xt, wt, bt)]
+    return out.data, [grad_wrt(loss, t) for t in (xt, wt, bt)]
 
 
 def relu_reference(x, g):

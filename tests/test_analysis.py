@@ -12,7 +12,7 @@ from mhexlab import autodiff as ad
 from mhexlab.errors import (ConfigurationError, ContractError,
                             UndefinedCorrelationError)
 
-from helpers import count_calls
+from helpers import adjoints_reference, count_calls
 
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_special = pytest.importorskip("scipy.special")
@@ -213,8 +213,8 @@ def _host_sample(model, seed):
 
 @pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
 def test_grad_wrt_equals_full_sweep(host, request):
-    """The targeted sweep gives the full sweep's adjoint bit for bit: own
-    head, next head, and with a masked cell."""
+    """The targeted sweep gives the adjoint of a full sweep that keeps every
+    adjoint, bit for bit: own head, next head, and with a masked cell."""
     model = request.getfixturevalue(host)
     x, label, mask = _host_sample(model, seed=40)
     w1 = model.params["mhex0.w1"]
@@ -222,13 +222,13 @@ def test_grad_wrt_equals_full_sweep(host, request):
         rec = model.forward_collect(x, site_mask=site_mask)
         for head in (0, 1):
             loss = A._head_loss(rec, head, label)
-            full, _ = ad._adjoints(loss)
-            assert np.array_equal(ad.grad_wrt(loss, w1).data, full[id(w1)])
+            full = adjoints_reference(loss)
+            assert np.array_equal(ad.grad_wrt(loss, w1), full[id(w1)])
 
 
 def test_grad_wrt_skips_backbone(small_cnn, monkeypatch):
     """The own-head gradient of mhex0.w1 runs no backward closure of a
-    backbone conv2d node; the full sweep runs them."""
+    backbone conv2d node; the sweep for every parameter runs them."""
     made = set()
     conv = ad.conv2d
 

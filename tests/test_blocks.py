@@ -93,8 +93,8 @@ def test_shared_w1_receives_both_gradient_paths():
     out = run_block(x, xg, p)
     gate_loss = mean_all(out.x_att)
     ds_loss = ad.softmax_cross_entropy(out.ds_logits, [0, 1])
-    g_gate = ad.grad_wrt(gate_loss, p.w1).data
-    g_ds = ad.grad_wrt(ds_loss, p.w1).data
+    g_gate = ad.grad_wrt(gate_loss, p.w1)
+    g_ds = ad.grad_wrt(ds_loss, p.w1)
     assert np.linalg.norm(g_gate) > 0 and np.linalg.norm(g_ds) > 0
 
 

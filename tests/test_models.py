@@ -22,7 +22,7 @@ from mhexlab.models import (EpochLog, ResNetConfig, ResNetModel, TransformerConf
                             save_checkpoint, strip_mhex, train)
 
 from helpers import (as_format_v1, as_format_v2, checkpoint_with_config, checkpoint_with_value,
-                     conv_workers, count_calls, peak_mb, reseal)
+                     conv_workers, count_calls, peak_mb, reseal, same_bits)
 
 
 def test_resnet_config_validation():
@@ -170,9 +170,9 @@ def test_side_chain_couples_consecutive_heads(small_cnn):
     w1 = small_cnn.params["mhex0.w1"]
     next_loss = ad.softmax_cross_entropy(rec.site_outputs[1].ds_logits,
                                          ds.labels[:1])
-    assert np.linalg.norm(ad.grad_wrt(next_loss, w1).data) > 0
+    assert np.linalg.norm(ad.grad_wrt(next_loss, w1)) > 0
     final_loss = ad.softmax_cross_entropy(rec.final_logits, ds.labels[:1])
-    assert np.all(ad.grad_wrt(final_loss, w1).data == 0)
+    assert np.all(ad.grad_wrt(final_loss, w1) == 0)
 
 
 def test_training_determinism():
@@ -267,8 +267,9 @@ def test_no_grad_forward_holds_no_tape(request, host):
 
 
 def test_forward_only_callers_record_no_tape(monkeypatch, small_cnn, small_transformer):
-    """Each forward-only caller runs its backbone under ``no_grad``; the
-    gradient callers keep the tape."""
+    """Each forward-only caller runs its backbone under ``no_grad``, and so
+    does Grad-CAM, which differentiates the head alone; ``forward_collect``,
+    which ``train`` calls, keeps the tape."""
     taped = []
     for m in (small_cnn, small_transformer):
         def backbone(x, _orig=m._backbone):
@@ -283,10 +284,11 @@ def test_forward_only_callers_record_no_tape(monkeypatch, small_cnn, small_trans
     small_transformer.predict_proba(tokens.ids)
     mx.saliency.explain_tokens(small_transformer, tokens.ids[0], 0)
     head_accuracies(small_transformer, tokens)
-    assert taped == [False] * 6
     mx.saliency.gradcam_baseline(small_cnn, shapes.images[0], 0)
+    assert taped == [False] * 7
+    small_cnn.forward_collect(shapes.images)
     small_transformer.forward_collect(tokens.ids)
-    assert taped[6:] == [True, True]
+    assert taped[7:] == [True, True]
 
 
 def test_head_accuracies_peak_below_quarter_of_taped_forward(small_cnn):
@@ -331,6 +333,37 @@ def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):
     monkeypatch.setattr(models_mod, "head_accuracies", counting)
     train(m, ds, epochs=2, lr=1e-3, batch_size=8)
     assert live == [0, 0]
+
+
+def test_train_on_a_frozen_backbone_sweeps_only_the_side_chain(monkeypatch):
+    """With ``requires_grad=False`` on every tensor outside the explainer,
+    one ``train`` epoch leaves the backbone's bits alone and moves every
+    ``mhex*`` tensor, and no node of a step's backbone tape (its input and
+    parameters included) gets an adjoint: only side-chain closures run."""
+    ds = mx.gen_shapes(16, seed=18)
+    m = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=5)
+    before = {name: t.data.copy() for name, t in m.params.items()}
+    for name, t in m.params.items():
+        t.requires_grad = name.startswith("mhex")
+    tape, reached = [], []
+    backbone, adjoints = m._backbone, ad._adjoints
+
+    def taping(x):
+        out = backbone(x)
+        tape[:] = [n for t in out[0] + [out[2]] for n in ad._topo_order(t)]
+        return out
+
+    def sweeping(loss):
+        adj, order = adjoints(loss)
+        reached.append(sum(id(n) in adj for n in tape))
+        return adj, order
+
+    monkeypatch.setitem(vars(m), "_backbone", taping)
+    monkeypatch.setattr(ad, "_adjoints", sweeping)
+    train(m, ds, epochs=1, lr=1e-3, batch_size=8, eval_accuracy=False)
+    assert reached == [0, 0] and len(tape) > 20
+    for name, t in m.params.items():
+        assert same_bits(t.data, before[name]) != name.startswith("mhex"), name
 
 
 def test_batch1_forward_stays_on_calling_thread(monkeypatch, small_cnn, small_transformer):
