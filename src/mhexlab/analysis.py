@@ -5,7 +5,9 @@ explanation-quality maps, and the ReLU entropy-reduction check.
 For a block l with a successor, two gradients of the shared channel mixer
 w1 are compared: the one contributed by block l's own supervision loss and
 the one arriving from block l+1's loss through the gated side chain. Their
-cosine is the collaboration strength.
+cosine is the collaboration strength. The block-wise map masks block l's
+input one cell at a time through ``side_chain``, the only masked replay. A
+site outside ``[0, len(sites) - 1)`` raises ``ContractError``.
 """
 
 from __future__ import annotations
@@ -61,42 +63,31 @@ def _cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + COSINE_EPS))
 
 
-def _head_loss(rec, site, label, linear_class=None):
-    logits = rec.head_logits()[site]
-    if linear_class is None:
-        return ad.softmax_cross_entropy(logits, [label])
-    onehot = np.zeros(logits.data.shape)
-    onehot[..., linear_class] = 1.0
-    return ad.sum_axis(ad.mul(logits, onehot))
+def _head_loss(rec, site, label):
+    return ad.softmax_cross_entropy(rec.head_logits()[site], [label])
 
 
 def _check_successor(model, site):
-    if site + 1 >= len(model.sites):
-        raise ContractError(f"site {site} has no successor block")
+    if not 0 <= site < len(model.sites) - 1:
+        raise ContractError(f"site {site} is not a site with a successor block")
 
 
-def _gradient_pair(model, rec, label, site, linear_class=None):
-    """``site_gradient_pair`` on an existing ``ForwardRecord``."""
+def _gradient_pair(model, rec, label, site):
+    """``site_gradient_pair`` on an existing ``ForwardRecord``, which may be
+    a masked ``side_chain`` replay."""
     w1 = model.mhex_params(site).w1
-    loss_own = _head_loss(rec, site, label, linear_class)
-    loss_next = _head_loss(rec, site + 1, label, linear_class)
+    loss_own = _head_loss(rec, site, label)
+    loss_next = _head_loss(rec, site + 1, label)
     return ad.grad_wrt(loss_own, w1), ad.grad_wrt(loss_next, w1)
 
 
-def site_gradient_pair(model, x, label, site, site_mask=None, linear_class=None):
+def site_gradient_pair(model, x, label, site):
     """Gradients of the two consecutive head losses with respect to the
-    measured block's shared mixer w1.
-
-    Returns (from_own_head, from_next_head); ``site_mask`` optionally
-    restricts the block input spatially. ``linear_class`` swaps the
-    cross-entropy for the raw class logit (linear in the features), used by
-    the additivity oracle.
-    """
+    measured block's shared mixer w1: (from_own_head, from_next_head)."""
     _check_successor(model, site)
     with ad.no_grad():      # no backbone node leads to an explainer parameter
         backbone = model._backbone(x)
-    rec = model.side_chain(backbone, (site, site_mask) if site_mask is not None else None)
-    return _gradient_pair(model, rec, label, site, linear_class)
+    return _gradient_pair(model, model.side_chain(backbone), label, site)
 
 
 def collaboration_cosine(model, x, label, site):

@@ -2,10 +2,10 @@
 the area-weighted drop and its weighting function, and insertion/deletion
 curves with trapezoidal AUC. Every metric reads the model through
 ``predict``, a callable that maps a batch to ``(B, n_class)`` probabilities
-(a host's ``predict_proba``); images are ``(C, H, W)``, maps ``(H, W)``. A
-curve predicts its steps together and ``drop_records`` an image's masked
-copies together, so a batched row may round its last bits differently from
-a batch-1 call.
+(a host's ``predict_proba``), and rejects a label outside ``[0, n_class)``;
+images are ``(C, H, W)``, maps ``(H, W)``. A curve predicts its steps
+together and ``drop_records`` an image's masked copies together, so a
+batched row may round its last bits differently from a batch-1 call.
 """
 
 from __future__ import annotations
@@ -89,11 +89,20 @@ def saliency_area(cam):
 # drop metrics
 
 
+def _predict(predict, batch, labels):
+    """``predict(batch)`` as floats, with every label checked against its columns."""
+    p = np.asarray(predict(batch), dtype=np.float64)
+    for c in np.atleast_1d(labels):
+        if not 0 <= c < p.shape[-1]:
+            raise ConfigurationError(f"label {c} is outside [0, {p.shape[-1]})")
+    return p
+
+
 def drop_record(predict, image, label, cam, sample_id=0):
     """Confidence drop for one (C, H, W) image when its salient region is
     mean-filled (``hard_mask``)."""
     image, cam = _check_cam(image, cam)
-    p_orig = float(np.asarray(predict(image[None]), dtype=np.float64)[0, label])
+    p_orig = float(_predict(predict, image[None], label)[0, label])
     (rec,) = drop_records(predict, image, label, [cam], p_orig, sample_id)
     return rec
 
@@ -104,7 +113,7 @@ def drop_records(predict, image, label, cams, p_orig, sample_id=0):
     masked copy."""
     image = np.asarray(image, dtype=np.float64)
     masked = np.stack([hard_mask(image, cam) for cam in cams])
-    p_mask = np.asarray(predict(masked), dtype=np.float64)[:, label]
+    p_mask = _predict(predict, masked, label)[:, label]
     return [DropRecord.of(sample_id, p_orig, float(p), saliency_area(cam))
             for p, cam in zip(p_mask, cams)]
 
@@ -175,8 +184,8 @@ def _perturbation_curve(predict, image, cam, label, steps, insert):
     # one prediction per chunk of steps, so a long curve's batch stays bounded
     for lo in range(0, steps, EVAL_BATCH_SIZE):
         batch = np.where(rank < ks[lo:lo + EVAL_BATCH_SIZE, None, None], chosen, other)
-        p = predict(batch.reshape((-1,) + image.shape))
-        confidences[lo:lo + len(batch)] = np.asarray(p, dtype=np.float64)[:, label]
+        p = _predict(predict, batch.reshape((-1,) + image.shape), label)
+        confidences[lo:lo + len(batch)] = p[:, label]
     return Curve(fractions=fractions, confidences=confidences)
 
 
@@ -221,7 +230,7 @@ def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10, sample_id=0):
         order = np.argsort(-np.asarray(s.scores, dtype=np.float64), kind="stable")
         row[np.asarray(s.positions)[order[:k]]] = MASK_ID
         areas.append(k / n)
-    p = np.asarray(predict(np.concatenate([ids, masked])), dtype=np.float64)
+    p = _predict(predict, np.concatenate([ids, masked]), labels)
     p = p.reshape(2, len(ids), -1)[:, np.arange(len(ids)), labels]
     return [DropRecord.of(sample_id + b, p_orig, p_mask, areas[b])
             for b, (p_orig, p_mask) in enumerate(p.T.tolist())]

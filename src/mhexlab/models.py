@@ -8,16 +8,18 @@ leaves the host's final head bit-identical. The side chain is what lets
 the supervision loss of block l+1 exert gradients on block l's gate mixer,
 which the collaboration analysis measures.
 
-Each host's forward pass is split to match: ``_backbone(x)`` runs the host
-alone and reads no explainer parameter, and ``side_chain(backbone_out,
-site_mask)``, one loop shared by both hosts, runs the explainer blocks on
-its activations; ``forward_collect`` is the two in turn. Because the backbone never depends
-on the side chain, one backbone result can feed several side-chain passes
+One frame, ``_Host``, builds both hosts and owns their head; a host adds
+its layers and the side chain's hooks. Its forward pass is split to match:
+``_backbone(x)`` runs the host alone and reads no explainer parameter, and
+``side_chain(backbone_out, site_mask)``, the one loop of both hosts and
+the only way to mask a site, runs the explainer blocks on its activations;
+``forward_collect`` is the two in turn. As the backbone never depends on
+the side chain, one backbone result can feed several side-chain passes
 (the block-wise analysis replays it once per masked cell), and a gradient
 sweep for an explainer parameter never visits a backbone node.
 
 ``train`` is the only caller that tapes a backbone; the analysis tapes only
-the side chain, and Grad-CAM differentiates the CNN's ``_head`` alone.
+the side chain, and Grad-CAM differentiates ``_head`` alone.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .blocks import MhexParams, run_block, mhex_loss
+from .blocks import MhexParams, _pool, mhex_loss, run_block
 from .datasets import (IMAGE_SIZE, MAX_SEQ, PAD_ID, SHAPE_CLASSES,
                        TOKEN_CLASSES, VOCAB_SIZE, seeded_rng)
 from .errors import (CheckpointFormatError, CheckpointShapeError,
@@ -169,15 +171,15 @@ class _ParamStore:
 
 
 # ---------------------------------------------------------------------------
-# explainer side chain shared by both hosts
+# the frame both hosts fill in
 
 
 class _Host:
-    """Explainer parameters and the side chain, common to both hosts.
-
-    A host's ``_backbone(x)`` returns ``(acts, final_feats, logits,
-    pad_mask)`` (``pad_mask`` is ``None`` on the CNN). Three hooks fit the
-    side chain to the host's activations:
+    """The frame both hosts fill in. A host's ``_build(store)`` draws its
+    parameters in a fixed order and returns its site indices; its
+    ``_backbone(x)`` returns ``(acts, final_feats, _head(final_feats,
+    pad_mask), pad_mask)`` (``pad_mask`` is ``None`` on the CNN). Three
+    hooks fit the side chain to the host's activations:
 
     - ``_global(feats, params, x_l, pad_mask)``: the final features
       projected into site ``x_l``'s channel space, at its resolution;
@@ -186,6 +188,20 @@ class _Host:
     - ``_mask(mask, x_l)``: a checked site mask as a tensor that broadcasts
       over ``x_l``.
     """
+
+    def __init__(self, cfg, seed=0):
+        cfg.validate()
+        self.cfg = cfg
+        self.seed = seed
+        store = _ParamStore(seed)
+        self.sites = self._build(store)
+        self.params = store.params
+
+    def _head(self, feats, pad_mask=None):
+        """Logits of the final features: the gates' ``_pool``, then the linear head."""
+        p = self.params
+        return ad.add(ad.matmul(_pool(feats, pad_mask), ad.transpose(p["head.w"], (1, 0))),
+                      ad.reshape(p["head.b"], (1, -1)))
 
     def mhex_params(self, s):
         p = self.params
@@ -201,24 +217,26 @@ class _Host:
         """Explainer blocks over a ``_backbone`` result, which may be shared
         by several calls with different ``site_mask`` values.
 
-        ``site_mask`` is an optional ``(site_index, mask)`` pair; the mask
-        multiplies that site's whole effective input (activations plus
-        projected global features, values hence gradients), so per-cell
-        pooled contributions sum exactly to the unmasked ones. A masked pass
-        stops after block ``site_index + 1``, the last head that the two
-        losses read, so its record holds ``site_index + 2`` site outputs.
+        ``site_mask`` is an optional ``(site_index, mask)`` pair, with
+        ``site_index`` in ``[0, len(sites))``; the mask multiplies that
+        site's whole effective input (activations plus projected global
+        features, values hence gradients), so per-cell pooled contributions
+        sum exactly to the unmasked ones. A masked pass stops after block
+        ``site_index + 1``, the last head that the two losses read.
         """
         acts, final_feats, final_logits, pad_mask = backbone_out
         outputs = []
         carry = None
-        stop = len(self.sites) if site_mask is None else site_mask[0] + 2
-        for s, bidx in enumerate(self.sites[:stop]):
+        masked = None if site_mask is None else site_mask[0]
+        if masked is not None and not 0 <= masked < len(self.sites):
+            raise ContractError(f"masked site {masked} is outside [0, {len(self.sites)})")
+        for s, bidx in enumerate(self.sites if masked is None else self.sites[:masked + 2]):
             params = self.mhex_params(s)
             x_l = u = acts[bidx]
             xg = self._global(final_feats, params, x_l, pad_mask)
             if carry is not None:
                 u = ad.add(u, self._carry(carry, params, x_l))
-            if site_mask is not None and site_mask[0] == s:
+            if s == masked:
                 m = self._mask(np.asarray(site_mask[1], dtype=np.float64), x_l)
                 u = ad.mul(u, m)
                 xg = ad.mul(xg, m)
@@ -237,11 +255,8 @@ class ResNetModel(_Host):
     kind = "resnet"
     config_class = ResNetConfig
 
-    def __init__(self, cfg: ResNetConfig, seed=0):
-        cfg.validate()
-        self.cfg = cfg
-        self.seed = seed
-        store = _ParamStore(seed)
+    def _build(self, store):
+        cfg = self.cfg
         ch = cfg.block_channels()
         c0 = cfg.stage_channels[0]
         store.kaiming("stem.w", (c0, cfg.in_channels, 3, 3), cfg.in_channels * 9)
@@ -274,8 +289,7 @@ class ResNetModel(_Host):
             if s > 0:
                 store.kaiming(f"mhex{s}.proj_carry", (c, prev_c, 1, 1), prev_c)
             prev_c = c
-        self.params = store.params
-        self.sites = sites
+        return sites
 
     # -- forward --------------------------------------------------------
     def _backbone(self, x):
@@ -298,13 +312,6 @@ class ResNetModel(_Host):
             acts.append(h)
         return acts, h, self._head(h), None
 
-    def _head(self, feats):
-        """Logits of the final features: the global pool and the linear head."""
-        p = self.params
-        pooled = ad.global_avg_pool(feats)                  # (N, C_last)
-        return ad.add(ad.matmul(pooled, ad.transpose(p["head.w"], (1, 0))),
-                      ad.reshape(p["head.b"], (1, -1)))
-
     def forward_logits(self, x):
         """Backbone-only forward; what the host computes with every explainer
         block stripped."""
@@ -314,10 +321,8 @@ class ResNetModel(_Host):
         with ad.no_grad():
             return ad.softmax_last(self.forward_logits(x)).data
 
-    def forward_collect(self, x, site_mask=None):
-        """Instrumented forward pass; ``site_mask`` is an optional
-        ``(site_index, mask_hw)`` pair (see ``side_chain``)."""
-        return self.side_chain(self._backbone(x), site_mask)
+    def forward_collect(self, x):
+        return self.side_chain(self._backbone(x))
 
     def _global(self, feats, params, x_l, pad_mask):
         xg = ad.conv2d(feats, params.proj_global, stride=1, pad=0)
@@ -343,11 +348,8 @@ class TransformerModel(_Host):
     kind = "transformer"
     config_class = TransformerConfig
 
-    def __init__(self, cfg: TransformerConfig, seed=0):
-        cfg.validate()
-        self.cfg = cfg
-        self.seed = seed
-        store = _ParamStore(seed)
+    def _build(self, store):
+        cfg = self.cfg
         d, fd = cfg.d_model, cfg.d_model * cfg.ffn_mult
         store.uniform("embed", (cfg.vocab_size, d), scale=0.1)
         store.uniform("pos", (cfg.max_seq, d), scale=0.1)
@@ -375,8 +377,7 @@ class TransformerModel(_Host):
             store.uniform(f"mhex{s}.w1", (d, d))
             store.uniform(f"mhex{s}.w2", (cfg.n_class, d))
             store.kaiming(f"mhex{s}.proj_global", (d, d), d)
-        self.params = store.params
-        self.sites = list(range(cfg.n_layers))
+        return list(range(cfg.n_layers))
 
     # -- forward --------------------------------------------------------
     def _attention(self, x, l, add_mask):
@@ -407,8 +408,9 @@ class TransformerModel(_Host):
         pad_mask = ids == cfg.pad_id
         if pad_mask.all(axis=1).any():
             raise ContractError("a sequence consists entirely of padding")
+        if ((ids < 0) | (ids >= cfg.vocab_size)).any():
+            raise ContractError(f"a token id is outside the vocabulary [0, {cfg.vocab_size})")
         add_mask = np.where(pad_mask, -1e9, 0.0)[:, None, None, :]
-        keep = ~pad_mask
         x = ad.add(ad.embedding(p["embed"], ids),
                    ad.reshape(ad.embedding(p["pos"], np.arange(s)), (1, s, cfg.d_model)))
         acts = []
@@ -422,10 +424,7 @@ class TransformerModel(_Host):
                        ad.reshape(p[f"layer{l}.ffn_b2"], (1, 1, -1)))
             x = ad.layer_norm(ad.add(x, f), p[f"layer{l}.ln2_g"], p[f"layer{l}.ln2_b"])
         x = ad.layer_norm(x, p["final_ln_g"], p["final_ln_b"])
-        pooled = ad.masked_seq_mean(x, keep)
-        logits = ad.add(ad.matmul(pooled, ad.transpose(p["head.w"], (1, 0))),
-                        ad.reshape(p["head.b"], (1, -1)))
-        return acts, x, logits, pad_mask
+        return acts, x, self._head(x, pad_mask), pad_mask
 
     def forward_logits(self, ids):
         return self._backbone(ids)[2]
@@ -434,11 +433,11 @@ class TransformerModel(_Host):
         with ad.no_grad():
             return ad.softmax_last(self.forward_logits(ids)).data
 
-    def forward_collect(self, ids, site_mask=None):
-        return self.side_chain(self._backbone(ids), site_mask)
+    def forward_collect(self, ids):
+        return self.side_chain(self._backbone(ids))
 
     def _global(self, feats, params, x_l, pad_mask):
-        gvec = ad.matmul(ad.masked_seq_mean(feats, ~pad_mask), params.proj_global)
+        gvec = ad.matmul(_pool(feats, pad_mask), params.proj_global)
         return ad.reshape(gvec, (gvec.data.shape[0], 1, gvec.data.shape[1]))
 
     def _carry(self, carry, params, x_l):

@@ -281,6 +281,15 @@ def as_format_v1(data):
     return data[:8] + struct.pack("<I", 1) + data[12:-4]
 
 
+def class_logit(rec, head, class_id):
+    """Head ``head``'s raw logit of ``class_id``, summed over the batch, as
+    a loss: linear in the head's pooled features, unlike cross-entropy."""
+    logits = rec.head_logits()[head]
+    onehot = np.zeros(logits.data.shape)
+    onehot[..., class_id] = 1.0
+    return ad.sum_axis(ad.mul(logits, onehot))
+
+
 def count_calls(owner, name, monkeypatch):
     """List that gains one entry per call of attribute ``name`` of a class or
     module ``owner``: a class's method counts the calls of every instance

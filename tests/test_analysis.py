@@ -12,7 +12,7 @@ from mhexlab import autodiff as ad
 from mhexlab.errors import (ConfigurationError, ContractError,
                             UndefinedCorrelationError)
 
-from helpers import adjoints_reference, count_calls
+from helpers import adjoints_reference, class_logit, count_calls
 
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_special = pytest.importorskip("scipy.special")
@@ -154,11 +154,10 @@ def test_blockwise_zero_cell(small_cnn):
     epsilon-guarded zero cosine."""
     ds = mx.gen_shapes(1, seed=32)
     label = int(ds.labels[0])
-    rec = small_cnn.forward_collect(ds.images[0])
-    hw = rec.site_outputs[0].relu_features.data.shape[-2:]
-    mask = np.zeros(hw)
-    g_ds, g_ag = A.site_gradient_pair(small_cnn, ds.images[0], label, 0,
-                                      site_mask=mask)
+    backbone = small_cnn._backbone(ds.images[0])
+    mask = np.zeros(backbone[0][small_cnn.sites[0]].data.shape[-2:])
+    rec = small_cnn.side_chain(backbone, (0, mask))
+    g_ds, g_ag = A._gradient_pair(small_cnn, rec, label, 0)
     assert A._cosine(g_ag, g_ds) == 0.0
 
 
@@ -167,21 +166,24 @@ def test_blockwise_additive_for_linear_head(small_cnn):
     disjoint cells sum to the full-input gradient."""
     ds = mx.gen_shapes(1, seed=33)
     label = int(ds.labels[0])
-    rec = small_cnn.forward_collect(ds.images[0])
-    hw = rec.site_outputs[0].relu_features.data.shape[-2:]
+    backbone = small_cnn._backbone(ds.images[0])
+    hw = backbone[0][small_cnn.sites[0]].data.shape[-2:]
+    w1 = small_cnn.params["mhex0.w1"]
+
+    def own_head_grad(mask):
+        rec = small_cnn.side_chain(backbone, (0, mask))
+        return ad.grad_wrt(class_logit(rec, 0, label), w1)
+
     grid = 2
-    total = np.zeros_like(small_cnn.params["mhex0.w1"].data)
+    total = np.zeros_like(w1.data)
     rows = (np.arange(hw[0]) * grid) // hw[0]
     cols = (np.arange(hw[1]) * grid) // hw[1]
     for gi in range(grid):
         for gj in range(grid):
             mask = np.zeros(hw)
             mask[np.ix_(rows == gi, cols == gj)] = 1.0
-            g_ds, _ = A.site_gradient_pair(small_cnn, ds.images[0], label, 0,
-                                           site_mask=mask, linear_class=label)
-            total += g_ds
-    g_full, _ = A.site_gradient_pair(small_cnn, ds.images[0], label, 0,
-                                     site_mask=np.ones(hw), linear_class=label)
+            total += own_head_grad(mask)
+    g_full = own_head_grad(np.ones(hw))
     # with a constant head Jacobian the per-cell pooled contributions are
     # exactly additive, ReLU included, since ReLU(0) = 0 at masked positions
     assert np.linalg.norm(total - g_full) / max(np.linalg.norm(g_full), 1e-12) < 1e-9
@@ -218,8 +220,9 @@ def test_grad_wrt_equals_full_sweep(host, request):
     model = request.getfixturevalue(host)
     x, label, mask = _host_sample(model, seed=40)
     w1 = model.params["mhex0.w1"]
+    backbone = model._backbone(x)
     for site_mask in (None, (0, mask)):
-        rec = model.forward_collect(x, site_mask=site_mask)
+        rec = model.side_chain(backbone, site_mask)
         for head in (0, 1):
             loss = A._head_loss(rec, head, label)
             full = adjoints_reference(loss)
@@ -285,6 +288,18 @@ def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
     assert calls == []
 
 
+def test_negative_site_raises_before_forward(small_cnn, monkeypatch):
+    """Site -1 is not a site: ``collaboration_cosine`` used to end in a bare
+    ``KeyError: 'mhex-1.w1'`` after a forward, and so did the block-wise map."""
+    ds = mx.gen_shapes(1, seed=43)
+    calls = count_calls(type(small_cnn), "_backbone", monkeypatch)
+    with pytest.raises(ContractError, match="successor"):
+        A.collaboration_cosine(small_cnn, ds.images[0], 0, -1)
+    with pytest.raises(ContractError, match="successor"):
+        A.blockwise_quality(small_cnn, ds.images[0], 0, grid=1, site=-1)
+    assert calls == []
+
+
 def test_blockwise_transformer_raises_before_forward(small_transformer, monkeypatch):
     ds = mx.gen_tokens(1, seed=45)
     calls = count_calls(type(small_transformer), "_backbone", monkeypatch)
@@ -307,7 +322,8 @@ def test_blockwise_equals_per_cell_pairs(small_cnn):
         for gj in range(grid):
             mask = np.zeros((h, w))
             mask[np.ix_(rows == gi, cols == gj)] = 1.0
-            g_ds, g_ag = A.site_gradient_pair(small_cnn, x, label, site, site_mask=mask)
+            rec = small_cnn.side_chain(small_cnn._backbone(x), (site, mask))
+            g_ds, g_ag = A._gradient_pair(small_cnn, rec, label, site)
             ref[gi, gj] = A._cosine(g_ag, g_ds)
     assert np.array_equal(bq, ref)
 

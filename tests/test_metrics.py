@@ -238,6 +238,36 @@ def test_long_curve_predicts_per_chunk_as_in_one(monkeypatch, small_cnn, curve_f
     assert np.array_equal(chunked.fractions, whole.fractions)
 
 
+@pytest.mark.parametrize("bad", ["n_class", -1, -2])
+@pytest.mark.parametrize("entry", ["drop_record", "drop_records", "deletion_curve",
+                                   "insertion_curve", "token_perturb_drop"])
+def test_label_outside_predict_classes_raises(entry, bad, small_cnn, small_transformer):
+    """A label outside ``[0, n)`` of ``predict``'s ``n`` columns raises
+    ``ConfigurationError``: label ``n`` used to end in a bare ``IndexError``,
+    and a negative label scored another class."""
+    model = small_transformer if entry == "token_perturb_drop" else small_cnn
+    label = model.cfg.n_class if bad == "n_class" else bad
+    predict = model.predict_proba
+    if model.kind == "transformer":
+        td = mx.gen_tokens(2, seed=28)
+        sals = S.explain_tokens(model, td.ids, td.labels)
+
+        def call():
+            return M.token_perturb_drop(predict, td.ids, sals, [0, label])
+    else:
+        image = mx.gen_shapes(1, seed=28).images[0]
+        cam = np.zeros(image.shape[1:])
+        cam[:4, :4] = 1.0
+        call = {
+            "drop_record": lambda: M.drop_record(predict, image, label, cam),
+            "drop_records": lambda: M.drop_records(predict, image, label, [cam], 0.5),
+            "deletion_curve": lambda: M.deletion_curve(predict, image, cam, label, steps=3),
+            "insertion_curve": lambda: M.insertion_curve(predict, image, cam, label, steps=3),
+        }[entry]
+    with pytest.raises(ConfigurationError, match=f"label {label} is outside"):
+        call()
+
+
 def test_curve_contracts():
     with pytest.raises(ConfigurationError):
         M.deletion_curve(lambda x: np.ones((1, 2)), np.zeros((1, 4, 4)),

@@ -128,7 +128,7 @@ def test_masked_record_stops_after_successor(host, request):
     for s in range(n_sites):
         shape = backbone[0][model.sites[s]].data.shape
         mask = np.ones(shape[-2:] if model.kind == "resnet" else shape[1:2])
-        rec = model.forward_collect(x, site_mask=(s, mask))
+        rec = model.side_chain(backbone, (s, mask))
         assert len(rec.site_outputs) == min(s + 2, n_sites)
         for a, b in zip(rec.site_outputs, full.site_outputs):
             assert np.array_equal(a.ds_logits.data, b.ds_logits.data)
@@ -139,7 +139,7 @@ def test_transformer_site_mask_shape_contract(small_transformer, length):
     """A token site mask must hold one value per position."""
     ids = mx.gen_tokens(2, seed=5).ids
     with pytest.raises(DimensionError):
-        small_transformer.forward_collect(ids, site_mask=(1, np.ones(length)))
+        small_transformer.side_chain(small_transformer._backbone(ids), (1, np.ones(length)))
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (16,)])
@@ -147,7 +147,36 @@ def test_resnet_site_mask_shape_contract(small_cnn, shape):
     """An image site mask must match the site's (h, w) resolution."""
     x = mx.gen_shapes(1, seed=5).images
     with pytest.raises(DimensionError, match="site resolution"):
-        small_cnn.forward_collect(x, site_mask=(0, np.ones(shape)))
+        small_cnn.side_chain(small_cnn._backbone(x), (0, np.ones(shape)))
+
+
+@pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
+def test_masked_site_out_of_range_raises(host, request):
+    """A masked site must be one of the host's sites: -1 used to mask
+    nothing and return one site output, and len(sites) to mask nothing and
+    return all of them."""
+    model = request.getfixturevalue(host)
+    x = (mx.gen_shapes(1, seed=5).images if model.kind == "resnet"
+         else mx.gen_tokens(1, seed=5).ids)
+    backbone = model._backbone(x)
+    mask = np.ones(backbone[0][model.sites[0]].data.shape[-2:] if model.kind == "resnet"
+                   else x.shape[1])
+    for site in (-1, len(model.sites)):
+        with pytest.raises(ContractError, match="masked site"):
+            model.side_chain(backbone, (site, mask))
+
+
+@pytest.mark.parametrize("bad_id", [mx.datasets.VOCAB_SIZE, -1])
+def test_token_id_outside_vocabulary_raises(small_transformer, bad_id):
+    """An id outside [0, vocab_size) is refused before the embedding: the
+    vocabulary size used to end in a bare IndexError, and -1 silently
+    embedded the last token."""
+    ids = mx.gen_tokens(2, seed=5).ids.copy()
+    ids[1, 0] = bad_id
+    with pytest.raises(ContractError, match="vocabulary"):
+        small_transformer.predict_proba(ids)
+    with pytest.raises(ContractError, match="vocabulary"):
+        mx.explain_tokens(small_transformer, ids, [0, 1])
 
 
 def test_head_removal_bit_identical(small_cnn, small_transformer):
