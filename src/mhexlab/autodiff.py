@@ -1,26 +1,34 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
-A ``Tensor`` wraps an ndarray together with backward closures; the recorded
-forward graph (the tape) is the DAG of parent links. The graph is retained
-after a sweep, so several losses from one forward pass can each be
-differentiated with respect to the same parameter (``grad_wrt``).
+A ``Tensor`` holds a value (``data``) and, if an op recorded it, that op's
+tape node (``_node``): a ``_Node`` with the nodes of the op's parents and
+its backward closure, but no output. A leaf is its own node. The recorded
+forward graph (the tape) is the DAG of these nodes; it is retained after a
+sweep, so several losses from one forward pass can each be differentiated
+with respect to the same parameter (``grad_wrt``).
 
 Gradients are returned, not stored: ``backward`` gives every
-``requires_grad`` tensor's, ``grad_wrt`` one parameter's. Each sweeps only
+``requires_grad`` leaf's, ``grad_wrt`` one parameter's. Each sweeps only
 the nodes that descend from such a tensor and lead to the loss (activity
 analysis, as in Griewank & Walther, *Evaluating Derivatives*, 2008), so a
 frozen parameter or the input gets no adjoint. The result is bit-identical
 to a full sweep's, because the same adjoints are summed in the same order.
 
-The tape holds the activations and little else. ``conv2d`` builds its
-im2col columns in chunks of samples of at most ``_COLS_BYTES`` and rebuilds
-them in its backward closure instead of keeping them (the recomputation trade
-of Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016). It
-adds a layer's bias itself, so the tape keeps no unbiased copy of its output,
-and ``relu`` reads its gradient mask from its own output instead of storing
-one (no buffer that no backward reads, as in Rota Bulò et al., *In-Place
-Activated BatchNorm*, 2018). The reverse sweep drops each adjoint once the
-node's closure has consumed it.
+The tape keeps what closures read. Each closure captures the shapes and
+arrays its gradient needs, never a parent ``Tensor``, so an intermediate
+that no closure reads (a conv output that feeds ``relu`` or ``add``, an
+``add`` output that feeds ``relu``, a resize or product) is freed with its
+``Tensor`` once the next op has read it; PyTorch's autograd keeps only what
+each op saves for its backward in the same way (Paszke et al., NeurIPS
+2019). ``conv2d`` builds its im2col columns in chunks of samples of at most
+``_COLS_BYTES`` and rebuilds them in its backward closure instead of keeping
+them (the recomputation trade of Chen et al., *Training Deep Nets with
+Sublinear Memory Cost*, 2016). It adds a layer's bias itself, and computes
+no input gradient for a leaf that asks for none (the image batch); ``relu``
+reads its gradient mask from its own output instead of storing one (no
+buffer that no backward reads, as in Rota Bulò et al., *In-Place Activated
+BatchNorm*, 2018). The reverse sweep drops each adjoint once the node's
+closure has consumed it.
 
 ``conv2d`` spreads a batch's chunks over the usable CPUs (the batch split of
 Hadjis et al., *Caffe con Troll*, 2015): one contiguous range of samples per
@@ -33,9 +41,8 @@ whatever the split. A worker gets a range only if it holds a chunk's worth
 of columns and ``_SPREAD_SAMPLES`` samples; so any batch below 64, such as a
 batch-1 map or a 20-step curve, runs on the calling thread alone.
 
-Inside ``no_grad()`` nothing is recorded: a new tensor keeps no parents and
-no closure, so a forward-only pass frees each intermediate once the next op
-has read it.
+Inside ``no_grad()`` nothing is recorded: a new tensor gets no node, so
+every tensor is a leaf and no closure keeps an array alive.
 """
 
 from __future__ import annotations
@@ -86,21 +93,46 @@ def no_grad():
         _recording = prev
 
 
-class Tensor:
-    """Node of the differentiation tape.
+class _Node:
+    """One recorded op: the nodes of its parents (a leaf stands for itself)
+    and the backward closure that maps the op's output adjoint to theirs.
+    It holds no output: what a closure reads, it captures itself."""
 
-    ``data`` is always float64; ``requires_grad`` asks ``backward`` for the
-    tensor's gradient. Under ``no_grad`` the parents and the backward closure
-    are dropped here, for every primitive.
+    __slots__ = ("_parents", "_backward")
+    requires_grad = False
+
+    def __init__(self, parents, backward):
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    """A value and, if an op recorded it, the tape node that made it.
+
+    ``data`` is always float64; ``requires_grad`` asks ``backward`` for a
+    leaf's gradient. A leaf (no ``_node``) is its own node on the tape.
+    Under ``no_grad`` no node is made, for every primitive.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(_parents) if _recording else ()
-        self._backward = _backward if _recording else None
+        self._node = (_Node(tuple(p._node or p for p in _parents), _backward)
+                      if _recording and _backward is not None else None)
+
+    @property
+    def _parents(self):
+        return self._node._parents if self._node is not None else ()
+
+    @property
+    def _backward(self):
+        return self._node._backward if self._node is not None else None
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
 
     @property
     def shape(self):
@@ -134,22 +166,21 @@ def _unbroadcast(grad, shape):
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data * b.data
+    av, bv = a.data, b.data
+    out_data = av * bv
 
     def backward(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
@@ -183,23 +214,22 @@ def sigmoid(x):
 def sum_axis(x, axis=None, keepdims=False):
     x = _as_tensor(x)
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    x_shape = x.data.shape
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.data.shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x_shape).copy(),)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
 def reshape(x, shape):
     x = _as_tensor(x)
+    x_shape = x.data.shape
 
     def backward(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(x_shape),)
 
     return Tensor(x.data.reshape(shape), _parents=(x,), _backward=backward)
 
@@ -228,12 +258,13 @@ def matmul(a, b):
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     if a.data.ndim > 2 and b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise DimensionError(f"matmul leading dims differ: {a.shape} @ {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    av, bv = a.data, b.data
+    out_data = np.matmul(av, bv)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = np.matmul(g, np.swapaxes(bv, -1, -2))
+        gb = np.matmul(np.swapaxes(av, -1, -2), g)
+        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
@@ -317,7 +348,9 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
     ``x`` is (N,C,H,W); ``w`` is (O,C,kh,kw). The output extent is
     floor((H + 2*pad - kh) / stride) + 1. The bias makes the same additions
     as ``add(conv2d(x, w), reshape(bias, (1, -1, 1, 1)))`` without that
-    pair's two nodes or the tape's copy of the unbiased output.
+    pair's two nodes. If ``x`` is a leaf without ``requires_grad`` when the
+    op is recorded, the closure returns ``None`` for its gradient and skips
+    those GEMMs; the kernel and bias gradients keep their bits.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     bias = None if bias is None else _as_tensor(bias)
@@ -360,11 +393,14 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
         # curves of evaluate peaked 1.5 MB higher (glibc's heap placement)
         out_data = out_data + bias.data.reshape(o, 1)
     out_data = out_data.reshape(n, o, oh, ow)
+    input_grad = x.requires_grad or x._node is not None
+    biased = bias is not None
 
     def backward(g):
         gm = g.reshape(n, o, l)
-        gxp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad))    # before the scratch,
-        gw = np.empty(wdat.shape)                              # as in the forward
+        # what outlives the call before the scratch, as in the forward
+        gxp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad)) if input_grad else None
+        gw = np.empty(wdat.shape)
         gwn = np.empty((n, o, k))
         rows = [wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o) for i in range(kh)]
         scratch = [_scratch(size, xd.shape, pad, k, l) for _ in ranges]
@@ -377,6 +413,8 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
                 # below (einsum without optimize runs numpy's own loop, not BLAS)
                 cm = _columns(xd[a:b], kh, kw, stride, pad, xp, cols)
                 np.matmul(gm[a:b], cm.transpose(0, 2, 1), out=gwn[a:b])
+                if gxp is None:
+                    continue
                 # one GEMM per kernel row, not a cols-sized one; per tap, a
                 # 1-channel input would become a matrix-vector product that
                 # rounds differently. The spent columns' buffer takes each row.
@@ -389,8 +427,8 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
 
         _spread(task, ranges)
         gwn.sum(axis=0, out=gw.reshape(o, k))
-        gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad else gxp
-        if bias is None:
+        gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad and input_grad else gxp
+        if not biased:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
@@ -403,11 +441,12 @@ def global_avg_pool(x):
     x = _as_tensor(x)
     if x.data.ndim < 3:
         raise DimensionError(f"global_avg_pool expects >=3-D input, got {x.shape}")
-    h, w = x.data.shape[-2:]
+    x_shape = x.data.shape
+    h, w = x_shape[-2:]
     out_data = x.data.mean(axis=(-2, -1))
 
     def backward(g):
-        return (np.broadcast_to(g[..., None, None] / (h * w), x.data.shape).copy(),)
+        return (np.broadcast_to(g[..., None, None] / (h * w), x_shape).copy(),)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
@@ -421,19 +460,20 @@ def layer_norm(x, gamma=None, beta=None):
     var = np.mean(xc * xc, axis=-1, keepdims=True)     # np.var's own steps
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
-    gdat = gamma.data if gamma is not None else np.ones(d)
-    bdat = beta.data if beta is not None else np.zeros(d)
+    has_gamma, has_beta = gamma is not None, beta is not None
+    gdat = gamma.data if has_gamma else np.ones(d)
+    bdat = beta.data if has_beta else np.zeros(d)
     out_data = xhat * gdat + bdat
-    parents = [x] + ([gamma] if gamma is not None else []) + ([beta] if beta is not None else [])
+    parents = [x] + ([gamma] if has_gamma else []) + ([beta] if has_beta else [])
 
     def backward(g):
         gxhat = g * gdat
         gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
                     - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
         grads = [gx]
-        if gamma is not None:
-            grads.append((g * xhat).reshape(-1, d).sum(axis=0).reshape(gamma.data.shape))
-        if beta is not None:
+        if has_gamma:
+            grads.append((g * xhat).reshape(-1, d).sum(axis=0).reshape(gdat.shape))
+        if has_beta:
             grads.append(g.reshape(-1, d).sum(axis=0).reshape(bdat.shape))
         return tuple(grads)
 
@@ -528,14 +568,15 @@ def _resize_plan(in_hw, out_hw):
 def nearest_resize(x, out_hw):
     """Nearest-neighbor resize of the trailing two axes."""
     x = _as_tensor(x)
-    h, w = x.data.shape[-2:]
+    x_shape = x.data.shape
+    h, w = x_shape[-2:]
     h2, w2 = out_hw
     ir = (np.arange(h2) * h) // h2
     ic = (np.arange(w2) * w) // w2
     out_data = x.data[..., ir[:, None], ic[None, :]]
 
     def backward(g):
-        gx = np.zeros(x.data.shape)
+        gx = np.zeros(x_shape)
         for ik, ok in _resize_plan((h, w), (h2, w2)):
             # the output's adjoint is the first operand, as in np.add.at's
             # sum: of two NaNs, the order picks the payload that is kept
@@ -553,10 +594,11 @@ def embedding(table, ids):
     """Row lookup into ``table`` (V, D) by integer ``ids`` (any shape)."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.intp)
+    t_shape = table.data.shape
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        gt = np.zeros(t_shape)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, t_shape[1]))
         return (gt,)
 
     return Tensor(table.data[ids], _parents=(table,), _backward=backward)
@@ -582,9 +624,11 @@ def masked_seq_mean(x, keep_mask):
 # backward engine
 
 
-def _topo_order(root):
+def _topo_order(t):
+    """Every node that tensor ``t`` depends on, its own included (a leaf is
+    its own node), parents before children."""
     order, seen = [], set()
-    stack = [(root, False)]
+    stack = [(t._node or t, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -597,7 +641,7 @@ def _topo_order(root):
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    return order  # parents before children
+    return order
 
 
 def _path(order, marked):
@@ -621,7 +665,7 @@ def _reverse(loss, path, marked):
     and so do the adjoints of the marked leaves, which are not swept."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    adj = {id(loss): np.ones_like(loss.data)}
+    adj = {id(loss._node or loss): np.ones_like(loss.data)}
     for node in reversed(path):
         for parent, pg in zip(node._parents, node._backward(adj[id(node)])):
             key = id(parent)
@@ -632,19 +676,20 @@ def _reverse(loss, path, marked):
 
 
 def _adjoints(loss):
-    """Sweep of the nodes between every ``requires_grad`` tensor and
-    ``loss``; returns ({id(tensor): adjoint ndarray}, order), ``order``
-    holding every node that ``loss`` depends on, parents before children."""
+    """Sweep of the nodes between every ``requires_grad`` leaf and ``loss``;
+    returns ({id(node): adjoint ndarray}, order), ``order`` holding every
+    node that ``loss`` depends on, parents before children (a leaf is its
+    own node)."""
     order = _topo_order(loss)
     marked = {id(t) for t in order if t.requires_grad}
     return _reverse(loss, _path(order, marked), marked), order
 
 
 def backward(loss):
-    """``{tensor: d(loss)/d(tensor)}`` for every ``requires_grad`` tensor
-    that ``loss`` depends on. The arrays are the sweep's own, and one array
-    may serve two tensors, so callers must not write into them. The graph
-    is retained."""
+    """``{tensor: d(loss)/d(tensor)}`` for every ``requires_grad`` leaf that
+    ``loss`` depends on. The arrays are the sweep's own, and one array may
+    serve two tensors, so callers must not write into them. The graph is
+    retained."""
     adj, order = _adjoints(loss)
     return {t: adj[id(t)] for t in order if t.requires_grad}
 
@@ -657,6 +702,7 @@ def grad_wrt(loss, param):
     explainer parameter visits no backbone node."""
     if not isinstance(param, Tensor) or not param.requires_grad:
         raise ContractError("grad_wrt: param is not a differentiable tensor on the tape")
-    marked = {id(param)}
-    g = _reverse(loss, _path(_topo_order(loss), marked), marked).get(id(param))
+    key = id(param._node or param)
+    marked = {key}
+    g = _reverse(loss, _path(_topo_order(loss), marked), marked).get(key)
     return np.zeros_like(param.data) if g is None else g

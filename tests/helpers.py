@@ -176,16 +176,29 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def owning_buffer(a):
+    """The array that owns the memory of ``a``, a view or not."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def tape_output_mib(loss):
-    """MiB held by the outputs of the nodes with a backward closure on the
-    tape of ``loss``; leaves such as the input and parameters are not counted."""
-    return sum(n.data.nbytes for n in _topo_order(loss) if n._backward is not None) / 2**20
+    """MiB of the distinct buffers that the backward closures on the tape of
+    ``loss`` hold (see ``closure_arrays``), those of ``requires_grad`` leaves
+    (the parameters) not counted."""
+    order = _topo_order(loss)
+    params = {id(owning_buffer(t.data)) for t in order if t.requires_grad}
+    held = {id(b): b for n in order if n._backward is not None
+            for b in map(owning_buffer, closure_arrays(n._backward))}
+    return sum(b.nbytes for key, b in held.items() if key not in params) / 2**20
 
 
 def adjoints_reference(loss):
     """Every node's adjoint from a full reverse sweep that keeps all of them:
-    ``{id(tensor): ndarray}``, the sweep of ``autodiff`` without the release."""
-    adj = {id(loss): np.ones_like(loss.data)}
+    ``{id(node): ndarray}`` (a leaf is its own node, a tensor ``t`` made by an
+    op has ``t._node``), the sweep of ``autodiff`` without the release."""
+    adj = {id(loss._node or loss): np.ones_like(loss.data)}
     for node in reversed(_topo_order(loss)):
         g = adj.get(id(node))
         if g is None or node._backward is None:
@@ -199,12 +212,14 @@ def adjoints_reference(loss):
 
 def closure_arrays(fn):
     """Every ndarray that function ``fn`` holds in its closure, through the
-    functions it holds in turn (a tensor it holds is a tape node, not
-    followed)."""
+    functions it holds in turn; a tensor it holds counts with its ``data``,
+    and its parents are not followed."""
     arrays, stack = [], [fn]
     while stack:
         for cell in stack.pop().__closure__ or ():
             v = cell.cell_contents
+            if isinstance(v, Tensor):
+                v = v.data
             if isinstance(v, np.ndarray):
                 arrays.append(v)
             elif callable(v) and hasattr(v, "__closure__"):

@@ -1,6 +1,7 @@
 import os
 import signal
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from helpers import (adjoints_reference, check_grads, closure_arrays,
                      conv2d_add_bias_reference, conv2d_backward_reference,
                      conv2d_forward_reference, conv2d_weight_grad_stacked,
                      conv_workers, mean_all, nearest_resize_grad_reference,
-                     rel_err, relu_reference, rng_tensor, same_bits,
+                     owning_buffer, rel_err, relu_reference, rng_tensor, same_bits,
                      softmax_last_reference, tape_output_mib)
 
 # values whose bits a select, a max or a scatter may treat apart: NaN of
@@ -264,7 +265,7 @@ def test_conv_backward_matches_col2im(c, h, o, k, stride, pad):
     """The input gradient has the bits of the im2col reference; the weight
     gradient sums the same products in another order."""
     rng = _rng(12)
-    x = Tensor(rng.normal(size=(2, c, h, h)))
+    x = Tensor(rng.normal(size=(2, c, h, h)), requires_grad=True)
     w = Tensor(rng.normal(size=(o, c, k, k)))
     out = ad.conv2d(x, w, stride=stride, pad=pad)
     g = rng.normal(size=out.shape)
@@ -288,7 +289,7 @@ def test_conv_chunks_match_full_batch(n, shape):
     rng = _rng(14)
     x = rng.normal(size=(n, c, h, h))
     w = rng.normal(size=(o, c, k, k))
-    out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+    out = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, pad=pad)
     g = rng.normal(size=out.shape)
     gx, gw = out._backward(g)
     assert np.array_equal(out.data, conv2d_forward_reference(x, w, stride, pad))
@@ -319,7 +320,7 @@ def test_conv_workers_match_references(monkeypatch, shape, n):
     ref_gw = conv2d_weight_grad_stacked(x, w, g, stride, pad)
     for workers in (1, 2, 3):
         with conv_workers(monkeypatch, workers):
-            out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+            out = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, pad=pad)
             gx, gw = out._backward(g)
             with ad.no_grad():
                 untaped = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
@@ -345,7 +346,8 @@ def test_conv_bias_matches_add_of_reshaped_bias(monkeypatch, shape, n):
     for workers in (1, 2, 3):
         with conv_workers(monkeypatch, workers):
             ref, ref_grads = conv2d_add_bias_reference(x, w, b, g, stride, pad)
-            out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad, bias=Tensor(b))
+            out = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, pad=pad,
+                            bias=Tensor(b))
             grads = out._backward(g)
             with ad.no_grad():
                 untaped = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad,
@@ -355,6 +357,28 @@ def test_conv_bias_matches_add_of_reshaped_bias(monkeypatch, shape, n):
         assert len(grads) == 3
         for got, want in zip(grads, ref_grads):
             assert same_bits(got, want), workers
+
+
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("shape", HOST_CONVS)
+def test_conv_skips_the_gradient_of_a_leaf_that_needs_none(monkeypatch, shape, n):
+    """On an input leaf without ``requires_grad`` the closure returns no
+    input gradient, and the kernel and bias gradients keep the bits they
+    have when the input asks for one; a non-leaf input always gets one."""
+    c, h, o, k, stride, pad = shape
+    rng = _rng(25)
+    x, w, b = rng.normal(size=(n, c, h, h)), rng.normal(size=(o, c, k, k)), rng.normal(size=o)
+    oh = (h + 2 * pad - k) // stride + 1
+    g = rng.normal(size=(n, o, oh, oh))
+    with conv_workers(monkeypatch, 2):
+        want = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, pad=pad,
+                         bias=Tensor(b))._backward(g)
+        got = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad,
+                        bias=Tensor(b))._backward(g)
+        inner = ad.conv2d(ad.reshape(Tensor(x), x.shape), Tensor(w), stride=stride, pad=pad)
+        assert same_bits(inner._backward(g)[0], want[0])
+    assert got[0] is None
+    assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
 
 
 def test_conv_bias_shape_checked():
@@ -415,7 +439,7 @@ def test_threaded_conv_backward_repeats_bit_for_bit(monkeypatch):
     """Twenty backward passes of one conv on three workers, with the
     interpreter switching threads as often as it can, give the same bytes."""
     rng = _rng(18)
-    x = Tensor(rng.normal(size=(96, 8, 32, 32)))        # 32 samples a worker
+    x = Tensor(rng.normal(size=(96, 8, 32, 32)), requires_grad=True)   # 32 a worker
     w = Tensor(rng.normal(size=(16, 8, 3, 3)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -478,32 +502,96 @@ def _cnn_tape(model, n, seed):
     return mhex_loss(rec.head_logits(), ds.labels, "finetune"), backbone_out[1]
 
 
-def test_tape_holds_no_columns_or_padded_copies(small_cnn):
+PRIMITIVES = ("conv2d", "matmul", "add", "mul", "relu", "sigmoid", "layer_norm",
+              "softmax_last", "softmax_cross_entropy", "nearest_resize", "embedding",
+              "masked_seq_mean", "global_avg_pool", "reshape", "transpose", "sum_axis")
+
+
+def _noting_nodes(monkeypatch):
+    """Wrap every primitive so that each node it tapes is noted, as
+    ``{id(node): (primitive, output size, input arrays)}``; the note keeps
+    the inputs alive."""
+    made = {}
+    for name in PRIMITIVES:
+        def noting(*args, _orig=getattr(ad, name), _name=name, **kwargs):
+            out = _orig(*args, **kwargs)
+            inputs = [a.data if isinstance(a, Tensor) else a
+                      for a in list(args) + list(kwargs.values())
+                      if isinstance(a, (Tensor, np.ndarray))]
+            made[id(out._node)] = (_name, out.data.size, inputs)
+            return out
+        monkeypatch.setattr(ad, name, noting)
+    return made
+
+
+def test_tape_holds_no_columns_or_padded_copies(small_cnn, monkeypatch):
     """A conv closure holds only its input and kernel arrays themselves, so
     neither its im2col columns nor a padded copy, whatever their size; no
     other closure on a CNN tape holds an array larger than its node's inputs
     and output."""
+    made = _noting_nodes(monkeypatch)
     loss, _ = _cnn_tape(small_cnn, 4, seed=15)
+    monkeypatch.undo()
     convs = 0
     for node in ad._topo_order(loss):
         if node._backward is None:
             continue
+        name, size, inputs = made[id(node)]
         arrays = closure_arrays(node._backward)
-        if node._backward.__qualname__.startswith("conv2d."):
+        if name == "conv2d":
             convs += 1
-            assert arrays and all(any(a is p.data for p in node._parents) for a in arrays)
+            assert arrays and all(any(a is i for i in inputs) for a in arrays)
         else:
-            limit = max([node.data.size] + [p.data.size for p in node._parents])
+            limit = max([size] + [i.size for i in inputs])
             assert all(a.size <= limit for a in arrays)
     assert convs > 0
 
 
-def test_cnn_tape_outputs_stay_under_120_mib(small_cnn):
-    """A batch-64 taped forward of the default CNN with its head losses keeps
-    under 120 MiB of node outputs (146.7 MiB when each conv's bias was a
-    separate ``add`` of a ``reshape``)."""
+def test_cnn_tape_closures_hold_under_50_mib(small_cnn):
+    """The closures of a batch-64 taped forward of the default CNN with its
+    head losses hold under 50 MiB besides the parameters (112.7 MiB when a
+    node kept its output and its parents, so every output whether a closure
+    read it or not)."""
     loss, _ = _cnn_tape(small_cnn, 64, seed=15)
-    assert tape_output_mib(loss) < 120
+    assert tape_output_mib(loss) < 50
+
+
+@pytest.mark.parametrize("host, stem", [("small_cnn", "conv2d"),
+                                        ("small_transformer", "embedding")])
+def test_an_intermediate_dies_with_its_tensor(request, monkeypatch, host, stem):
+    """On a taped batch forward, the stem's output (the CNN's first conv, the
+    transformer's token embedding), which no closure reads, is freed while
+    the loss lives; no tape node holds a value of its own, and ``backward``
+    and ``grad_wrt`` give a full sweep's gradients bit for bit."""
+    model = request.getfixturevalue(host)
+    if model.kind == "resnet":
+        ds = mx.gen_shapes(8, seed=26)
+        x = ds.images
+    else:
+        ds = mx.gen_tokens(8, seed=26)
+        x = ds.ids
+    outputs = []
+
+    def noting(*args, _orig=getattr(ad, stem), **kwargs):
+        out = _orig(*args, **kwargs)
+        outputs.append(weakref.ref(owning_buffer(out.data)))
+        return out
+
+    monkeypatch.setattr(ad, stem, noting)
+    rec = model.forward_collect(x)
+    monkeypatch.undo()
+    loss = mhex_loss(rec.head_logits(), ds.labels, "finetune")
+    assert outputs and outputs[0]() is None
+    order = ad._topo_order(loss)
+    nodes = [n for n in order if isinstance(n, ad._Node)]
+    assert nodes[-1] is loss._node and not any(hasattr(n, "data") for n in nodes)
+    ref = adjoints_reference(loss)
+    params = [t for t in model.params.values() if id(t) in ref]
+    grads = backward(loss)
+    assert params and set(grads) == set(params)
+    for t in params:
+        assert same_bits(grads[t], ref[id(t)])
+        assert same_bits(grad_wrt(loss, t), ref[id(t)])
 
 
 def test_sweep_releases_consumed_adjoints(small_cnn):

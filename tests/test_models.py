@@ -320,19 +320,26 @@ def test_forward_only_callers_record_no_tape(monkeypatch, small_cnn, small_trans
     assert taped[7:] == [True, True]
 
 
-def test_head_accuracies_peak_below_quarter_of_taped_forward(small_cnn):
+def test_head_accuracies_peak_within_5_percent_of_untaped_forward(small_cnn):
     """The accuracy pass holds no tape: its tracemalloc peak on 128 images is
-    under a quarter of one taped forward of the same batch."""
+    within 5 % of one ``no_grad`` forward of the same batch (49.2 MB; a
+    taped forward peaks at 93.2 MB)."""
     ds = mx.gen_shapes(128, seed=12)
-    taped = peak_mb(lambda: small_cnn.forward_collect(ds.images))
-    untaped = peak_mb(lambda: head_accuracies(small_cnn, ds))
-    assert untaped < taped / 4, (untaped, taped)
+
+    def untaped_forward():
+        with ad.no_grad():
+            small_cnn.forward_collect(ds.images)
+
+    untaped = peak_mb(untaped_forward)
+    accuracy_pass = peak_mb(lambda: head_accuracies(small_cnn, ds))
+    assert accuracy_pass < untaped * 1.05, (accuracy_pass, untaped)
 
 
-def test_training_step_peak_below_300_mb():
-    """One taped batch-64 forward plus backward of the default CNN holds its
-    activations, not im2col columns, padded copies or consumed adjoints: its
-    tracemalloc peak is under 300 MB (574 MB when the tape kept them)."""
+def test_training_step_peak_below_100_mb():
+    """One taped batch-64 forward plus backward of the default CNN holds what
+    its closures read, not every node's output, im2col columns, padded
+    copies or consumed adjoints: its tracemalloc peak is under 100 MB (141 MB
+    when each node kept its output, 574 MB when the tape kept the rest)."""
     model = ResNetModel(ResNetConfig(), seed=3)
     ds = mx.gen_shapes(64, seed=13)
 
@@ -341,7 +348,7 @@ def test_training_step_peak_below_300_mb():
         ad.backward(mhex_loss(rec.head_logits(), ds.labels, "finetune"))
 
     peak = peak_mb(step)
-    assert peak < 300, peak
+    assert peak < 100, peak
 
 
 def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):
@@ -355,7 +362,7 @@ def test_train_frees_step_tape_before_accuracy_pass(monkeypatch):
     accuracies = models_mod.head_accuracies
 
     def counting(model, dataset, **kw):
-        live.append(sum(1 for o in gc.get_objects() if isinstance(o, ad.Tensor)
+        live.append(sum(1 for o in gc.get_objects() if isinstance(o, (ad.Tensor, ad._Node))
                         and any(id(p) in params for p in o._parents)))
         return accuracies(model, dataset, **kw)
 

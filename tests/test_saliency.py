@@ -153,7 +153,7 @@ def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
     ref_s = S.image_map(small_cnn, small_cnn.forward_collect(img), label)
     _, feats, logits, _ = small_cnn._backbone(img)
     onehot = np.eye(logits.shape[1])[label][None]
-    grad = adjoints_reference(ad.sum_axis(ad.mul(logits, onehot)))[id(feats)][0]
+    grad = adjoints_reference(ad.sum_axis(ad.mul(logits, onehot)))[id(feats._node)][0]
     ref_g = np.maximum(np.tensordot(grad.mean(axis=(1, 2)), feats.data[0], axes=1), 0.0)
     ref_p = small_cnn.predict_proba(img[None])[0]
     taped, backbone = [], type(small_cnn)._backbone
