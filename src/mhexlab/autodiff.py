@@ -35,11 +35,14 @@ Hadjis et al., *Caffe con Troll*, 2015): one contiguous range of samples per
 worker, the calling thread included, on a thread pool made by the first call
 that needs it. A worker runs the same per-sample GEMMs into its own rows of
 the output and gradient buffers, using scratch (padded input and columns)
-that the calling thread allocates; the weight gradient is summed on the
-calling thread once all have finished. So every result is bit-identical
-whatever the split. A worker gets a range only if it holds a chunk's worth
-of columns and ``_SPREAD_SAMPLES`` samples; so any batch below 64, such as a
-batch-1 map or a 20-step curve, runs on the calling thread alone.
+that the calling thread allocates. The calling thread adds each of its
+samples' kernel gradients into the weight gradient as it goes; a later
+range keeps its own samples' until all have finished, and the calling
+thread then adds them in sample order, so no batch-sized block of them is
+held. So every result is bit-identical whatever the split. A worker gets a
+range only if it holds a chunk's worth of columns and ``_SPREAD_SAMPLES``
+samples; so any batch below 64, such as a batch-1 map or a 20-step curve,
+runs on the calling thread alone.
 
 Inside ``no_grad()`` nothing is recorded: a new tensor gets no node, so
 every tensor is a leaf and no closure keeps an array alive.
@@ -320,6 +323,15 @@ def _chunks(n, sample_bytes):
     return [(n * t // groups, n * (t + 1) // groups) for t in range(groups)], size
 
 
+def _sum_rows(acc, rows):
+    """Add each of ``rows`` to ``acc`` in order, ``acc`` the first operand.
+    From zeros this makes the additions of ``rows.sum(axis=0)``, so its bits
+    (no -0.0, and the NaN payload it keeps) over any split of the rows;
+    except for rows of one element, which that sum adds pairwise."""
+    for row in rows:
+        np.add(acc, row, out=acc)
+
+
 def _spread(task, ranges):
     """Run ``task(t, lo, hi)`` for each range ``t``: the first on the calling
     thread, the others on the pool, and return once all have finished. A
@@ -350,7 +362,11 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
     as ``add(conv2d(x, w), reshape(bias, (1, -1, 1, 1)))`` without that
     pair's two nodes. If ``x`` is a leaf without ``requires_grad`` when the
     op is recorded, the closure returns ``None`` for its gradient and skips
-    those GEMMs; the kernel and bias gradients keep their bits.
+    those GEMMs; the kernel and bias gradients keep their bits. The kernel
+    gradient adds the per-sample products in sample order (``_sum_rows``)
+    without holding the batch's: the calling thread holds at most
+    ``_COLS_BYTES`` of them (or one sample's, if larger), a later worker its
+    range's until the join.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     bias = None if bias is None else _as_tensor(bias)
@@ -400,19 +416,29 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
         gm = g.reshape(n, o, l)
         # what outlives the call before the scratch, as in the forward
         gxp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad)) if input_grad else None
-        gw = np.empty(wdat.shape)
-        gwn = np.empty((n, o, k))
-        rows = [wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o) for i in range(kh)]
+        gw = np.zeros((o, k))
+        # per-sample kernel gradients: the calling thread's range adds its
+        # own into gw through a buffer of at most _COLS_BYTES, a later range
+        # keeps its rows until the join (see _sum_rows)
+        part = min(size, max(1, _COLS_BYTES // (8 * o * k)))
+        gwn = [np.empty((part, o, k))] + [np.empty((hi - lo, o, k)) for lo, hi in ranges[1:]]
+        rows = ([wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o) for i in range(kh)]
+                if input_grad else None)
         scratch = [_scratch(size, xd.shape, pad, k, l) for _ in ranges]
 
         def task(t, lo, hi):
             xp, cols = scratch[t]
             for a in range(lo, hi, size):
                 b = min(a + size, hi)
-                # one GEMM per sample as in the forward, summed over the batch
-                # below (einsum without optimize runs numpy's own loop, not BLAS)
-                cm = _columns(xd[a:b], kh, kw, stride, pad, xp, cols)
-                np.matmul(gm[a:b], cm.transpose(0, 2, 1), out=gwn[a:b])
+                # one GEMM per sample as in the forward, a stacked call per
+                # buffer (einsum without optimize runs numpy's own loop, not BLAS)
+                cm = _columns(xd[a:b], kh, kw, stride, pad, xp, cols).transpose(0, 2, 1)
+                if t:
+                    np.matmul(gm[a:b], cm, out=gwn[t][a - lo:b - lo])
+                else:
+                    for s in range(a, b, part):
+                        e = min(s + part, b)
+                        _sum_rows(gw, np.matmul(gm[s:e], cm[s - a:e - a], out=gwn[0][:e - s]))
                 if gxp is None:
                     continue
                 # one GEMM per kernel row, not a cols-sized one; per tap, a
@@ -426,7 +452,9 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
                         gxp[a:b, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d[:, j]
 
         _spread(task, ranges)
-        gwn.sum(axis=0, out=gw.reshape(o, k))
+        for kept in gwn[1:]:
+            _sum_rows(gw, kept)
+        gw = gw.reshape(wdat.shape)
         gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad and input_grad else gxp
         if not biased:
             return gx, gw

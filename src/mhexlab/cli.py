@@ -233,6 +233,8 @@ def cmd_evaluate(args, out):
 
 
 def cmd_analyze(args, out):
+    if args.block_samples < 0:
+        raise ConfigurationError(f"--block-samples must be >= 0, got {args.block_samples}")
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
     analysis.check_collab_inputs(model, dataset)

@@ -508,6 +508,10 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
         raise ContractError("train: dataset is empty")
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if epochs < 0:
+        raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
+    if not 0 < lr < np.inf:
+        raise ConfigurationError(f"lr must be finite and > 0, got {lr}")
     xs, ys = _dataset_arrays(dataset)
     n = len(ys)
     beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01

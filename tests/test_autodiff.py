@@ -16,7 +16,7 @@ from helpers import (adjoints_reference, check_grads, closure_arrays,
                      conv2d_add_bias_reference, conv2d_backward_reference,
                      conv2d_forward_reference, conv2d_weight_grad_stacked,
                      conv_workers, mean_all, nearest_resize_grad_reference,
-                     owning_buffer, rel_err, relu_reference, rng_tensor, same_bits,
+                     owning_buffer, peak_mb, rel_err, relu_reference, rng_tensor, same_bits,
                      softmax_last_reference, tape_output_mib)
 
 # values whose bits a select, a max or a scatter may treat apart: NaN of
@@ -433,6 +433,77 @@ def test_conv_1x1_reads_strided_input_in_place(monkeypatch, workers):
     assert np.array_equal(out.data.reshape(512, 32, 64), np.matmul(w.reshape(32, 16), xl))
     assert np.array_equal(gw.reshape(32, 16),
                           np.matmul(gm, xl.transpose(0, 2, 1)).sum(axis=0))
+
+
+# a 64-channel 3x3 conv at 4x4: a sample's kernel gradient (8*64*576 bytes)
+# outweighs its columns (8*576*16), so the calling thread's buffer of 7 such
+# gradients cuts its column chunks (16 to 19 samples here) mid-way
+WIDE_CONV = (64, 4, 64, 3, 1, 1)
+
+
+@pytest.mark.parametrize("n", [37, 64, 100])
+def test_conv_weight_grad_adds_samples_in_order(monkeypatch, n):
+    """The calling thread adds its samples' kernel gradients into the result
+    as it goes, and those of a later range after the join: on 1, 2 or 3
+    workers the bits of the stacked reference's sum, with a first sample
+    whose products are all -0.0 and NaN payloads in two samples that a
+    spread puts in different ranges."""
+    c, h, o, k, stride, pad = WIDE_CONV
+    assert ad._COLS_BYTES // (8 * o * c * k * k) == 7
+    rng = _rng(26)
+    x = rng.normal(size=(n, c, h, h))
+    w = rng.normal(size=(o, c, k, k))
+    g = rng.normal(size=(n, o, h, h))
+    x[0] = np.abs(x[0])
+    g[0] = -0.0
+    x[1, 0, 1, 1], x[n - 2, 0, 1, 1] = SPECIALS[-2:]
+    ref = conv2d_weight_grad_stacked(x, w, g, stride, pad)
+    # where both NaNs meet, the sum keeps the first sample's payload
+    assert set(ref[np.isnan(ref)].view(np.uint64)) == {SPECIALS[-2:-1].view(np.uint64)[0]}
+    splits = set()
+    for workers in (1, 2, 3):
+        with conv_workers(monkeypatch, workers):
+            ranges, size = ad._chunks(n, 8 * c * k * k * h * h)
+            splits.add((len(ranges), size))
+            gw = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w), pad=pad)._backward(g)[1]
+        assert same_bits(gw, ref), workers
+    assert all(size % 7 for _, size in splits)
+    assert max(r for r, _ in splits) == (1 if n < 64 else 2 if n < 96 else 3)
+
+
+@pytest.mark.parametrize("workers, share", [(1, 0.5), (2, 1.0)])
+def test_conv_backward_keeps_no_batch_of_kernel_gradients(monkeypatch, workers, share):
+    """A batch-64 backward of the CNN's 64-channel 3x3 conv peaks below the
+    given share of one (64, 64, 576) block of per-sample kernel gradients:
+    5.8 MB on one worker and 15.7 MB on two, whose second range keeps its
+    32 (21.8 and 22.9 MB when the whole batch's were kept)."""
+    c, h, o, k, stride, pad = WIDE_CONV
+    rng = _rng(28)
+    x = Tensor(rng.normal(size=(64, c, h, h)), requires_grad=True)
+    w = Tensor(rng.normal(size=(o, c, k, k)))
+    g = rng.normal(size=(64, o, h, h))
+    block = 64 * o * c * k * k * 8 / 2**20
+    with conv_workers(monkeypatch, workers):
+        out = ad.conv2d(x, w, pad=pad)
+        assert len(ad._chunks(64, 8 * c * k * k * h * h)[0]) == workers
+        peak = peak_mb(lambda: out._backward(g))
+    assert peak < share * block, (peak, block)
+
+
+def test_sum_rows_keeps_the_bits_of_the_axis_0_sum():
+    """Rows added one at a time into zeros, cut anywhere into runs, give the
+    bits of ``sum(axis=0)``: no -0.0 from an all -0.0 first row, and the NaN
+    payload that the sum keeps when two rows hold different ones."""
+    rng = _rng(27)
+    rows = rng.normal(size=(9, 4, 6))
+    rows[0] = -0.0
+    rows[2, :, :3], rows[7, :, 1:4] = SPECIALS[-2], SPECIALS[-1]
+    want = rows.sum(axis=0)
+    for cut in range(10):
+        acc = np.zeros(rows.shape[1:])
+        ad._sum_rows(acc, rows[:cut])
+        ad._sum_rows(acc, rows[cut:])
+        assert same_bits(acc, want), cut
 
 
 def test_threaded_conv_backward_repeats_bit_for_bit(monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mhexlab import autodiff as ad, cli
-from mhexlab.models import ResNetModel, TransformerModel, load_checkpoint, save_checkpoint
+from mhexlab.models import (ResNetModel, TransformerConfig, TransformerModel, load_checkpoint,
+                            save_checkpoint)
 
 from helpers import checkpoint_with_config, checkpoint_with_value, conv_workers, count_calls
 
@@ -299,7 +300,8 @@ def test_missing_checkpoint_file_leaves_no_out_dir(tmp_path, capsys, command):
     rc = cli.main([command, "--n-samples", "4", "--checkpoint", str(tmp_path / "nonexistent"),
                    "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -420,11 +422,15 @@ BAD_INPUTS = {
     "batch_size_0": ["train", "--dataset", "tokens", "--batch-size", "0"],
     "seed_negative": ["train", "--dataset", "tokens", "--seed", "-1"],
     "seed_2_64": ["train", "--dataset", "tokens", "--seed", str(2 ** 64)],
-    # one batch: no later loss sees the infinite step, the epoch's check does
     "lr_inf": ["train", "--dataset", "tokens", "--lr", "inf", "--epochs", "1"],
+    "lr_nan": ["train", "--dataset", "tokens", "--lr", "nan", "--epochs", "1"],
+    "lr_negative": ["train", "--dataset", "tokens", "--lr", "-1", "--epochs", "1"],
+    "lr_0": ["train", "--dataset", "tokens", "--lr", "0", "--epochs", "1"],
+    "epochs_negative": ["train", "--dataset", "tokens", "--epochs", "-1"],
     "curve_samples_0": ["evaluate", "--curve-samples", "0"],
     "steps_1": ["evaluate", "--steps", "1"],
     "grid_0": ["analyze", "--grid", "0"],
+    "block_samples_negative": ["analyze", "--block-samples", "-1"],
     "grid_finer_than_site_0": ["analyze", "--grid", "99"],
     "entropy_n_below_1e5": ["analyze", "--entropy-n", "99999"],
     "top_frac_2": ["evaluate", "--dataset", "tokens", "--top-frac", "2"],
@@ -446,8 +452,22 @@ def test_bad_input_exits_1_and_writes_nothing(token_ckpt, shape_ckpt, tmp_path,
     out = tmp_path / "out"
     rc = cli.main(argv + ["--n-samples", "8", "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_zero_epochs_writes_the_initial_checkpoint(tmp_path):
+    """``--epochs 0`` is valid: the checkpoint holds the seeded initial
+    parameters and the training log only its header."""
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--dataset", "tokens", "--n-samples", "8", "--epochs", "0",
+                   "--out", str(out)])
+    assert rc == 0
+    model = load_checkpoint(out / "checkpoint.ckpt")
+    init = TransformerModel(TransformerConfig(), seed=0)
+    assert all(np.array_equal(model.params[k].data, t.data) for k, t in init.params.items())
+    assert (out / "trainlog.csv").read_text().count("\n") == 1
 
 
 def test_bad_sample_id(token_ckpt, tmp_path):
