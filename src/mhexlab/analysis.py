@@ -6,8 +6,9 @@ For a block l with a successor, two gradients of the shared channel mixer
 w1 are compared: the one contributed by block l's own supervision loss and
 the one arriving from block l+1's loss through the gated side chain. Their
 cosine is the collaboration strength. The block-wise map masks block l's
-input one cell at a time through ``side_chain``, the only masked replay. A
-site outside ``[0, len(sites) - 1)`` raises ``ContractError``.
+input one cell at a time through ``side_chain``, the only masked replay,
+one grid row of cells per replay. A site outside ``[0, len(sites) - 1)``
+raises ``ContractError``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .formats import write_csv
 
 COSINE_EPS = 1e-8
 ENTROPY_BINS = 200          # histogram bins of the ReLU entropy estimate
+# samples per side-chain replay of the collaboration records: on the
+# default CNN a row holds about 0.35 MB of tape and 0.23 MB of stacked
+# backbone activations
+COLLAB_ROWS = 32
 
 
 @dataclass
@@ -63,8 +68,12 @@ def _cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + COSINE_EPS))
 
 
-def _head_loss(rec, site, label):
-    return ad.softmax_cross_entropy(rec.head_logits()[site], [label])
+def _row_loss(rec, head, labels):
+    """The rows' cross-entropies at ``head``, summed: the batch mean times B,
+    so the backward scales each row's logit gradient by B/B = 1.0, as a
+    batch-1 loss does."""
+    return ad.mul(ad.softmax_cross_entropy(rec.head_logits()[head], labels),
+                  float(len(labels)))
 
 
 def _check_successor(model, site):
@@ -72,13 +81,23 @@ def _check_successor(model, site):
         raise ContractError(f"site {site} is not a site with a successor block")
 
 
-def _gradient_pair(model, rec, label, site):
-    """``site_gradient_pair`` on an existing ``ForwardRecord``, which may be
-    a masked ``side_chain`` replay."""
-    w1 = model.mhex_params(site).w1
-    loss_own = _head_loss(rec, site, label)
-    loss_next = _head_loss(rec, site + 1, label)
-    return ad.grad_wrt(loss_own, w1), ad.grad_wrt(loss_next, w1)
+def _replay_pairs(model, backbone, labels, sites, site_mask=None):
+    """``(record, {site: (own, next)})``: one ``side_chain`` replay of B =
+    ``len(labels)`` rows on a ``row_view``, and for each of ``sites`` every
+    row's gradients of its own and the next head's loss with respect to the
+    site's w1, two (B, C, C) arrays from two sweeps; row b's are those of a
+    batch-1 replay of row b, bit for bit. ``backbone`` holds the B rows, or
+    one row that ``site_mask``'s stack of B masks replays B times."""
+    replayed = range(len(model.sites)) if site_mask is None else \
+        (site_mask[0], site_mask[0] + 1)
+    view = model.row_view(len(labels), replayed)
+    rec = view.side_chain(backbone, site_mask)
+    pairs = {}
+    for s in sites:
+        w1 = view.mhex_params(s).w1
+        pairs[s] = (ad.grad_wrt(_row_loss(rec, s, labels), w1),
+                    ad.grad_wrt(_row_loss(rec, s + 1, labels), w1))
+    return rec, pairs
 
 
 def site_gradient_pair(model, x, label, site):
@@ -87,7 +106,8 @@ def site_gradient_pair(model, x, label, site):
     _check_successor(model, site)
     with ad.no_grad():      # no backbone node leads to an explainer parameter
         backbone = model._backbone(x)
-    return _gradient_pair(model, model.side_chain(backbone), label, site)
+    g_ds, g_ag = _replay_pairs(model, backbone, [label], [site])[1][site]
+    return g_ds[0], g_ag[0]
 
 
 def collaboration_cosine(model, x, label, site):
@@ -101,8 +121,8 @@ def blockwise_quality(model, x, label, grid=7, site=0):
     """Per-cell collaboration cosine with the block input masked to the
     cell's region, as a (grid, grid) map.
 
-    The backbone runs once, without a tape; each cell replays the side chain
-    up to block ``site + 1``."""
+    The backbone runs once, without a tape; each grid row of cells is one
+    side-chain replay, one mask per row, up to block ``site + 1``."""
     if getattr(model, "kind", None) != "resnet":
         raise ContractError("blockwise_quality supports only the CNN host")
     if grid < 1:
@@ -116,15 +136,13 @@ def blockwise_quality(model, x, label, grid=7, site=0):
         raise ConfigurationError(
             f"grid {grid} exceeds site feature resolution {h}x{w}")
     rows = (np.arange(h) * grid) // h
-    cols = (np.arange(w) * grid) // w
+    cells = (np.arange(w) * grid) // w == np.arange(grid)[:, None]     # (grid, w)
     out = np.empty((grid, grid))
     for gi in range(grid):
-        for gj in range(grid):
-            mask = np.zeros((h, w))
-            mask[np.ix_(rows == gi, cols == gj)] = 1.0
-            rec = model.side_chain(backbone, (site, mask))
-            g_ds, g_ag = _gradient_pair(model, rec, label, site)
-            out[gi, gj] = _cosine(g_ag, g_ds)
+        masks = ((rows == gi)[:, None] & cells[:, None, :]).astype(np.float64)
+        g_ds, g_ag = _replay_pairs(model, backbone, [label] * grid, [site],
+                                   (site, masks))[1][site]
+        out[gi] = [_cosine(a, d) for a, d in zip(g_ag, g_ds)]
     return out
 
 
@@ -232,12 +250,24 @@ def check_collab_inputs(model, dataset):
         raise ContractError("the collaboration analysis supports only the CNN host on images")
 
 
+def _stack(backbones):
+    """One ``_backbone`` result holding the rows of several CNN results."""
+    acts = [ad.Tensor(np.concatenate([b[0][k].data for b in backbones]))
+            for k in range(len(backbones[0][0]))]
+    feats, logits = (ad.Tensor(np.concatenate([b[j].data for b in backbones]))
+                     for j in (1, 2))
+    return acts, feats, logits, None
+
+
 def collect_collab_records(model, dataset, n_samples=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
-    measured sites, the last three that have a successor. One forward per
-    sample, whose side chain alone records a tape, feeds the default-filter
-    map, ``p_orig`` and the gradient pairs; only the soft-masked copy needs
-    a second forward."""
+    measured sites, the last three that have a successor.
+
+    Each sample's backbone runs at batch 1, without a tape, and gives
+    ``p_orig``. Up to ``COLLAB_ROWS`` of them are stacked for one side-chain
+    replay, whose rows give the default-filter maps, and two sweeps per site
+    give every row's gradient pair. Only the soft-masked copy needs a second
+    forward."""
     check_collab_inputs(model, dataset)
     sites = list(range(len(model.sites) - 1))[-3:]
     if not sites:
@@ -246,21 +276,23 @@ def collect_collab_records(model, dataset, n_samples=None):
     if n < 3:
         raise ContractError("need at least 3 evaluable samples")
     records = []
-    for i in range(n):
-        image = dataset.images[i]
-        label = int(dataset.labels[i])
+    for lo in range(0, n, COLLAB_ROWS):
+        ids = range(lo, min(lo + COLLAB_ROWS, n))
+        labels = [int(dataset.labels[i]) for i in ids]
         with ad.no_grad():
-            backbone = model._backbone(image)
-        fwd = model.side_chain(backbone)
-        cam = sal_mod.resize_map(sal_mod.image_map(model, fwd, label).grid,
-                                 image.shape[-2:])
-        p_orig = float(ad.softmax_last(fwd.final_logits).data[0, label])
-        p_mask = float(model.predict_proba(met.soft_mask(image, cam)[None])[0, label])
-        drop = met.DropRecord.of(i, p_orig, p_mask, met.saliency_area(cam)).drop
-        for s in sites:
-            g_ds, g_ag = _gradient_pair(model, fwd, label, s)
-            records.append(CollabRecord(sample_id=i, site=s, cosine=_cosine(g_ag, g_ds),
-                                        p_orig=p_orig, sad_drop=drop))
+            backbones = [model._backbone(dataset.images[i]) for i in ids]
+        rec, pairs = _replay_pairs(model, _stack(backbones), labels, sites)
+        maps = sal_mod.image_map(model, rec, labels)
+        for k, i in enumerate(ids):
+            image, label = dataset.images[i], labels[k]
+            cam = sal_mod.resize_map(maps[k].grid, image.shape[-2:])
+            p_orig = float(ad.softmax_last(backbones[k][2]).data[0, label])
+            p_mask = float(model.predict_proba(met.soft_mask(image, cam)[None])[0, label])
+            drop = met.DropRecord.of(i, p_orig, p_mask, met.saliency_area(cam)).drop
+            for s in sites:
+                g_ds, g_ag = (g[k] for g in pairs[s])
+                records.append(CollabRecord(sample_id=i, site=s, cosine=_cosine(g_ag, g_ds),
+                                            p_orig=p_orig, sad_drop=drop))
     return records
 
 

@@ -26,7 +26,8 @@ class MhexParams:
     a (C, C_global, 1, 1) conv kernel for image hosts or a (C_global, C)
     matrix for token hosts. ``proj_carry`` (optional) maps the previous
     block's gated output into this block's space, forming the explanation
-    side-chain between consecutive blocks.
+    side-chain between consecutive blocks. In a batched replay ``w1`` and
+    ``w2`` are per-row copies, ``(B, C, C)`` and ``(B, n_class, C)``.
     """
 
     w1: Tensor
@@ -35,12 +36,13 @@ class MhexParams:
     proj_carry: Tensor | None = None
 
     def __post_init__(self):
-        c1, c2 = self.w1.data.shape
-        if c1 != c2:
-            raise DimensionError(f"w1 must be square, got {self.w1.data.shape}")
-        if self.w2.data.shape[1] != c1:
-            raise DimensionError(
-                f"w2 columns ({self.w2.data.shape[1]}) must match w1 size ({c1})")
+        s1, s2 = self.w1.data.shape, self.w2.data.shape
+        if len(s1) not in (2, 3) or s1[-1] != s1[-2]:
+            raise DimensionError(f"w1 must be square or a stack of square copies, got {s1}")
+        if len(s2) != len(s1) or s2[:-2] != s1[:-2]:
+            raise DimensionError(f"w2 {s2} and w1 {s1} must have the same leading dimensions")
+        if s2[-1] != s1[-1]:
+            raise DimensionError(f"w2 columns ({s2[-1]}) must match w1 size ({s1[-1]})")
 
 
 @dataclass
@@ -80,12 +82,27 @@ def _check_shapes(x, x_global):
             f"{x_global.data.shape} are incompatible") from None
 
 
+def _mix(v, w):
+    """``v`` (B, C) times the transpose of ``w``: one (K, C) matrix, or
+    per-row copies (B, K, C), of which row b of ``v`` meets copy b.
+
+    With copies each row's product is the vector-matrix product of a
+    batch-1 call, bit for bit, where one shared matrix would make a matrix
+    product that rounds differently; and one sweep gives every copy its own
+    row's gradient (the per-example gradients of Goodfellow, 2015)."""
+    if w.data.ndim == 2:
+        return ad.matmul(v, ad.transpose(w, (1, 0)))
+    b, c = v.data.shape
+    out = ad.matmul(ad.reshape(v, (b, 1, c)), ad.transpose(w, (0, 2, 1)))
+    return ad.reshape(out, (b, w.data.shape[1]))
+
+
 def attention_gate(x, x_global, params, pad_mask=None):
     """Gate values g = sigmoid(w1 . pool(x + x_global)) and the gated input
     x_att = g (.) x. For token hosts the pool is the non-pad sequence mean."""
     _check_shapes(x, x_global)
     pooled = _pool(ad.add(x, x_global), pad_mask)  # (B, C)
-    g = ad.sigmoid(ad.matmul(pooled, ad.transpose(params.w1, (1, 0))))
+    g = ad.sigmoid(_mix(pooled, params.w1))
     return g, _gate_broadcast(g, x)
 
 
@@ -98,8 +115,7 @@ def ds_logits(x, x_global, params, pad_mask=None):
     """
     _check_shapes(x, x_global)
     feats = ad.relu(ad.add(x, x_global))
-    h = ad.matmul(_pool(feats, pad_mask), ad.transpose(params.w1, (1, 0)))
-    return ad.matmul(h, ad.transpose(params.w2, (1, 0))), feats
+    return _mix(_mix(_pool(feats, pad_mask), params.w1), params.w2), feats
 
 
 def run_block(x, x_global, params, pad_mask=None):

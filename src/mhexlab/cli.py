@@ -233,14 +233,17 @@ def cmd_evaluate(args, out):
 
 
 def cmd_analyze(args, out):
+    if args.grid < 1:
+        raise ConfigurationError(f"--grid must be >= 1, got {args.grid}")
     if args.block_samples < 0:
         raise ConfigurationError(f"--block-samples must be >= 0, got {args.block_samples}")
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
     analysis.check_collab_inputs(model, dataset)
     n = min(args.n_samples, len(dataset))
-    # the parts that check --entropy-n and --grid run before the collaboration
-    # pass, and no file is written until every part has run
+    # the parts that check --entropy-n and --grid against the site resolution
+    # run before the collaboration pass, and no file is written until every
+    # part has run
     dh = analysis.relu_entropy_drop(args.entropy_n, seed=args.seed)
     maps = [analysis.blockwise_quality(model, dataset.images[i], int(dataset.labels[i]),
                                        grid=args.grid)

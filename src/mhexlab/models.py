@@ -15,8 +15,8 @@ its layers and the side chain's hooks. Its forward pass is split to match:
 the only way to mask a site, runs the explainer blocks on its activations;
 ``forward_collect`` is the two in turn. As the backbone never depends on
 the side chain, one backbone result can feed several side-chain passes
-(the block-wise analysis replays it once per masked cell), and a gradient
-sweep for an explainer parameter never visits a backbone node.
+(the block-wise analysis replays it once per row of masked cells), and a
+gradient sweep for an explainer parameter never visits a backbone node.
 
 ``train`` is the only caller that tapes a backbone; the analysis tapes only
 the side chain, and Grad-CAM differentiates ``_head`` alone.
@@ -24,6 +24,7 @@ the side chain, and Grad-CAM differentiates ``_head`` alone.
 
 from __future__ import annotations
 
+import copy
 import io
 import struct
 import zlib
@@ -185,8 +186,8 @@ class _Host:
       projected into site ``x_l``'s channel space, at its resolution;
     - ``_carry(carry, params, x_l)``: the previous site's gated output
       mapped onto ``x_l``;
-    - ``_mask(mask, x_l)``: a checked site mask as a tensor that broadcasts
-      over ``x_l``.
+    - ``_mask(mask, x_l)``: a checked site mask (on the CNN also a stack of
+      one per row) as a tensor that broadcasts over ``x_l``.
     """
 
     def __init__(self, cfg, seed=0):
@@ -213,6 +214,21 @@ class _Host:
     def mhex_param_names(self):
         return [n for n in self.params if n.startswith("mhex")]
 
+    def row_view(self, batch, sites):
+        """A shallow view of the host whose ``sites`` read per-row copies of
+        their ``w1`` and ``w2``, ``(batch, C, C)`` and ``(batch, n_class, C)``
+        leaves, through ``mhex_params``. Its ``side_chain`` over ``batch``
+        rows then makes each row's block products as a batch-1 call does,
+        bit for bit, and a sweep gives each copy its row's gradient."""
+        view = copy.copy(self)
+        view.params = dict(self.params)
+        for s in sites:
+            for name in (f"mhex{s}.w1", f"mhex{s}.w2"):
+                w = self.params[name].data
+                view.params[name] = Tensor(np.broadcast_to(w, (batch,) + w.shape).copy(),
+                                           requires_grad=True)
+        return view
+
     def side_chain(self, backbone_out, site_mask=None):
         """Explainer blocks over a ``_backbone`` result, which may be shared
         by several calls with different ``site_mask`` values.
@@ -221,7 +237,9 @@ class _Host:
         ``site_index`` in ``[0, len(sites))``; the mask multiplies that
         site's whole effective input (activations plus projected global
         features, values hence gradients), so per-cell pooled contributions
-        sum exactly to the unmasked ones. A masked pass stops after block
+        sum exactly to the unmasked ones. A stack of B masks replays a
+        batch-1 backbone B times from that site on, one mask per row (with
+        a ``row_view``'s per-row mixers). A masked pass stops after block
         ``site_index + 1``, the last head that the two losses read.
         """
         acts, final_feats, final_logits, pad_mask = backbone_out
@@ -334,10 +352,10 @@ class ResNetModel(_Host):
 
     def _mask(self, mask, x_l):
         hw = x_l.data.shape[-2:]
-        if mask.shape != hw:
+        if mask.ndim not in (2, 3) or mask.shape[-2:] != hw:
             raise DimensionError(
                 f"site mask shape {mask.shape} does not match site resolution {hw}")
-        return Tensor(mask[None, None, :, :])
+        return Tensor(mask.reshape((-1, 1) + hw))
 
 
 # ---------------------------------------------------------------------------

@@ -187,18 +187,19 @@ def image_maps(model, image, class_id, cfg: WeightFilterConfig | None = None,
         _check_gradcam(model, class_id)
     with ad.no_grad():
         backbone_out = model._backbone(image)
-        smap = image_map(model, model.side_chain(backbone_out), class_id, cfg)
+        (smap,) = image_map(model, model.side_chain(backbone_out), [class_id], cfg)
         probs = ad.softmax_last(backbone_out[2]).data[0]
     gmap = _gradcam_map(model, backbone_out[1], class_id) if grad_cam else None
     return smap, gmap, probs
 
 
-def image_map(model, rec, class_id, cfg: WeightFilterConfig | None = None):
-    """The map of the first image of an unmasked ``ForwardRecord``: its
-    per-site grids and their decay-weighted aggregate."""
+def image_map(model, rec, class_ids, cfg: WeightFilterConfig | None = None):
+    """The maps of the first ``len(class_ids)`` images of an unmasked
+    ``ForwardRecord``, one class id per image: each image's per-site grids
+    and their decay-weighted aggregate."""
     cfg = cfg or WeightFilterConfig()
-    (grids,) = _site_grids(model, rec, [class_id], cfg, len(model.sites))
-    return aggregate_cams(grids, cfg.layer_decay, class_id=class_id)
+    return [aggregate_cams(grids, cfg.layer_decay, class_id=c) for c, grids in
+            zip(class_ids, _site_grids(model, rec, class_ids, cfg, len(model.sites)))]
 
 
 def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):

@@ -305,6 +305,27 @@ def class_logit(rec, head, class_id):
     return ad.sum_axis(ad.mul(logits, onehot))
 
 
+def gradient_pair_reference(model, rec, label, site):
+    """Gradients of site ``site``'s w1 from its own head's and the next
+    head's cross-entropy on a batch-1 record of ``model``, whose mixers are
+    single matrices: the pair as the analysis took it one replay at a time."""
+    w1 = model.mhex_params(site).w1
+    heads = rec.head_logits()
+    return tuple(grad_wrt(ad.softmax_cross_entropy(heads[h], [label]), w1)
+                 for h in (site, site + 1))
+
+
+def cell_masks(hw, grid):
+    """The ``(grid, grid)`` cells of an (h, w) site, row-major, as masks."""
+    rows = (np.arange(hw[0]) * grid) // hw[0]
+    cols = (np.arange(hw[1]) * grid) // hw[1]
+    for gi in range(grid):
+        for gj in range(grid):
+            mask = np.zeros(hw)
+            mask[np.ix_(rows == gi, cols == gj)] = 1.0
+            yield mask
+
+
 def count_calls(owner, name, monkeypatch):
     """List that gains one entry per call of attribute ``name`` of a class or
     module ``owner``: a class's method counts the calls of every instance

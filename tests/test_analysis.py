@@ -12,7 +12,8 @@ from mhexlab import autodiff as ad
 from mhexlab.errors import (ConfigurationError, ContractError,
                             UndefinedCorrelationError)
 
-from helpers import adjoints_reference, class_logit, count_calls
+from helpers import (adjoints_reference, cell_masks, class_logit, count_calls,
+                     gradient_pair_reference)
 
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_special = pytest.importorskip("scipy.special")
@@ -157,7 +158,7 @@ def test_blockwise_zero_cell(small_cnn):
     backbone = small_cnn._backbone(ds.images[0])
     mask = np.zeros(backbone[0][small_cnn.sites[0]].data.shape[-2:])
     rec = small_cnn.side_chain(backbone, (0, mask))
-    g_ds, g_ag = A._gradient_pair(small_cnn, rec, label, 0)
+    g_ds, g_ag = gradient_pair_reference(small_cnn, rec, label, 0)
     assert A._cosine(g_ag, g_ds) == 0.0
 
 
@@ -174,15 +175,9 @@ def test_blockwise_additive_for_linear_head(small_cnn):
         rec = small_cnn.side_chain(backbone, (0, mask))
         return ad.grad_wrt(class_logit(rec, 0, label), w1)
 
-    grid = 2
     total = np.zeros_like(w1.data)
-    rows = (np.arange(hw[0]) * grid) // hw[0]
-    cols = (np.arange(hw[1]) * grid) // hw[1]
-    for gi in range(grid):
-        for gj in range(grid):
-            mask = np.zeros(hw)
-            mask[np.ix_(rows == gi, cols == gj)] = 1.0
-            total += own_head_grad(mask)
+    for mask in cell_masks(hw, 2):
+        total += own_head_grad(mask)
     g_full = own_head_grad(np.ones(hw))
     # with a constant head Jacobian the per-cell pooled contributions are
     # exactly additive, ReLU included, since ReLU(0) = 0 at masked positions
@@ -224,7 +219,7 @@ def test_grad_wrt_equals_full_sweep(host, request):
     for site_mask in (None, (0, mask)):
         rec = model.side_chain(backbone, site_mask)
         for head in (0, 1):
-            loss = A._head_loss(rec, head, label)
+            loss = A._row_loss(rec, head, [label])
             full = adjoints_reference(loss)
             assert np.array_equal(ad.grad_wrt(loss, w1), full[id(w1)])
 
@@ -257,7 +252,7 @@ def test_grad_wrt_skips_backbone(small_cnn, monkeypatch):
 
     for node in backbone_convs:
         node._backward = counted(node._backward)
-    loss_own = A._head_loss(rec, 0, int(ds.labels[0]))
+    loss_own = A._row_loss(rec, 0, [int(ds.labels[0])])
     ad.grad_wrt(loss_own, small_cnn.params["mhex0.w1"])
     assert calls == []
     ad._adjoints(loss_own)
@@ -272,11 +267,33 @@ def test_blockwise_runs_backbone_once(small_cnn, monkeypatch):
 
 
 def test_blockwise_replays_only_site_and_successor(small_cnn, monkeypatch):
-    """Each of the 9 cells runs blocks 0 and 1 only, not all four."""
+    """Each of the 3 grid rows is one replay of blocks 0 and 1 only, not all
+    four."""
     ds = mx.gen_shapes(1, seed=42)
     calls = count_calls(models, "run_block", monkeypatch)
     A.blockwise_quality(small_cnn, ds.images[0], int(ds.labels[0]), grid=3, site=0)
-    assert len(calls) == 9 * 2
+    assert len(calls) == 3 * 2
+
+
+@pytest.mark.parametrize("grid", [1, 3, 7])
+def test_blockwise_sweeps_twice_per_grid_row(small_cnn, monkeypatch, grid):
+    """A map sweeps the tape twice per grid row, not twice per cell."""
+    ds = mx.gen_shapes(1, seed=42)
+    calls = count_calls(ad, "grad_wrt", monkeypatch)
+    A.blockwise_quality(small_cnn, ds.images[0], int(ds.labels[0]), grid=grid, site=0)
+    assert len(calls) == 2 * grid
+
+
+def test_collab_records_sweep_twice_per_site(small_cnn, monkeypatch):
+    """The records of 5 samples come from one replay and two sweeps for each
+    of the three measured sites."""
+    ds = mx.gen_shapes(5, seed=45)
+    sweeps = count_calls(ad, "grad_wrt", monkeypatch)
+    blocks = count_calls(models, "run_block", monkeypatch)
+    records = A.collect_collab_records(small_cnn, ds, n_samples=5)
+    assert len(records) == 5 * 3
+    assert len(sweeps) == 3 * 2
+    assert len(blocks) == len(small_cnn.sites)
 
 
 def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
@@ -309,23 +326,24 @@ def test_blockwise_transformer_raises_before_forward(small_transformer, monkeypa
 
 
 def test_blockwise_equals_per_cell_pairs(small_cnn):
-    """Replaying the side chain on one backbone pass gives exactly the
-    cosines of independent masked forward passes."""
+    """Replaying the side chain one grid row at a time, with per-row mixer
+    copies, gives exactly the cosines of independent batch-1 masked replays
+    of the model's own mixers, at every site with a successor and grids 1,
+    3 and 7 where the site's resolution allows."""
     ds = mx.gen_shapes(1, seed=44)
-    x, label, grid, site = ds.images[0], int(ds.labels[0]), 3, 1
-    bq = A.blockwise_quality(small_cnn, x, label, grid=grid, site=site)
-    h, w = small_cnn.forward_collect(x).site_outputs[site].relu_features.data.shape[-2:]
-    rows = (np.arange(h) * grid) // h
-    cols = (np.arange(w) * grid) // w
-    ref = np.empty((grid, grid))
-    for gi in range(grid):
-        for gj in range(grid):
-            mask = np.zeros((h, w))
-            mask[np.ix_(rows == gi, cols == gj)] = 1.0
+    x, label = ds.images[0], int(ds.labels[0])
+    hws = [o.relu_features.data.shape[-2:] for o in small_cnn.forward_collect(x).site_outputs]
+    cases = [(site, grid) for site in range(len(hws) - 1) for grid in (1, 3, 7)
+             if grid <= min(hws[site])]
+    assert len(cases) == 8          # the 4x4 third site takes grids 1 and 3
+    for site, grid in cases:
+        bq = A.blockwise_quality(small_cnn, x, label, grid=grid, site=site)
+        ref = []
+        for mask in cell_masks(hws[site], grid):
             rec = small_cnn.side_chain(small_cnn._backbone(x), (site, mask))
-            g_ds, g_ag = A._gradient_pair(small_cnn, rec, label, site)
-            ref[gi, gj] = A._cosine(g_ag, g_ds)
-    assert np.array_equal(bq, ref)
+            g_ds, g_ag = gradient_pair_reference(small_cnn, rec, label, site)
+            ref.append(A._cosine(g_ag, g_ds))
+        assert np.array_equal(bq, np.reshape(ref, (grid, grid)))
 
 
 def test_collab_records_equal_collaboration_cosine(small_cnn, monkeypatch):
@@ -333,9 +351,11 @@ def test_collab_records_equal_collaboration_cosine(small_cnn, monkeypatch):
     records = A.collect_collab_records(small_cnn, ds, n_samples=3)
     assert len(records) == 9
     for r in records:
-        cos = A.collaboration_cosine(small_cnn, ds.images[r.sample_id],
-                                     int(ds.labels[r.sample_id]), r.site)
-        assert r.cosine == cos
+        x, label = ds.images[r.sample_id], int(ds.labels[r.sample_id])
+        cos = A.collaboration_cosine(small_cnn, x, label, r.site)
+        g_ds, g_ag = gradient_pair_reference(small_cnn, small_cnn.forward_collect(x),
+                                             label, r.site)
+        assert r.cosine == cos == A._cosine(g_ag, g_ds)
     # one site, without a successor: the parent returned [] and
     # correlation_triangle then died with a bare IndexError
     one_site = models.ResNetModel(models.ResNetConfig(
@@ -359,8 +379,9 @@ def test_collab_records_need_three_samples(small_cnn, monkeypatch, n, n_samples)
 
 
 def test_collab_records_one_backbone_per_forward(small_cnn, monkeypatch):
-    """One taped forward per sample feeds the map, p_orig and the gradient
-    pairs; the soft-masked copy is the only other forward."""
+    """One backbone per sample feeds p_orig and the stacked replay of the
+    maps and gradient pairs; the soft-masked copy is the only other
+    forward."""
     ds = mx.gen_shapes(3, seed=45)
     calls = count_calls(type(small_cnn), "_backbone", monkeypatch)
     A.collect_collab_records(small_cnn, ds, n_samples=3)

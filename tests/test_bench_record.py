@@ -12,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = Path(__file__).resolve().parent / "data" / "bench"
 WORKLOADS = {"shapes_train", "shapes_explain_eval", "shapes_analyze", "tokens_pipeline"}
+SPEED = {w: 1.0 + k / 8 for k, w in enumerate(sorted(WORKLOADS))}
 
 
 def _tool():
@@ -30,7 +31,7 @@ def tool():
 def record(tool):
     untraced = [tool.parse_run((SAMPLE / f"seed{s}.txt").read_text()) for s in (1, 2)]
     traced = tool.parse_run((SAMPLE / "trace1.txt").read_text())
-    return tool.build_record("sample", [1, 2], 1.0, untraced, traced)
+    return tool.build_record("sample", [1, 2], 1.0, untraced, traced, SPEED)
 
 
 def test_record_of_stored_runs_has_every_field(tool, record):
@@ -53,7 +54,7 @@ def test_median_and_quartiles_of_the_seeds(tool, record):
     assert m["median"] == pytest.approx((a + b) / 2)
     assert m["q1"] == pytest.approx(min(a, b) + abs(a - b) / 4)
     one = tool.build_record("one", [1], 1.0, [tool.parse_run((SAMPLE / "seed1.txt").read_text())],
-                            tool.parse_run((SAMPLE / "trace1.txt").read_text()))
+                            tool.parse_run((SAMPLE / "trace1.txt").read_text()), SPEED)
     m = one["end_to_end"]["tokens_pipeline"]["wall_s"]
     assert m["values"] == [m["q1"]] == [m["median"]] == [m["q3"]]
 
@@ -78,7 +79,7 @@ def test_runs_of_two_environments_are_not_mixed(tool):
     run = tool.parse_run(text)
     other = tool.parse_run(text.replace("blas_threads=1", "blas_threads=2"))
     with pytest.raises(ValueError, match="environments"):
-        tool.build_record("mixed", [1], 1.0, [run], other)
+        tool.build_record("mixed", [1], 1.0, [run], other, SPEED)
 
 
 def test_committed_records_pass_the_check(tool):
@@ -89,3 +90,36 @@ def test_committed_records_pass_the_check(tool):
         tool.check_record(rec)
         assert rec["label"] == path.stem[len("BENCH_"):]
         assert rec["correct"] and set(rec["end_to_end"]) == WORKLOADS
+
+
+def test_host_speed_of_the_traced_runs(tool, tmp_path):
+    """The factor is each traced run's scaled over raw pass time, read from
+    the result.json that run.py leaves under .bench_out/."""
+    for k, w in enumerate(sorted(WORKLOADS)):
+        out = tmp_path / ".bench_out" / f"{w}-seed3-trace1"
+        out.mkdir(parents=True)
+        (out / "result.json").write_text(json.dumps({"wall_s": 0.5 * (k + 1), "raw_wall_s": 0.4}))
+    speed = tool.host_speed(tmp_path, 3, WORKLOADS)
+    assert speed == {w: 0.5 * (k + 1) / 0.4 for k, w in enumerate(sorted(WORKLOADS))}
+
+
+def test_new_records_need_the_host_speed(tool, record):
+    """A schema-2 record without the factor, or with one missing, zero or
+    not a float, fails the check; a schema-1 record (the first two committed
+    ones) needs none."""
+    assert record["schema"] == 2 and record["trace_host_speed"] == SPEED
+    broken = {k: v for k, v in record.items() if k != "trace_host_speed"}
+    with pytest.raises(ValueError, match="trace_host_speed"):
+        tool.check_record(broken)
+    for speed in ({w: v for w, v in SPEED.items() if w != "shapes_train"},
+                  dict(SPEED, shapes_train=0.0), dict(SPEED, shapes_train=1)):
+        with pytest.raises(ValueError, match="trace_host_speed"):
+            tool.check_record(dict(record, trace_host_speed=speed))
+    with pytest.raises(ValueError, match="schema"):
+        tool.check_record(dict(record, schema=3))
+    old = {k: v for k, v in broken.items() if k != "schema"}
+    tool.check_record(old)
+    for name in ("pr20", "pr21"):
+        rec = json.loads((ROOT / f"BENCH_{name}.json").read_text())
+        assert "schema" not in rec and "trace_host_speed" not in rec
+        tool.check_record(rec)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mhexlab.autodiff as ad
 import mhexlab.blocks as blocks
@@ -24,6 +25,43 @@ def test_param_shape_contracts():
         MhexParams(w1=Tensor(rng.normal(size=(3, 4))), w2=Tensor(rng.normal(size=(2, 3))))
     with pytest.raises(DimensionError):
         MhexParams(w1=Tensor(rng.normal(size=(3, 3))), w2=Tensor(rng.normal(size=(2, 4))))
+
+
+def test_per_row_param_shape_contracts():
+    """Per-row copies are a (B, C, C) w1 and a (B, n_class, C) w2 with the
+    same B and C; a 2-D w2 does not go with a stacked w1."""
+    rng = np.random.default_rng(0)
+    MhexParams(w1=Tensor(rng.normal(size=(3, 4, 4))), w2=Tensor(rng.normal(size=(3, 5, 4))))
+    for w1, w2 in [((3, 4, 4), (2, 5, 4)),      # leading dimensions differ
+                   ((3, 4, 4), (3, 5, 6)),      # channels differ
+                   ((3, 4, 4), (5, 4)),         # one stacked, one not
+                   ((3, 4, 5), (3, 5, 5)),      # copies not square
+                   ((2, 3, 4, 4), (2, 3, 5, 4))]:
+        with pytest.raises(DimensionError):
+            MhexParams(w1=Tensor(rng.normal(size=w1)), w2=Tensor(rng.normal(size=w2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.sampled_from([1, 2, 7]), c=st.integers(1, 70), k=st.integers(1, 70),
+       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e200]), seed=st.integers(0, 2 ** 32 - 1))
+def test_per_row_product_equals_the_2d_product_row_by_row(b, c, k, scale, seed):
+    """Row r of ``_mix`` over per-row copies of a (K, C) matrix is the 2-D
+    product of row r alone, bit for bit, and so are the gradients of row r
+    and of copy r."""
+    rng = np.random.default_rng(seed)
+    v, w, g = rng.normal(size=(b, c)) * scale, rng.normal(size=(k, c)), rng.normal(size=(b, k))
+    vt = Tensor(v, requires_grad=True)
+    copies = Tensor(np.broadcast_to(w, (b, k, c)).copy(), requires_grad=True)
+    out = blocks._mix(vt, copies)
+    loss = ad.sum_axis(ad.mul(out, g))
+    gv, gw = ad.grad_wrt(loss, vt), ad.grad_wrt(loss, copies)
+    for r in range(b):
+        vr, wr = Tensor(v[r:r + 1], requires_grad=True), Tensor(w, requires_grad=True)
+        ref = blocks._mix(vr, wr)
+        ref_loss = ad.sum_axis(ad.mul(ref, g[r:r + 1]))
+        assert np.array_equal(out.data[r], ref.data[0])
+        assert np.array_equal(gv[r], ad.grad_wrt(ref_loss, vr)[0])
+        assert np.array_equal(gw[r], ad.grad_wrt(ref_loss, wr))
 
 
 def test_gate_matches_manual_formula():

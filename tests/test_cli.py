@@ -430,6 +430,7 @@ BAD_INPUTS = {
     "curve_samples_0": ["evaluate", "--curve-samples", "0"],
     "steps_1": ["evaluate", "--steps", "1"],
     "grid_0": ["analyze", "--grid", "0"],
+    "grid_0_without_maps": ["analyze", "--grid", "0", "--block-samples", "0"],
     "block_samples_negative": ["analyze", "--block-samples", "-1"],
     "grid_finer_than_site_0": ["analyze", "--grid", "99"],
     "entropy_n_below_1e5": ["analyze", "--entropy-n", "99999"],
@@ -455,6 +456,22 @@ def test_bad_input_exits_1_and_writes_nothing(token_ckpt, shape_ckpt, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_analyze_rejects_grid_0_before_any_work(shape_ckpt, tmp_path, capsys, monkeypatch):
+    """``--grid 0`` is refused up front: with no map to draw it used to exit
+    0 and record ``grid=0``, and with one it failed only after the
+    one-million-sample entropy estimate."""
+    from mhexlab import analysis
+    calls = count_calls(analysis, "relu_entropy_drop", monkeypatch)
+    for block_samples in ("0", "1"):
+        out = tmp_path / block_samples
+        rc = cli.main(["analyze", "--grid", "0", "--block-samples", block_samples,
+                       "--n-samples", "8", "--checkpoint", str(shape_ckpt), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --grid must be >= 1, got 0\n"
+        assert not out.exists()
+    assert calls == []
 
 
 def test_zero_epochs_writes_the_initial_checkpoint(tmp_path):

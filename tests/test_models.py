@@ -143,9 +143,10 @@ def test_transformer_site_mask_shape_contract(small_transformer, length):
         small_transformer.side_chain(small_transformer._backbone(ids), (1, np.ones(length)))
 
 
-@pytest.mark.parametrize("shape", [(8, 8), (16,)])
+@pytest.mark.parametrize("shape", [(8, 8), (16,), (2, 8, 8), (1, 1, 16, 16)])
 def test_resnet_site_mask_shape_contract(small_cnn, shape):
-    """An image site mask must match the site's (h, w) resolution."""
+    """An image site mask, or each of a stack of them, must match the site's
+    (h, w) resolution."""
     x = mx.gen_shapes(1, seed=5).images
     with pytest.raises(DimensionError, match="site resolution"):
         small_cnn.side_chain(small_cnn._backbone(x), (0, np.ones(shape)))

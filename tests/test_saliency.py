@@ -136,7 +136,7 @@ def test_image_map_reads_a_taped_record(small_cnn):
     """The map read from a taped record is explain_image's bit for bit."""
     ds = mx.gen_shapes(1, seed=21)
     label = int(ds.labels[0])
-    smap = S.image_map(small_cnn, small_cnn.forward_collect(ds.images[0]), label)
+    (smap,) = S.image_map(small_cnn, small_cnn.forward_collect(ds.images[0]), [label])
     ref = S.explain_image(small_cnn, ds.images[0], label)
     assert np.array_equal(smap.raw, ref.raw) and np.array_equal(smap.grid, ref.grid)
 
@@ -150,7 +150,7 @@ def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
     Grad-CAM map without running the side chain."""
     ds = mx.gen_shapes(1, seed=24)
     img, label = ds.images[0], int(ds.labels[0])
-    ref_s = S.image_map(small_cnn, small_cnn.forward_collect(img), label)
+    (ref_s,) = S.image_map(small_cnn, small_cnn.forward_collect(img), [label])
     _, feats, logits, _ = small_cnn._backbone(img)
     onehot = np.eye(logits.shape[1])[label][None]
     grad = adjoints_reference(ad.sum_axis(ad.mul(logits, onehot)))[id(feats._node)][0]
@@ -225,7 +225,7 @@ def test_class_id_out_of_range_raises(small_cnn, small_transformer, bad):
     img = mx.gen_shapes(1, seed=27).images[0]
     td = mx.gen_tokens(2, seed=27)
     calls = [lambda: S.explain_image(small_cnn, img, bad),
-             lambda: S.image_map(small_cnn, small_cnn.forward_collect(img), bad),
+             lambda: S.image_map(small_cnn, small_cnn.forward_collect(img), [bad]),
              lambda: S.gradcam_baseline(small_cnn, img, bad),
              lambda: S.image_maps(small_cnn, img, bad, grad_cam=True),
              lambda: S.explain_tokens(small_transformer, td.ids[0], bad),

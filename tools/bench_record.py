@@ -12,12 +12,20 @@ JSON line of each run it writes, to ``<out-dir>/BENCH_<label>.json``:
 - ``git_sha`` of the tree, or null outside a git checkout;
 - ``end_to_end``: per workload and metric, the unit, the value of every
   seed and their median and quartiles;
-- ``per_layer``: per workload, the traced run's metrics;
-- ``correct``, ``attempted`` and ``failed`` summed over all runs.
+- ``per_layer``: per workload, the traced run's metrics, whose times are
+  raw seconds of that run's host;
+- ``trace_host_speed``: per workload, the traced run's ``wall_s /
+  raw_wall_s`` (read from the ``result.json`` that ``run.py`` leaves in
+  ``.bench_out/<workload>-seed<s>-trace1/``), the factor that scales its raw
+  seconds to the reference host speed of the end-to-end times; so two
+  records' per-layer times compare at one host speed;
+- ``correct``, ``attempted`` and ``failed`` summed over all runs;
+- ``schema``: 2. Records without it (``BENCH_pr20.json``,
+  ``BENCH_pr21.json``) are schema 1, which has no ``trace_host_speed``.
 
-``--check`` loads a record and exits 1 if a field is missing. Nothing
-under ``perfbench/`` is changed; each run leaves its outputs in the tree's
-``.bench_out/``.
+``--check`` loads a record and exits 1 if a field of its schema is missing.
+Nothing under ``perfbench/`` is changed; each run leaves its outputs in the
+tree's ``.bench_out/``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("label", "git_sha", "env", "seeds", "seconds", "trace_seed",
           "correct", "attempted", "failed", "end_to_end", "per_layer")
+SCHEMA = 2
+FIELDS_SINCE_2 = ("trace_host_speed",)
 SUMMARY = ("unit", "values", "median", "q1", "q3")
 
 
@@ -68,9 +78,21 @@ def _summary(values):
     return {"values": values, "median": med, "q1": q1, "q3": q3}
 
 
-def build_record(label, seeds, seconds, untraced, traced):
-    """The record of ``untraced`` (one ``parse_run`` result per seed) and
-    ``traced`` (one, with ``--trace 1``)."""
+def host_speed(root, seed, workloads):
+    """``{workload: wall_s / raw_wall_s}`` of the traced run of ``seed``,
+    from the ``result.json`` files that ``run.py`` left under ``root``."""
+    speed = {}
+    for w in workloads:
+        res = json.loads((root / ".bench_out" / f"{w}-seed{seed}-trace1" / "result.json")
+                         .read_text())
+        speed[w] = res["wall_s"] / res["raw_wall_s"]
+    return speed
+
+
+def build_record(label, seeds, seconds, untraced, traced, trace_host_speed):
+    """The record of ``untraced`` (one ``parse_run`` result per seed),
+    ``traced`` (one, with ``--trace 1``) and the traced run's
+    ``host_speed``."""
     runs = untraced + [traced]
     env = runs[0][0]
     if any(e != env for e, _ in runs):
@@ -82,6 +104,7 @@ def build_record(label, seeds, seconds, untraced, traced):
             values = [_by_workload(r["metrics"])[workload][name]["value"] for _, r in untraced]
             end_to_end[workload][name] = {"unit": m["unit"], **_summary(values)}
     return {
+        "schema": SCHEMA,
         "label": label,
         "git_sha": None if env.get("git_sha") in (None, "None") else env["git_sha"],
         "env": env,
@@ -93,16 +116,26 @@ def build_record(label, seeds, seconds, untraced, traced):
         "failed": sum(r["failed"] for _, r in runs),
         "end_to_end": end_to_end,
         "per_layer": _by_workload(traced[1]["metrics"]),
+        "trace_host_speed": trace_host_speed,
     }
 
 
 def check_record(record):
-    """Raise ``ValueError`` naming the first missing or empty field."""
-    for field in FIELDS:
+    """Raise ``ValueError`` naming the first missing or empty field of the
+    record's schema."""
+    schema = record.get("schema", 1)
+    if schema not in (1, SCHEMA):
+        raise ValueError(f"unknown schema {schema!r}")
+    for field in FIELDS + (FIELDS_SINCE_2 if schema == SCHEMA else ()):
         if field not in record:
             raise ValueError(f"no field {field!r}")
     if not record["end_to_end"] or set(record["end_to_end"]) != set(record["per_layer"]):
         raise ValueError("end_to_end and per_layer must name the same workloads")
+    if schema == SCHEMA:
+        speed = record["trace_host_speed"]
+        if set(speed) != set(record["per_layer"]) or \
+                not all(isinstance(v, float) and v > 0 for v in speed.values()):
+            raise ValueError("trace_host_speed needs a positive factor per workload")
     for workload, names in record["end_to_end"].items():
         for name, m in names.items():
             missing = [k for k in SUMMARY if k not in m]
@@ -147,7 +180,8 @@ def main(argv=None):
     seeds = list(range(1, args.seeds + 1))
     untraced = [_run(root, s, args.seconds, 0) for s in seeds]
     traced = _run(root, seeds[0], args.seconds, 1)
-    record = build_record(args.label, seeds, args.seconds, untraced, traced)
+    speed = host_speed(root, seeds[0], _by_workload(traced[1]["metrics"]))
+    record = build_record(args.label, seeds, args.seconds, untraced, traced, speed)
     check_record(record)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
