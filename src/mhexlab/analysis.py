@@ -28,10 +28,11 @@ from .formats import write_csv
 
 COSINE_EPS = 1e-8
 ENTROPY_BINS = 200          # histogram bins of the ReLU entropy estimate
-# samples per side-chain replay of the collaboration records: on the
-# default CNN a row holds about 0.35 MB of tape and 0.23 MB of stacked
-# backbone activations
-COLLAB_ROWS = 32
+# samples per side-chain replay of the collaboration records: on the default
+# CNN `mhex analyze --n-samples 512` runs as fast with 8 rows as with 16 to 64,
+# and 8 is the largest stack that leaves its peak RSS at the per-sample loop's
+# (16 adds 3 MB, 32 adds 18 MB)
+COLLAB_ROWS = 8
 
 
 @dataclass
@@ -250,10 +251,12 @@ def check_collab_inputs(model, dataset):
         raise ContractError("the collaboration analysis supports only the CNN host on images")
 
 
-def _stack(backbones):
-    """One ``_backbone`` result holding the rows of several CNN results."""
+def _stack(model, backbones):
+    """One ``_backbone`` result holding the rows of several CNN results; of
+    the block activations only the sites' are stacked, the only ones
+    ``side_chain`` reads, and the others are ``None``."""
     acts = [ad.Tensor(np.concatenate([b[0][k].data for b in backbones]))
-            for k in range(len(backbones[0][0]))]
+            if k in model.sites else None for k in range(len(backbones[0][0]))]
     feats, logits = (ad.Tensor(np.concatenate([b[j].data for b in backbones]))
                      for j in (1, 2))
     return acts, feats, logits, None
@@ -281,18 +284,21 @@ def collect_collab_records(model, dataset, n_samples=None):
         labels = [int(dataset.labels[i]) for i in ids]
         with ad.no_grad():
             backbones = [model._backbone(dataset.images[i]) for i in ids]
-        rec, pairs = _replay_pairs(model, _stack(backbones), labels, sites)
+        p_orig = [float(ad.softmax_last(b[2]).data[0, label])
+                  for b, label in zip(backbones, labels)]
+        stacked = _stack(model, backbones)
+        del backbones       # the replay reads only the stacked copy
+        rec, pairs = _replay_pairs(model, stacked, labels, sites)
         maps = sal_mod.image_map(model, rec, labels)
         for k, i in enumerate(ids):
             image, label = dataset.images[i], labels[k]
             cam = sal_mod.resize_map(maps[k].grid, image.shape[-2:])
-            p_orig = float(ad.softmax_last(backbones[k][2]).data[0, label])
             p_mask = float(model.predict_proba(met.soft_mask(image, cam)[None])[0, label])
-            drop = met.DropRecord.of(i, p_orig, p_mask, met.saliency_area(cam)).drop
+            drop = met.DropRecord.of(i, p_orig[k], p_mask, met.saliency_area(cam)).drop
             for s in sites:
                 g_ds, g_ag = (g[k] for g in pairs[s])
                 records.append(CollabRecord(sample_id=i, site=s, cosine=_cosine(g_ag, g_ds),
-                                            p_orig=p_orig, sad_drop=drop))
+                                            p_orig=p_orig[k], sad_drop=drop))
     return records
 
 

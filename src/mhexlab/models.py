@@ -355,6 +355,9 @@ class ResNetModel(_Host):
         if mask.ndim not in (2, 3) or mask.shape[-2:] != hw:
             raise DimensionError(
                 f"site mask shape {mask.shape} does not match site resolution {hw}")
+        if mask.ndim == 3 and x_l.data.shape[0] != 1:
+            raise DimensionError(
+                f"a stack of site masks replays a batch-1 backbone, not {x_l.data.shape[0]} rows")
         return Tensor(mask.reshape((-1, 1) + hw))
 
 

@@ -347,9 +347,16 @@ def test_blockwise_equals_per_cell_pairs(small_cnn):
 
 
 def test_collab_records_equal_collaboration_cosine(small_cnn, monkeypatch):
-    ds = mx.gen_shapes(3, seed=45)
-    records = A.collect_collab_records(small_cnn, ds, n_samples=3)
-    assert len(records) == 9
+    """Every record equals the batch-1 cosine and the independent reference
+    pair, bit for bit, in a replay of all 5 samples and across the stacks of
+    2, 2 and 1 rows when ``COLLAB_ROWS`` is 2."""
+    ds = mx.gen_shapes(5, seed=45)
+    records = A.collect_collab_records(small_cnn, ds, n_samples=5)
+    monkeypatch.setattr(A, "COLLAB_ROWS", 2)
+    stacked_by_2 = A.collect_collab_records(small_cnn, ds, n_samples=5)
+    assert stacked_by_2 == records
+    assert [(r.sample_id, r.site) for r in records] == \
+        [(i, s) for i in range(5) for s in (0, 1, 2)]
     for r in records:
         x, label = ds.images[r.sample_id], int(ds.labels[r.sample_id])
         cos = A.collaboration_cosine(small_cnn, x, label, r.site)

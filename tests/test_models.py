@@ -152,6 +152,17 @@ def test_resnet_site_mask_shape_contract(small_cnn, shape):
         small_cnn.side_chain(small_cnn._backbone(x), (0, np.ones(shape)))
 
 
+@pytest.mark.parametrize("n_masks", [1, 2, 3])
+def test_resnet_mask_stack_needs_a_batch_1_backbone(small_cnn, n_masks):
+    """A stack of site masks replays one backbone row once per mask; over a
+    2-row backbone it used to fail in numpy's broadcast (3 masks) or pair
+    mask b with row b (1 or 2 masks)."""
+    backbone = small_cnn._backbone(mx.gen_shapes(2, seed=5).images)
+    hw = backbone[0][small_cnn.sites[0]].data.shape[-2:]
+    with pytest.raises(DimensionError, match="batch-1 backbone"):
+        small_cnn.side_chain(backbone, (0, np.ones((n_masks,) + hw)))
+
+
 @pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
 def test_masked_site_out_of_range_raises(host, request):
     """A masked site must be one of the host's sites: -1 used to mask
