@@ -41,17 +41,30 @@ range keeps its own samples' until all have finished, and the calling
 thread then adds them in sample order, so no batch-sized block of them is
 held. So every result is bit-identical whatever the split. A worker gets a
 range only if it holds a chunk's worth of columns and ``_SPREAD_SAMPLES``
-samples; so any batch below 64, such as a batch-1 map or a 20-step curve,
-runs on the calling thread alone.
+samples; so a ``conv2d`` batch below 64 runs on the calling thread alone.
+
+A forward without a tape spreads over the same pool a level up, a batch's
+whole chunks (``_spread_batch``, which ``ResNetModel.forward_logits`` uses):
+``_batch_chunks`` gives one range per worker, cut into chunks of 2 to
+``_BATCH_CHUNK`` samples, so a 20-step curve's prediction runs as 2 ranges of
+two 5-sample chunks on 2 CPUs. Every chunk holds at least 2 samples, so the
+rows keep their bits. A task marks its thread as inside a task: a
+``_spread`` called there, such as a nested ``conv2d``'s, runs all its ranges
+on that thread (no deadlock on a small pool, no oversubscription), and a
+nested ``conv2d`` takes one range whose columns fit ``_COLS_BYTES`` divided
+by the number of tasks, so the tasks together hold no more columns than one
+top-level call.
 
 Inside ``no_grad()`` nothing is recorded: a new tensor gets no node, so
-every tensor is a leaf and no closure keeps an array alive.
+every tensor is a leaf and no closure keeps an array alive. The flag is the
+thread's own, so a task can enter ``no_grad`` while another thread tapes.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -59,13 +72,13 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DimensionError, ConfigurationError
 
-_recording = True
 LAYER_NORM_EPS = 1e-5
 # im2col columns of one conv2d chunk; a fresh array above glibc's mmap
 # threshold page-faults on every call, 2 MB chunks reuse heap pages
 _COLS_BYTES = 1 << 21
-# conv2d spreads its sample chunks over the usable CPUs, the calling thread
-# included; the pool of the other _WORKERS - 1 starts on the first such call
+# conv2d and a forward without a tape spread their sample chunks over the
+# usable CPUs, the calling thread included; the one pool of the other
+# _WORKERS - 1 starts on the first such call
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # a worker gets a range only if it holds this many samples: on 2 vCPUs, a
@@ -73,7 +86,22 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # 64 but 0.8-1.0 at batch 20, with or without a tape, and up to 1.3 when the
 # other vCPU was busy
 _SPREAD_SAMPLES = 32
+# a forward spread by _batch_chunks runs chunks of at most this many samples:
+# on 2 vCPUs a 20-step default-CNN curve's tracemalloc peak was 4.4-4.6 MB in
+# 5-sample chunks, 7.0 in one 10-sample chunk per worker, 7.42 on one thread
+_BATCH_CHUNK = 5
 _pool = None
+
+
+class _ThreadState(threading.local):
+    """What each thread has of its own: whether new tensors record a tape
+    (``no_grad`` clears it), and inside a ``_spread`` task the number of its
+    ranges, which share ``_COLS_BYTES`` (0 outside any task)."""
+    recording = True
+    ranges = 0
+
+
+_state = _ThreadState()
 
 
 def _forget_pool():
@@ -88,12 +116,11 @@ if hasattr(os, "register_at_fork"):
 @contextmanager
 def no_grad():
     """Record no tape for the tensors built inside the block (nests)."""
-    global _recording
-    prev, _recording = _recording, False
+    prev, _state.recording = _state.recording, False
     try:
         yield
     finally:
-        _recording = prev
+        _state.recording = prev
 
 
 class _Node:
@@ -123,7 +150,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._node = (_Node(tuple(p._node or p for p in _parents), _backward)
-                      if _recording and _backward is not None else None)
+                      if _backward is not None and _state.recording else None)
 
     @property
     def _parents(self):
@@ -309,18 +336,61 @@ def _columns(x, kh, kw, stride, pad, xp, cols):
     return out
 
 
+def _cols_budget():
+    """Bytes of im2col columns one ``conv2d`` may hold: ``_COLS_BYTES``, or
+    its share inside a ``_spread`` task, so that the tasks together hold no
+    more than one top-level call."""
+    return _COLS_BYTES // max(1, _state.ranges)
+
+
 def _chunks(n, sample_bytes):
     """``conv2d``'s split of ``n`` samples: contiguous (lo, hi) ranges of
     near-equal length, one per worker that gets at least ``_COLS_BYTES`` of
     columns and ``_SPREAD_SAMPLES`` samples (at most ``_WORKERS``, at least
-    one), and one chunk size that cuts each range into equal chunks whose
-    columns fit ``_COLS_BYTES`` (at least one sample per chunk)."""
-    step = max(1, _COLS_BYTES // sample_bytes)
-    groups = max(1, min(_WORKERS, n * sample_bytes // _COLS_BYTES, n // _SPREAD_SAMPLES))
+    one; inside a ``_spread`` task just one), and one chunk size that cuts
+    each range into equal chunks whose columns fit ``_cols_budget()`` (at
+    least one sample per chunk)."""
+    step = max(1, _cols_budget() // sample_bytes)
+    groups = 1 if _state.ranges else max(
+        1, min(_WORKERS, n * sample_bytes // _COLS_BYTES, n // _SPREAD_SAMPLES))
     span = -(-n // groups)                          # the longest range
     chunks = -(-span // step)                       # in the longest range
     size = -(-span // chunks) if chunks else 1
-    return [(n * t // groups, n * (t + 1) // groups) for t in range(groups)], size
+    return _cut(0, n, groups), size
+
+
+def _cut(lo, hi, parts):
+    """``range(lo, hi)`` as ``parts`` contiguous (lo, hi) pieces, in order,
+    whose lengths differ by at most one."""
+    return [(lo + (hi - lo) * i // parts, lo + (hi - lo) * (i + 1) // parts)
+            for i in range(parts)]
+
+
+def _batch_chunks(n):
+    """The split of a batch of ``n`` samples for ``_spread_batch``: one list
+    of (lo, hi) chunks per worker, contiguous and in order, each range cut
+    into near-equal chunks of at most ``_BATCH_CHUNK`` samples. Every chunk
+    holds at least 2 samples, because a 1-sample GEMM is a matrix-vector
+    product, which rounds differently; so on one CPU, below 4 samples or
+    inside a ``_spread`` task, the batch is one range of one chunk."""
+    groups = 0 if _state.ranges else min(_WORKERS, n // 2)
+    if groups <= 1:
+        return [[(0, n)]]
+    return [_cut(lo, hi, -(-(hi - lo) // _BATCH_CHUNK)) for lo, hi in _cut(0, n, groups)]
+
+
+def _spread_batch(fn, chunks):
+    """``fn(lo, hi)``, an array of rows lo..hi, for every chunk of the split
+    ``chunks`` (see ``_batch_chunks``), concatenated in order: a range per
+    ``_spread`` task, each computed without a tape."""
+    rows = [None] * len(chunks)
+
+    def task(t, lo, hi):
+        with no_grad():
+            rows[t] = [fn(a, b) for a, b in chunks[t]]
+
+    _spread(task, [(c[0][0], c[-1][1]) for c in chunks])
+    return np.concatenate([r for part in rows for r in part])
 
 
 def _sum_rows(acc, rows):
@@ -334,19 +404,31 @@ def _sum_rows(acc, rows):
 
 def _spread(task, ranges):
     """Run ``task(t, lo, hi)`` for each range ``t``: the first on the calling
-    thread, the others on the pool, and return once all have finished. A
-    task calls only numpy and private helpers, whose copies and GEMMs
-    release the GIL, and writes only its own samples' rows."""
+    thread, the others on the pool, and return once all have finished; the
+    first error of a task is raised then. A task writes only its own rows;
+    what it runs is marked as inside a task (``_state.ranges``), so a
+    ``_spread`` called from inside one, such as a nested ``conv2d``'s, runs
+    all its ranges on the current thread, in order. A ``conv2d`` task calls
+    only numpy and private helpers, whose copies and GEMMs release the GIL."""
     global _pool
-    if len(ranges) == 1:
-        task(0, *ranges[0])
+    if len(ranges) == 1 or _state.ranges:
+        for t, (lo, hi) in enumerate(ranges):
+            task(t, lo, hi)
         return
     if _pool is None:       # its import alone costs a CLI start-up ~7 ms
         from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="conv2d")
-    futures = [_pool.submit(task, t, lo, hi) for t, (lo, hi) in enumerate(ranges) if t]
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="mhexlab")
+
+    def marked(t, lo, hi):
+        _state.ranges = len(ranges)
+        try:
+            task(t, lo, hi)
+        finally:
+            _state.ranges = 0
+
+    futures = [_pool.submit(marked, t, lo, hi) for t, (lo, hi) in enumerate(ranges) if t]
     try:
-        task(0, *ranges[0])
+        marked(0, *ranges[0])
     finally:
         errors = [f.exception() for f in futures]      # waits for each task
     for err in errors:
@@ -365,7 +447,7 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
     those GEMMs; the kernel and bias gradients keep their bits. The kernel
     gradient adds the per-sample products in sample order (``_sum_rows``)
     without holding the batch's: the calling thread holds at most
-    ``_COLS_BYTES`` of them (or one sample's, if larger), a later worker its
+    ``_cols_budget()`` of them (or one sample's, if larger), a later worker its
     range's until the join.
     """
     x, w = _as_tensor(x), _as_tensor(w)
@@ -418,9 +500,9 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
         gxp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad)) if input_grad else None
         gw = np.zeros((o, k))
         # per-sample kernel gradients: the calling thread's range adds its
-        # own into gw through a buffer of at most _COLS_BYTES, a later range
+        # own into gw through a buffer of at most _cols_budget(), a later range
         # keeps its rows until the join (see _sum_rows)
-        part = min(size, max(1, _COLS_BYTES // (8 * o * k)))
+        part = min(size, max(1, _cols_budget() // (8 * o * k)))
         gwn = [np.empty((part, o, k))] + [np.empty((hi - lo, o, k)) for lo, hi in ranges[1:]]
         rows = ([wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o) for i in range(kh)]
                 if input_grad else None)

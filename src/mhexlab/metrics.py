@@ -4,8 +4,13 @@ curves with trapezoidal AUC. Every metric reads the model through
 ``predict``, a callable that maps a batch to ``(B, n_class)`` probabilities
 (a host's ``predict_proba``), and rejects a label outside ``[0, n_class)``;
 images are ``(C, H, W)``, maps ``(H, W)``. A curve predicts its steps
-together and ``drop_records`` an image's masked copies together, so a
-batched row may round its last bits differently from a batch-1 call.
+together (in batches of ``EVAL_BATCH_SIZE``) and ``drop_records`` an image's
+masked copies together, so a batched row may round its last bits
+differently from a batch-1 call. The CNN host's ``predict_proba`` spreads
+such a batch over the usable CPUs in chunks of at least 2 images
+(``autodiff._spread_batch``), with the bits of one whole-batch call: a
+20-step curve runs as four 5-step chunks on two CPUs, while ``predict``
+itself is called once per batch and never from two threads.
 """
 
 from __future__ import annotations

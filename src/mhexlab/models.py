@@ -332,8 +332,14 @@ class ResNetModel(_Host):
 
     def forward_logits(self, x):
         """Backbone-only forward; what the host computes with every explainer
-        block stripped."""
-        return self._backbone(x)[2]
+        block stripped. Without a tape (``predict_proba``) a batch of 4
+        images or more is spread over the usable CPUs in chunks of at least 2
+        (``autodiff._spread_batch``); each row keeps the bits of one
+        whole-batch call."""
+        xd = x.data if isinstance(x, Tensor) else np.asarray(x)
+        if ad._state.recording or xd.ndim != 4 or len(chunks := ad._batch_chunks(len(xd))) == 1:
+            return self._backbone(x)[2]
+        return Tensor(ad._spread_batch(lambda a, b: self._backbone(xd[a:b])[2].data, chunks))
 
     def predict_proba(self, x):
         with ad.no_grad():

@@ -229,8 +229,9 @@ def closure_arrays(fn):
 
 @contextmanager
 def conv_workers(monkeypatch, n):
-    """``conv2d`` spreads its chunks over ``n`` workers, with a pool of its
-    own that is shut down on exit (``monkeypatch`` restores the module's)."""
+    """``conv2d`` and a forward without a tape spread their chunks over ``n``
+    workers, with a pool of their own that is shut down on exit
+    (``monkeypatch`` restores the module's)."""
     monkeypatch.setattr(ad, "_WORKERS", n)
     monkeypatch.setattr(ad, "_pool", None)
     try:

@@ -1,6 +1,7 @@
 import os
 import signal
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -404,7 +405,7 @@ def test_conv_chunk_split_covers_batch_in_equal_chunks(monkeypatch):
         for workers, want in zip((1, 2, 3), groups):
             monkeypatch.setattr(ad, "_WORKERS", workers)
             for recording in (True, False):
-                monkeypatch.setattr(ad, "_recording", recording)
+                monkeypatch.setattr(ad._state, "recording", recording)
                 ranges, size = ad._chunks(n, sample)
                 assert ranges[0][0] == 0 and ranges[-1][1] == n
                 assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -562,6 +563,98 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_conv_inside_a_spread_task_runs_on_its_thread(monkeypatch):
+    """A batch-64 conv2d that spreads at top level runs, inside a ``_spread``
+    task, as one range on the task's thread, with columns of its share of
+    ``_COLS_BYTES``: on a pool of one thread, where a nested spread would
+    wait on itself, both tasks finish, with the bits of the top-level call
+    in the forward and the kernel gradient. A forked child does it, so that
+    a hang ends in its SIGALRM."""
+    rng = _rng(21)
+    x = Tensor(rng.normal(size=(64, 8, 32, 32)))
+    w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+    g = rng.normal(size=(64, 8, 32, 32))
+    with conv_workers(monkeypatch, 2):
+        top = ad.conv2d(x, w, pad=1)
+        ref, ref_gw = top.data, top._backward(g)[1]
+        assert len(ad._chunks(64, 8 * 8 * 9 * 32 * 32)[0]) == 2
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(20)            # a hung child dies of SIGALRM
+                got = [None, None]
+
+                def task(t, lo, hi):
+                    out = ad.conv2d(x, w, pad=1)
+                    got[t] = (out.data, out._backward(g)[1],
+                              ad._chunks(64, 8 * 8 * 9 * 32 * 32)[0], ad._cols_budget())
+
+                ad._spread(task, [(0, 1), (1, 2)])
+                code = 0 if all(np.array_equal(d, ref) and np.array_equal(gw, ref_gw)
+                                and r == [(0, 64)] and b == ad._COLS_BYTES // 2
+                                for d, gw, r, b in got) else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_no_grad_is_per_thread():
+    """``no_grad`` stops taping in its own thread only: while a second thread
+    holds it, the calling thread's ops record nodes, and after that thread
+    has left it, the calling thread's own ``no_grad`` still records none."""
+    entered, leave = threading.Event(), threading.Event()
+    held = []
+
+    def hold():
+        with ad.no_grad():
+            held.append(ad.relu(Tensor(np.ones(2), requires_grad=True))._node)
+            entered.set()
+            leave.wait(10)
+
+    x = Tensor(np.ones(2), requires_grad=True)
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert entered.wait(10)
+        assert ad.relu(x)._node is not None
+        with ad.no_grad():
+            leave.set()
+            other.join(10)
+            assert not other.is_alive()
+            assert ad.relu(x)._node is None
+    finally:
+        leave.set()
+        other.join(10)
+    assert held == [None]
+    assert ad.relu(x)._node is not None
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_batch_chunks_cut_a_batch_into_chunks_of_two_or_more(monkeypatch, workers):
+    """``_batch_chunks`` covers the batch with contiguous chunks in order: one
+    range per worker of near-equal length, each cut into chunks of 2 to
+    ``_BATCH_CHUNK`` samples; a batch that gives no two workers 2 samples,
+    or one on one worker or inside a task, is one chunk."""
+    monkeypatch.setattr(ad, "_WORKERS", workers)
+    for n in range(1, 140):
+        split = ad._batch_chunks(n)
+        flat = [c for part in split for c in part]
+        assert flat[0][0] == 0 and flat[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(flat, flat[1:]))
+        assert len(split) == max(1, min(workers, n // 2))
+        if len(split) == 1:
+            assert flat == [(0, n)]
+            continue
+        lengths = [part[-1][1] - part[0][0] for part in split]
+        assert max(lengths) - min(lengths) <= 1
+        assert all(2 <= b - a <= ad._BATCH_CHUNK for a, b in flat), (n, flat)
+    monkeypatch.setattr(ad._state, "ranges", 2)
+    assert ad._batch_chunks(20) == [[(0, 20)]]
 
 
 def _cnn_tape(model, n, seed):

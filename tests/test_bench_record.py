@@ -123,3 +123,29 @@ def test_new_records_need_the_host_speed(tool, record):
         rec = json.loads((ROOT / f"BENCH_{name}.json").read_text())
         assert "schema" not in rec and "trace_host_speed" not in rec
         tool.check_record(rec)
+
+
+def test_parent_runs_alternate_seed_by_seed(tool, monkeypatch, tmp_path):
+    """``--parent`` runs the two trees in alternation, the parent first on odd
+    seeds and in the traced runs, and writes a record of each; no benchmark
+    runs here (the runner is stubbed)."""
+    calls = []
+
+    def run(root, seed, seconds, trace):
+        calls.append((root.name, seed, trace))
+        return tool.parse_run((SAMPLE / ("trace1.txt" if trace else "seed1.txt")).read_text())
+
+    monkeypatch.setattr(tool, "_run", run)
+    monkeypatch.setattr(tool, "host_speed", lambda root, seed, workloads: dict(SPEED))
+    tree, parent, out = tmp_path / "tree", tmp_path / "parent", tmp_path / "out"
+    out.mkdir()
+    assert tool.main(["--label", "x", "--root", str(tree), "--parent", str(parent),
+                      "--seeds", "3", "--seconds", "1", "--out-dir", str(out)]) == 0
+    assert calls == [("parent", 1, 0), ("tree", 1, 0), ("tree", 2, 0), ("parent", 2, 0),
+                     ("parent", 3, 0), ("tree", 3, 0), ("parent", 1, 1), ("tree", 1, 1)]
+    assert sorted(p.name for p in out.iterdir()) == ["BENCH_x.json", "BENCH_x_parent.json"]
+    for label in ("x", "x_parent"):
+        rec = json.loads((out / f"BENCH_{label}.json").read_text())
+        tool.check_record(rec)
+        assert rec["label"] == label and rec["seeds"] == [1, 2, 3]
+        assert rec["trace_host_speed"] == SPEED and set(rec["end_to_end"]) == WORKLOADS

@@ -112,8 +112,10 @@ def test_explain_gradcam_one_backbone_per_image(shape_ckpt, tmp_path, monkeypatc
 
 def test_evaluate_shapes_one_forward_per_curve(shape_ckpt, tmp_path, monkeypatch):
     """Per image, one backbone pass for its maps and p_orig and one
-    prediction for all its masked copies; one prediction per curve. None of
-    these batches is large enough to start the conv2d pool on two CPUs."""
+    prediction for all its masked copies; one prediction per curve. On two
+    CPUs a 20-step curve's forward spreads as the four 5-image chunks of
+    ``_batch_chunks``, one backbone pass each; the 3 masked copies of an
+    image stay one batch, too small to spread."""
     backbones = count_calls(ResNetModel, "_backbone", monkeypatch)
     predicts = count_calls(ResNetModel, "predict_proba", monkeypatch)
     n, curve_samples, methods = 5, 3, 3
@@ -122,12 +124,13 @@ def test_evaluate_shapes_one_forward_per_curve(shape_ckpt, tmp_path, monkeypatch
                        "--curve-samples", str(curve_samples), "--steps", "20",
                        "--grad-cam", "--oracle-explainer",
                        "--checkpoint", str(shape_ckpt), "--out", str(tmp_path)])
-        assert ad._pool is None
+        assert ad._pool is not None
+        assert [len(part) for part in ad._batch_chunks(20)] == [2, 2]
     assert rc == 0
     assert len(_rows(tmp_path / "summary.csv")) == 1 + methods
     curves = methods * 2 * curve_samples
     assert len(predicts) == n + curves
-    assert len(backbones) == n + len(predicts)
+    assert len(backbones) == n + n + 4 * curves
 
 
 def _explain_argv(samples):

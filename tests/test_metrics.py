@@ -7,7 +7,7 @@ import mhexlab.saliency as S
 from mhexlab.datasets import PAD_ID
 from mhexlab.errors import ConfigurationError, ContractError, DimensionError
 
-from helpers import perturbation_curve_images
+from helpers import conv_workers, peak_mb, perturbation_curve_images
 
 
 def _linear_predictor(weight):
@@ -236,6 +236,52 @@ def test_long_curve_predicts_per_chunk_as_in_one(monkeypatch, small_cnn, curve_f
     whole = curve_fn(small_cnn.predict_proba, img, cam, label, steps=10)
     assert np.array_equal(chunked.confidences, whole.confidences)
     assert np.array_equal(chunked.fractions, whole.fractions)
+
+
+def _curve_case(model, seed):
+    """An image, its label and its Grad-CAM-free saliency map."""
+    ds = mx.gen_shapes(1, seed=seed)
+    img, label = ds.images[0], int(ds.labels[0])
+    return img, label, S.resize_map(S.explain_image(model, img, label).grid, img.shape[-2:])
+
+
+@pytest.mark.parametrize("steps", [2, 3, 7, 20, 21, 128])
+def test_curves_at_any_worker_count_equal_one_prediction(monkeypatch, small_cnn, steps):
+    """On one worker and spread over two, a default-CNN curve's confidences
+    are those of one whole-batch ``predict_proba`` on one worker, bit for
+    bit."""
+    img, label, cam = _curve_case(small_cnn, 33)
+    for insert, curve_fn in ((False, M.deletion_curve), (True, M.insertion_curve)):
+        frames = perturbation_curve_images(img, cam, steps, insert)
+        with conv_workers(monkeypatch, 1):
+            ref = small_cnn.predict_proba(frames)[:, label]
+        for workers in (1, 2):
+            with conv_workers(monkeypatch, workers):
+                curve = curve_fn(small_cnn.predict_proba, img, cam, label, steps=steps)
+            assert np.array_equal(curve.confidences, ref), (insert, workers)
+
+
+def test_spread_curve_holds_under_6_mb(monkeypatch, small_cnn):
+    """Spread over two workers in chunks of at most ``_BATCH_CHUNK`` images,
+    a 20-step default-CNN curve's tracemalloc peak stays under 6 MB (7.42 MB
+    as one batch-20 prediction)."""
+    img, label, cam = _curve_case(small_cnn, 34)
+    with conv_workers(monkeypatch, 2):
+        M.deletion_curve(small_cnn.predict_proba, img, cam, label)     # starts the pool
+        assert peak_mb(lambda: M.deletion_curve(small_cnn.predict_proba, img, cam,
+                                                label)) < 6.0
+
+
+@pytest.mark.parametrize("bad", ["n_class", -1])
+def test_spread_curve_label_outside_classes_raises(monkeypatch, small_cnn, bad):
+    """A bad label still raises ``ConfigurationError`` when the curve's
+    prediction is spread over two workers."""
+    img, _, cam = _curve_case(small_cnn, 35)
+    label = small_cnn.cfg.n_class if bad == "n_class" else bad
+    with conv_workers(monkeypatch, 2):
+        for curve_fn in (M.deletion_curve, M.insertion_curve):
+            with pytest.raises(ConfigurationError, match=f"label {label} is outside"):
+                curve_fn(small_cnn.predict_proba, img, cam, label, steps=20)
 
 
 @pytest.mark.parametrize("bad", ["n_class", -1, -2])

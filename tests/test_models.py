@@ -467,6 +467,55 @@ def test_batch1_forward_stays_on_calling_thread(monkeypatch, small_cnn, small_tr
         assert ad._pool is not None and len(set(threads)) == 2
 
 
+@pytest.mark.parametrize("n", [3, 4, 11, 20])
+def test_forward_without_tape_spreads_in_chunks(monkeypatch, small_cnn, n):
+    """Without a tape, a CNN batch of ``n`` images on two workers runs one
+    backbone call per chunk of ``_batch_chunks``, on both threads from 4
+    images up; the logits equal one whole-batch call on one worker, bit for
+    bit. A taped forward is one call."""
+    xs = mx.gen_shapes(n, seed=7).images
+    with conv_workers(monkeypatch, 1), ad.no_grad():
+        ref = small_cnn.forward_logits(xs).data
+    calls, backbone = [], type(small_cnn)._backbone
+
+    def recording(self, x):
+        calls.append((threading.get_ident(), np.array(getattr(x, "data", x))))
+        return backbone(self, x)
+
+    monkeypatch.setattr(type(small_cnn), "_backbone", recording)
+    with conv_workers(monkeypatch, 2):
+        with ad.no_grad():
+            got = small_cnn.forward_logits(xs).data
+        chunks = [c for part in ad._batch_chunks(n) for c in part]
+        assert np.array_equal(got, ref)
+        spans = sorted(next((a, b) for a, b in chunks if np.array_equal(x, xs[a:b]))
+                       for _, x in calls)
+        assert spans == chunks
+        assert len({t for t, _ in calls}) == (2 if n >= 4 else 1)
+        calls.clear()
+        small_cnn.forward_logits(xs)
+        assert len(calls) == 1 and np.array_equal(calls[0][1], xs)
+
+
+def test_threaded_forward_spread_repeats_bit_for_bit(monkeypatch, small_cnn):
+    """Ten spread predictions of 23 images on three workers, with the
+    interpreter switching threads as often as it can, give the bytes of one
+    call on one worker; the calling thread's taping is untouched."""
+    xs = mx.gen_shapes(23, seed=8).images
+    with conv_workers(monkeypatch, 1):
+        want = small_cnn.predict_proba(xs).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with conv_workers(monkeypatch, 3):
+            assert [len(part) for part in ad._batch_chunks(23)] == [2, 2, 2]
+            for _ in range(10):
+                assert small_cnn.predict_proba(xs).tobytes() == want
+                assert small_cnn.forward_logits(xs[:2])._node is not None
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_train_checkpoint_same_bytes_for_any_worker_count(monkeypatch, tmp_path):
     """``train`` on 64 shapes images writes the same checkpoint bytes with
     conv2d on one worker and on two."""

@@ -159,7 +159,7 @@ def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
     taped, backbone = [], type(small_cnn)._backbone
 
     def recording(self, x):
-        taped.append(ad._recording)
+        taped.append(ad._state.recording)
         return backbone(self, x)
 
     monkeypatch.setattr(type(small_cnn), "_backbone", recording)

@@ -1,11 +1,15 @@
 """Record the benchmark of a source tree into one ``BENCH_<label>.json``.
 
     python3 tools/bench_record.py --label pr21 --seeds 5 --seconds 24
+    python3 tools/bench_record.py --label pr23 --parent ../parent --seeds 5
     python3 tools/bench_record.py --check BENCH_pr21.json
 
 Runs the tree's own ``perfbench/run.py --workload all --trace 0`` once per
-seed (seeds 1..N), then once with ``--trace 1`` (seed 1). From the last
-JSON line of each run it writes, to ``<out-dir>/BENCH_<label>.json``:
+seed (seeds 1..N), then once with ``--trace 1`` (seed 1). With ``--parent
+TREE`` it runs that tree too, alternating the two seed by seed (the parent
+first on odd seeds, its traced run first), so that host drift falls on both
+alike, and writes the parent's record as ``BENCH_<label>_parent.json``. From
+the last JSON line of each run it writes, to ``<out-dir>/BENCH_<label>.json``:
 
 - ``env``: the run's environment record (its ``env:`` lines, without the
   seed and workload, which are the same for every run and workload);
@@ -157,6 +161,25 @@ def _run(root, seed, seconds, trace):
     return parse_run(proc.stdout)
 
 
+def record_trees(trees, seeds, seconds):
+    """``{label: record}`` of each ``(label, root)`` of ``trees``: their
+    untraced runs alternate seed by seed, in the order of ``trees`` on odd
+    seeds and reversed on even ones, then their traced runs of the first
+    seed follow in order. Each traced run's host speed is read before the
+    next run, which may write the same ``.bench_out/`` (one tree twice)."""
+    untraced = {name: [] for name, _ in trees}
+    for s in seeds:
+        for name, root in (trees if s % 2 else trees[::-1]):
+            untraced[name].append(_run(root, s, seconds, 0))
+    records = {}
+    for name, root in trees:
+        traced = _run(root, seeds[0], seconds, 1)
+        speed = host_speed(root, seeds[0], _by_workload(traced[1]["metrics"]))
+        records[name] = build_record(name, seeds, seconds, untraced[name], traced, speed)
+        check_record(records[name])
+    return records
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", help="names the file BENCH_<label>.json")
@@ -164,6 +187,8 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=24, help="run.py --seconds")
     ap.add_argument("--root", type=Path, default=ROOT,
                     help="the source tree whose perfbench/run.py runs (default: this one)")
+    ap.add_argument("--parent", type=Path, metavar="TREE",
+                    help="also record this tree, in alternation, as BENCH_<label>_parent.json")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     ap.add_argument("--check", type=Path, metavar="FILE", help="only check a record")
     args = ap.parse_args(argv)
@@ -176,17 +201,15 @@ def main(argv=None):
         return 0
     if not args.label or args.seeds < 1:
         ap.error("--label and --seeds >= 1 are required to record")
-    root = args.root.resolve()
-    seeds = list(range(1, args.seeds + 1))
-    untraced = [_run(root, s, args.seconds, 0) for s in seeds]
-    traced = _run(root, seeds[0], args.seconds, 1)
-    speed = host_speed(root, seeds[0], _by_workload(traced[1]["metrics"]))
-    record = build_record(args.label, seeds, args.seconds, untraced, traced, speed)
-    check_record(record)
-    path = args.out_dir / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {path}; correct={record['correct']}", file=sys.stderr)
-    return 0 if record["correct"] else 1
+    trees = [(args.label, args.root.resolve())]
+    if args.parent is not None:
+        trees.insert(0, (f"{args.label}_parent", args.parent.resolve()))
+    records = record_trees(trees, list(range(1, args.seeds + 1)), args.seconds)
+    for name, record in records.items():
+        path = args.out_dir / f"BENCH_{name}.json"
+        path.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {path}; correct={record['correct']}", file=sys.stderr)
+    return 0 if all(r["correct"] for r in records.values()) else 1
 
 
 if __name__ == "__main__":
