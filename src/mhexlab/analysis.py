@@ -25,14 +25,10 @@ from .datasets import seeded_rng
 from .errors import (ConfigurationError, ContractError,
                      UndefinedCorrelationError)
 from .formats import write_csv
+from .models import COLLAB_ROWS
 
 COSINE_EPS = 1e-8
 ENTROPY_BINS = 200          # histogram bins of the ReLU entropy estimate
-# samples per side-chain replay of the collaboration records: on the default
-# CNN `mhex analyze --n-samples 512` runs as fast with 8 rows as with 16 to 64,
-# and 8 is the largest stack that leaves its peak RSS at the per-sample loop's
-# (16 adds 3 MB, 32 adds 18 MB)
-COLLAB_ROWS = 8
 
 
 @dataclass
@@ -251,17 +247,6 @@ def check_collab_inputs(model, dataset):
         raise ContractError("the collaboration analysis supports only the CNN host on images")
 
 
-def _stack(model, backbones):
-    """One ``_backbone`` result holding the rows of several CNN results; of
-    the block activations only the sites' are stacked, the only ones
-    ``side_chain`` reads, and the others are ``None``."""
-    acts = [ad.Tensor(np.concatenate([b[0][k].data for b in backbones]))
-            if k in model.sites else None for k in range(len(backbones[0][0]))]
-    feats, logits = (ad.Tensor(np.concatenate([b[j].data for b in backbones]))
-                     for j in (1, 2))
-    return acts, feats, logits, None
-
-
 def collect_collab_records(model, dataset, n_samples=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
     measured sites, the last three that have a successor.
@@ -286,7 +271,7 @@ def collect_collab_records(model, dataset, n_samples=None):
             backbones = [model._backbone(dataset.images[i]) for i in ids]
         p_orig = [float(ad.softmax_last(b[2]).data[0, label])
                   for b, label in zip(backbones, labels)]
-        stacked = _stack(model, backbones)
+        stacked = model._stack(backbones)
         del backbones       # the replay reads only the stacked copy
         rec, pairs = _replay_pairs(model, stacked, labels, sites)
         maps = sal_mod.image_map(model, rec, labels)

@@ -44,7 +44,7 @@ range only if it holds a chunk's worth of columns and ``_SPREAD_SAMPLES``
 samples; so a ``conv2d`` batch below 64 runs on the calling thread alone.
 
 A forward without a tape spreads over the same pool a level up, a batch's
-whole chunks (``_spread_batch``, which ``ResNetModel.forward_logits`` uses):
+whole chunks (``_spread_batch``, which ``ResNetModel._spread_backbone`` uses):
 ``_batch_chunks`` gives one range per worker, cut into chunks of 2 to
 ``_BATCH_CHUNK`` samples, so a 20-step curve's prediction runs as 2 ranges of
 two 5-sample chunks on 2 CPUs. Every chunk holds at least 2 samples, so the
@@ -380,8 +380,8 @@ def _batch_chunks(n):
 
 
 def _spread_batch(fn, chunks):
-    """``fn(lo, hi)``, an array of rows lo..hi, for every chunk of the split
-    ``chunks`` (see ``_batch_chunks``), concatenated in order: a range per
+    """``fn(lo, hi)``, the result of rows lo..hi, for every chunk of the
+    split ``chunks`` (see ``_batch_chunks``), as a list in order: a range per
     ``_spread`` task, each computed without a tape."""
     rows = [None] * len(chunks)
 
@@ -390,7 +390,7 @@ def _spread_batch(fn, chunks):
             rows[t] = [fn(a, b) for a, b in chunks[t]]
 
     _spread(task, [(c[0][0], c[-1][1]) for c in chunks])
-    return np.concatenate([r for part in rows for r in part])
+    return [r for part in rows for r in part]
 
 
 def _sum_rows(acc, rows):

@@ -148,10 +148,10 @@ def cmd_explain(args, out):
                 saliency.export_token_html(tokens, sal, p)
                 manifest.append((i, "mhex_html", p.name))
     else:
-        for i in ids:
-            label = int(dataset.labels[i])
+        maps = saliency.image_maps(model, dataset.images[ids], dataset.labels[ids], wf,
+                                   grad_cam=args.grad_cam)
+        for i, (smap, gmap, _) in zip(ids, maps):
             image = dataset.images[i]
-            smap, gmap, _ = saliency.image_maps(model, image, label, wf, grad_cam=args.grad_cam)
             p = _made(out) / f"sample{i:04d}_mhex.pgm"
             saliency.render_heatmap(smap, p)
             manifest.append((i, "mhex", p.name))
@@ -191,32 +191,35 @@ def cmd_evaluate(args, out):
 
     methods = [m for m, on in (("mhex", True), ("gradcam", args.grad_cam),
                                ("oracle", args.oracle_explainer)) if on]
-    # per method, each image's full-size map and drop record: one backbone
-    # pass makes an image's maps and p_orig, one prediction its masked copies
+    # per method, each image's full-size map and drop record: the batched
+    # maps give an image's p_orig, one prediction scores its masked copies
     cams, recs = {m: [] for m in methods}, {m: [] for m in methods}
-    for i in range(n):
+    maps = saliency.image_maps(model, dataset.images[:n], dataset.labels[:n], wf,
+                               grad_cam=args.grad_cam)
+    for i, (smap, gmap, probs) in enumerate(maps):
         label = int(dataset.labels[i])
         image = dataset.images[i]
-        smap, gmap, probs = saliency.image_maps(model, image, label, wf, grad_cam=args.grad_cam)
-        maps = {"mhex": smap, "gradcam": gmap}
+        by_method = {"mhex": smap, "gradcam": gmap}
         row = [dataset.truth_masks[i].astype(np.float64) if m == "oracle"
-               else saliency.resize_map(maps[m].grid, image.shape[-2:]) for m in methods]
+               else saliency.resize_map(by_method[m].grid, image.shape[-2:]) for m in methods]
         drops = metrics.drop_records(model.predict_proba, image, label, row,
                                      float(probs[label]), sample_id=i)
         for m, cam, rec in zip(methods, row, drops):
             cams[m].append(cam)
             recs[m].append(rec)
+    # per curve image, each method's (deletion, insertion) pair
+    curves = [metrics.image_curves(model.predict_proba, dataset.images[i],
+                                   [cams[m][i] for m in methods], int(dataset.labels[i]),
+                                   steps=args.steps)
+              for i in range(min(n, args.curve_samples))]
     summary = []
-    for method in methods:
+    for j, method in enumerate(methods):
         metrics.write_drop_csv(recs[method], _made(out) / f"drop_{method}.csv", method=method)
         aucs = []
-        for name, curve_fn in (("deletion", metrics.deletion_curve),
-                               ("insertion", metrics.insertion_curve)):
-            curves = [curve_fn(model.predict_proba, dataset.images[i], cams[method][i],
-                               int(dataset.labels[i]), steps=args.steps)
-                      for i in range(min(n, args.curve_samples))]
-            mean = metrics.Curve(curves[0].fractions,
-                                 np.mean([c.confidences for c in curves], axis=0))
+        for kind, name in enumerate(("deletion", "insertion")):
+            per_image = [pairs[j][kind] for pairs in curves]
+            mean = metrics.Curve(per_image[0].fractions,
+                                 np.mean([c.confidences for c in per_image], axis=0))
             metrics.write_curve_csv(mean, out / f"{name}_{method}.csv")
             aucs.append(metrics.auc(mean))
         loc = [localization_score(cam, dataset.truth_masks[i])

@@ -6,11 +6,15 @@ curves with trapezoidal AUC. Every metric reads the model through
 images are ``(C, H, W)``, maps ``(H, W)``. A curve predicts its steps
 together (in batches of ``EVAL_BATCH_SIZE``) and ``drop_records`` an image's
 masked copies together, so a batched row may round its last bits
-differently from a batch-1 call. The CNN host's ``predict_proba`` spreads
-such a batch over the usable CPUs in chunks of at least 2 images
-(``autodiff._spread_batch``), with the bits of one whole-batch call: a
-20-step curve runs as four 5-step chunks on two CPUs, while ``predict``
-itself is called once per batch and never from two threads.
+differently from a batch-1 call. ``image_curves`` gives an image's deletion
+and insertion curves for several maps with the bits of the single-curve
+functions: every curve of the image starts or ends at the image itself or at
+its mean fill, so one 2-row prediction scores those endpoints for every map,
+and a map's inner steps of both curves are predicted together. The CNN
+host's ``predict_proba`` spreads such a batch over the usable CPUs in chunks
+of at least 2 images (``autodiff._spread_batch``), with the bits of one
+whole-batch call: a 20-step curve runs as four 5-step chunks on two CPUs,
+while ``predict`` itself is called once per batch and never from two threads.
 """
 
 from __future__ import annotations
@@ -174,24 +178,69 @@ def insertion_curve(predict, image, cam, label, steps=20):
 
 
 def _perturbation_curve(predict, image, cam, label, steps, insert):
+    fractions, ks = _fractions(steps, np.shape(cam))
+    image, cam = _check_cam(image, cam)
+    return Curve(fractions=fractions, confidences=_confidences(
+        predict, image, _rank(cam), label, ks, np.full(steps, insert)))
+
+
+def image_curves(predict, image, cams, label, steps=20):
+    """The ``(deletion, insertion)`` curves of one (C, H, W) image for each
+    map of ``cams``, with the bits of ``deletion_curve`` and
+    ``insertion_curve``.
+
+    Every curve of the image starts at the image or at its mean fill and ends
+    at the other, whatever the map, so one prediction scores those two
+    endpoints for every map; one prediction per chunk of ``EVAL_BATCH_SIZE``
+    rows scores a map's inner steps of both curves together. So no
+    prediction holds a single row, which would round differently, except
+    where a lone curve's last chunk is its last step alone (``steps - 1`` a
+    multiple of ``EVAL_BATCH_SIZE``): that step is predicted alone here too."""
+    fractions, ks = _fractions(steps, np.shape(image)[1:])
+    ranks = [_rank(_check_cam(image, cam)[1]) for cam in cams]
+    image = np.asarray(image, dtype=np.float64)
+    ends = np.stack([image, np.broadcast_to(mean_intensity(image)[:, None, None], image.shape)])
+    first = _predict(predict, ends, label)[:, label]
+    last = first if (steps - 1) % EVAL_BATCH_SIZE else \
+        np.array([_predict(predict, end[None], label)[0, label] for end in ends])
+    inner = steps - 2
+    out = []
+    for rank in ranks:
+        conf = _confidences(predict, image, rank, label, np.tile(ks[1:-1], 2),
+                            np.repeat([False, True], inner))
+        out.append((Curve(fractions, np.concatenate([first[:1], conf[:inner], last[1:]])),
+                    Curve(fractions, np.concatenate([first[1:], conf[inner:], last[:1]]))))
+    return out
+
+
+def _fractions(steps, hw):
+    """A curve's ``steps`` fractions, 0 to 1, and the pixel count of each."""
     if steps < 2:
         raise ConfigurationError("curves need at least 2 steps")
-    image, cam = _check_cam(image, cam)
-    pixels = image.reshape(image.shape[0], -1)
-    mu = mean_intensity(image)[:, None]
-    # the first k pixels of the saliency order take `chosen`, the rest `other`
-    chosen, other = (pixels, mu) if insert else (mu, pixels)
+    fractions = np.linspace(0.0, 1.0, steps)
+    return fractions, np.array([int(round(frac * math.prod(hw))) for frac in fractions])
+
+
+def _rank(cam):
+    """Each pixel's place in the map's saliency order (``_pixel_order``)."""
     rank = np.empty(cam.size, dtype=np.intp)
     rank[_pixel_order(cam)] = np.arange(cam.size)
-    fractions = np.linspace(0.0, 1.0, steps)
-    ks = np.array([int(round(frac * cam.size)) for frac in fractions])
-    confidences = np.empty(steps)
-    # one prediction per chunk of steps, so a long curve's batch stays bounded
-    for lo in range(0, steps, EVAL_BATCH_SIZE):
-        batch = np.where(rank < ks[lo:lo + EVAL_BATCH_SIZE, None, None], chosen, other)
-        p = _predict(predict, batch.reshape((-1,) + image.shape), label)
-        confidences[lo:lo + len(batch)] = p[:, label]
-    return Curve(fractions=fractions, confidences=confidences)
+    return rank
+
+
+def _confidences(predict, image, rank, label, ks, insert):
+    """``label``'s confidence on each row that takes the first ``ks[i]``
+    pixels of the saliency order ``rank`` from the image and the rest from
+    its mean fill (``insert[i]``), or the reverse: one prediction per chunk
+    of ``EVAL_BATCH_SIZE`` rows, so a long curve's batch stays bounded."""
+    pixels = image.reshape(image.shape[0], -1)
+    mu = mean_intensity(image)[:, None]
+    out = np.empty(len(ks))
+    for lo in range(0, len(ks), EVAL_BATCH_SIZE):
+        hi = lo + EVAL_BATCH_SIZE
+        batch = np.where((rank < ks[lo:hi, None, None]) == insert[lo:hi, None, None], pixels, mu)
+        out[lo:hi] = _predict(predict, batch.reshape((-1,) + image.shape), label)[:, label]
+    return out
 
 
 def auc(curve: Curve):

@@ -49,6 +49,14 @@ CHECKPOINT_MAGIC = b"MHEXCKPT"
 CHECKPOINT_VERSION = 3
 # sequences or images per no-grad forward in the accuracy and token passes
 EVAL_BATCH_SIZE = 128
+# rows of a side-chain replay on a ``row_view``, the one stack size of its two
+# users, the collaboration records and ``saliency.image_maps``. On the default
+# CNN `mhex analyze --n-samples 512` runs as fast with 8 rows as with 16 to 64,
+# and 8 is the largest stack that leaves its peak RSS at the per-sample loop's
+# (16 adds 3 MB, 32 adds 18 MB); 16 image maps with Grad-CAM on 2 vCPUs took
+# 1.28 ms an image in 8-row stacks, 1.47 in one 16-row stack, 1.82 in 4-row
+# stacks and 2.52 one at a time
+COLLAB_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +149,7 @@ class ForwardRecord:
     final_logits: Tensor
     site_outputs: list          # MhexOutput per site
     pad_mask: np.ndarray | None = None
+    final_feats: Tensor | None = None   # the backbone's, which ``_head`` reads
 
     def head_logits(self):
         return [o.ds_logits for o in self.site_outputs] + [self.final_logits]
@@ -262,7 +271,7 @@ class _Host:
             carry = out.x_att
             outputs.append(out)
         return ForwardRecord(final_logits=final_logits, site_outputs=outputs,
-                             pad_mask=pad_mask)
+                             pad_mask=pad_mask, final_feats=final_feats)
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +339,54 @@ class ResNetModel(_Host):
             acts.append(h)
         return acts, h, self._head(h), None
 
+    def _spread_backbone(self, x, keep, below=None):
+        """``keep`` of the ``_backbone`` result of each chunk of a batch
+        without a tape, in order, spread over the usable CPUs
+        (``autodiff._spread_batch``); ``None`` when the batch runs whole: with
+        a tape, not 4-D, as one chunk of ``autodiff._batch_chunks``, or of
+        ``below`` images or more. Every chunk holds at least 2 images, so each
+        row keeps the bits of one whole-batch call. Only the host's forward
+        methods call it, so a chunk's ``_backbone`` runs while its caller's
+        forward is open: ``perfbench``'s tracer counts one forward per
+        outermost open host forward, at a depth all threads share."""
+        xd = x.data if isinstance(x, Tensor) else np.asarray(x)
+        if ad._state.recording or xd.ndim != 4 or (below is not None and len(xd) >= below) \
+                or len(chunks := ad._batch_chunks(len(xd))) == 1:
+            return None
+        return ad._spread_batch(lambda a, b: keep(self._backbone(xd[a:b])), chunks)
+
     def forward_logits(self, x):
         """Backbone-only forward; what the host computes with every explainer
         block stripped. Without a tape (``predict_proba``) a batch of 4
         images or more is spread over the usable CPUs in chunks of at least 2
-        (``autodiff._spread_batch``); each row keeps the bits of one
-        whole-batch call."""
-        xd = x.data if isinstance(x, Tensor) else np.asarray(x)
-        if ad._state.recording or xd.ndim != 4 or len(chunks := ad._batch_chunks(len(xd))) == 1:
-            return self._backbone(x)[2]
-        return Tensor(ad._spread_batch(lambda a, b: self._backbone(xd[a:b])[2].data, chunks))
+        (``_spread_backbone``)."""
+        parts = self._spread_backbone(x, lambda out: out[2].data)
+        return self._backbone(x)[2] if parts is None else Tensor(np.concatenate(parts))
 
     def predict_proba(self, x):
         with ad.no_grad():
             return ad.softmax_last(self.forward_logits(x)).data
 
     def forward_collect(self, x):
-        return self.side_chain(self._backbone(x))
+        """``side_chain`` over ``_backbone(x)``. Without a tape a batch of 4
+        to ``2 * autodiff._SPREAD_SAMPLES - 1`` images spreads its backbone
+        as ``forward_logits`` does, keeps of each chunk only what the side
+        chain reads and stacks the chunks (``_stack``); a larger one, such as
+        ``head_accuracies``' batch of 64, runs whole, and its ``conv2d``
+        calls spread their own chunks."""
+        parts = self._spread_backbone(x, lambda out: self._stack([out]),
+                                      below=2 * ad._SPREAD_SAMPLES)
+        return self.side_chain(self._backbone(x) if parts is None else self._stack(parts))
+
+    def _stack(self, backbones):
+        """One ``_backbone`` result holding the rows of several, in order; of
+        the block activations only the sites' are stacked, the only ones
+        ``side_chain`` reads, and the others are ``None``."""
+        acts = [Tensor(np.concatenate([b[0][k].data for b in backbones]))
+                if k in self.sites else None for k in range(len(backbones[0][0]))]
+        feats, logits = (Tensor(np.concatenate([b[j].data for b in backbones]))
+                         for j in (1, 2))
+        return acts, feats, logits, None
 
     def _global(self, feats, params, x_l, pad_mask):
         xg = ad.conv2d(feats, params.proj_global, stride=1, pad=0)

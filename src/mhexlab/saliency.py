@@ -19,6 +19,7 @@ from . import autodiff as ad
 from .blocks import equivalent_matrix
 from .errors import ConfigurationError, ContractError, DimensionError
 from .formats import write_csv
+from .models import COLLAB_ROWS
 
 SHARPNESS_EPS = 1e-8        # keeps an all-zero column's sharpness at zero
 
@@ -173,30 +174,53 @@ def _site_grids(model, rec, class_ids, cfg, n_sites):
 
 
 def explain_image(model, image, class_id, cfg: WeightFilterConfig | None = None):
-    """Full image pipeline: ``image_maps`` without a Grad-CAM map."""
-    return image_maps(model, image, class_id, cfg)[0]
+    """Full image pipeline: the MHEX map of ``image_maps`` on a batch of one."""
+    return image_maps(model, [image], [class_id], cfg)[0][0]
 
 
-def image_maps(model, image, class_id, cfg: WeightFilterConfig | None = None,
+def image_maps(model, images, class_ids, cfg: WeightFilterConfig | None = None,
                grad_cam=False):
-    """The MHEX map of one ``(C, H, W)`` image, its Grad-CAM map (``None``
-    unless ``grad_cam``) and its ``(n_class,)`` probabilities, all from one
-    backbone pass. Neither the backbone nor the side chain records a tape:
-    the Grad-CAM map differentiates the head alone."""
-    if grad_cam:
-        _check_gradcam(model, class_id)
-    with ad.no_grad():
-        backbone_out = model._backbone(image)
-        (smap,) = image_map(model, model.side_chain(backbone_out), [class_id], cfg)
-        probs = ad.softmax_last(backbone_out[2]).data[0]
-    gmap = _gradcam_map(model, backbone_out[1], class_id) if grad_cam else None
-    return smap, gmap, probs
+    """``(MHEX map, Grad-CAM map, (n_class,) probabilities)`` of each
+    ``(C, H, W)`` image of ``images``, one class id per image; the Grad-CAM
+    map is ``None`` unless ``grad_cam``. Only the CNN host makes them, and a
+    bad class id raises before any forward.
+
+    The images run in stacks of up to ``models.COLLAB_ROWS``, each with one
+    tape-free ``forward_collect`` on a ``row_view``: the backbone spreads over
+    the usable CPUs in chunks of at least 2 images, and the side chain's
+    per-row mixers make each row's block products as a batch-1 call does.
+    Each row's probabilities come from the head at batch 1, and its Grad-CAM
+    map differentiates the head alone on its final features; so every output
+    has the bits of a batch-1 call."""
+    class_ids = [int(c) for c in class_ids]
+    if len(class_ids) != len(images):
+        raise DimensionError(
+            f"image_maps needs one class id per image, got {len(class_ids)} "
+            f"for {len(images)} images")
+    if getattr(model, "kind", None) != "resnet":
+        raise ContractError("image maps and Grad-CAM support only the CNN host")
+    _check_class_ids(model, class_ids)
+    images = np.asarray(images, dtype=np.float64)
+    out = []
+    for lo in range(0, len(class_ids), COLLAB_ROWS):
+        ids = class_ids[lo:lo + COLLAB_ROWS]
+        view = model.row_view(len(ids), range(len(model.sites)))
+        with ad.no_grad():
+            rec = view.forward_collect(images[lo:lo + COLLAB_ROWS])
+            smaps = image_map(model, rec, ids, cfg)
+            feats = [ad.Tensor(rec.final_feats.data[b:b + 1]) for b in range(len(ids))]
+            probs = [ad.softmax_last(model._head(f)).data[0] for f in feats]
+        gmaps = [_gradcam_map(model, f, c) if grad_cam else None for f, c in zip(feats, ids)]
+        out += zip(smaps, gmaps, probs)
+    return out
 
 
 def image_map(model, rec, class_ids, cfg: WeightFilterConfig | None = None):
     """The maps of the first ``len(class_ids)`` images of an unmasked
     ``ForwardRecord``, one class id per image: each image's per-site grids
-    and their decay-weighted aggregate."""
+    and their decay-weighted aggregate. ``model`` holds the single mixers
+    whose filtered ``w2·w1`` weights the maps read, also where ``rec`` is a
+    replay on its ``row_view``."""
     cfg = cfg or WeightFilterConfig()
     return [aggregate_cams(grids, cfg.layer_decay, class_id=c) for c, grids in
             zip(class_ids, _site_grids(model, rec, class_ids, cfg, len(model.sites)))]
@@ -231,24 +255,21 @@ def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
 
 
 def gradcam_baseline(model, image, class_id):
-    """Gradient-weighted activation map on the last convolutional features;
-    comparison plumbing, not part of the blocks' own saliency path."""
-    _check_gradcam(model, class_id)
+    """Gradient-weighted activation map on the last convolutional features
+    of one image, without the side chain; comparison plumbing, not part of
+    the blocks' own saliency path."""
+    if getattr(model, "kind", None) != "resnet":
+        raise ContractError("Grad-CAM supports only the CNN host")
+    _check_class_ids(model, [class_id])
     with ad.no_grad():
         final_feats = model._backbone(image)[1]
     return _gradcam_map(model, final_feats, class_id)
 
 
-def _check_gradcam(model, class_id):
-    if getattr(model, "kind", None) != "resnet":
-        raise ContractError("Grad-CAM supports only the CNN host")
-    _check_class_ids(model, [class_id])
-
-
 def _gradcam_map(model, final_feats, class_id):
-    """Grad-CAM of the first image of a ``_backbone`` result's final
-    features: the class logit's gradient on them is that of the CNN's
-    ``_head``, run on a ``requires_grad`` leaf that holds them."""
+    """Grad-CAM of a batch-1 ``(1, C, h, w)`` tensor of final features: the
+    class logit's gradient on them is that of the CNN's ``_head``, run on a
+    ``requires_grad`` leaf that holds them."""
     feats = ad.Tensor(final_feats.data, requires_grad=True)
     logits = model._head(feats)
     onehot = np.zeros(logits.data.shape)

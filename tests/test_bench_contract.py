@@ -90,3 +90,48 @@ def test_perfbench_tracer_counts_a_taped_train_step(monkeypatch, host):
     for name, n in taped.items():
         assert counts[f"bwd_calls.{name}"] == n, name
     assert len(losses) == 1 and counts["sweep.nodes"] == len(order)
+
+
+def test_perfbench_traced_explain_evaluate_counts_repeat(monkeypatch, tmp_path):
+    """Two traced explain and evaluate passes spread over two workers give
+    the same counts. The tracer shares its open-forward depth between
+    threads, so a pool task's backbone counts as a forward of its own, at a
+    time-dependent count, unless the calling thread holds a traced host
+    forward open while the task runs; every spread starts inside one."""
+    from helpers import conv_workers
+
+    from mhexlab import cli
+    ckpt = tmp_path / "cnn.ckpt"
+    save_checkpoint(ResNetModel(ResNetConfig(), seed=3), ckpt)
+    tracer = _load("tracing").Tracer()
+    depths, spread = [], ad._spread_batch
+
+    def noting(*args):
+        depths.append(tracer._forward_depth)
+        return spread(*args)
+
+    monkeypatch.setattr(ad, "_spread_batch", noting)
+    commands = [
+        ("explain", ["explain", "--n-samples", "12", "--samples", ",".join(map(str, range(12))),
+                     "--grad-cam"]),
+        ("evaluate", ["evaluate", "--n-samples", "6", "--curve-samples", "2", "--steps", "6",
+                      "--grad-cam", "--oracle-explainer"])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    tracer.install()
+    try:
+        with conv_workers(monkeypatch, 2):
+            for run in range(2):
+                tracer.begin_run()
+                for name, argv in commands:
+                    out = tmp_path / f"{name}{run}"
+                    rc = tracer.call(f"cli.{name}", cli.main,
+                                     argv + ["--checkpoint", str(ckpt), "--out", str(out)])
+                    assert rc == 0
+    finally:
+        tracer.uninstall()
+        sys.setswitchinterval(interval)
+    metrics, mismatched, _ = tracer.summarize([0, 1], 0.0)
+    assert mismatched == []
+    assert depths and min(depths) >= 1
+    assert metrics["models.resnet.samples_per_forward"] > 1

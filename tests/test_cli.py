@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mhexlab import autodiff as ad, cli
-from mhexlab.models import (ResNetModel, TransformerConfig, TransformerModel, load_checkpoint,
-                            save_checkpoint)
+from mhexlab.models import (COLLAB_ROWS, ResNetModel, TransformerConfig, TransformerModel,
+                            load_checkpoint, save_checkpoint)
 
 from helpers import checkpoint_with_config, checkpoint_with_value, conv_workers, count_calls
 
@@ -99,38 +99,62 @@ def test_explain_shapes_with_gradcam(shape_ckpt, tmp_path):
     assert (tmp_path / "sample0000_gradcam.pgm").exists()
 
 
-def test_explain_gradcam_one_backbone_per_image(shape_ckpt, tmp_path, monkeypatch):
-    """The MHEX and Grad-CAM maps of an image come from one backbone pass."""
-    calls = count_calls(ResNetModel, "_backbone", monkeypatch)
-    rc = cli.main(["explain", "--dataset", "shapes", "--n-samples", "8",
-                   "--checkpoint", str(shape_ckpt), "--samples", "0,2,5",
-                   "--grad-cam", "--out", str(tmp_path)])
+def _rows_per_call(owner, name, monkeypatch):
+    """List that gains the row count of each call of method ``name`` of
+    class ``owner``."""
+    rows, fn = [], getattr(owner, name)
+
+    def recording(self, x, *args, **kwargs):
+        rows.append(len(x))
+        return fn(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return rows
+
+
+def test_explain_gradcam_one_backbone_per_stack_chunk(shape_ckpt, tmp_path, monkeypatch):
+    """The MHEX and Grad-CAM maps of up to ``COLLAB_ROWS`` images come from
+    one tape-free ``forward_collect``, whose backbone runs once per chunk of
+    ``_batch_chunks``: on two CPUs 10 images are a stack of 8 in two chunks
+    of 4 and a stack of 2 in one chunk. Nothing else runs a forward."""
+    collects = _rows_per_call(ResNetModel, "forward_collect", monkeypatch)
+    backbones = _rows_per_call(ResNetModel, "_backbone", monkeypatch)
+    with conv_workers(monkeypatch, 2):
+        rc = cli.main(["explain", "--dataset", "shapes", "--n-samples", "12",
+                       "--checkpoint", str(shape_ckpt), "--samples", "0,2,5,1,3,4,6,7,8,11",
+                       "--grad-cam", "--out", str(tmp_path)])
+        assert [len(part) for part in ad._batch_chunks(8)] == [1, 1]
     assert rc == 0
-    assert len(_rows(tmp_path / "manifest.csv")) == 1 + 3 * 3
-    assert len(calls) == 3
+    assert len(_rows(tmp_path / "manifest.csv")) == 1 + 10 * 3
+    assert collects == [COLLAB_ROWS, 2]
+    assert sorted(backbones) == [2, 4, 4]
 
 
-def test_evaluate_shapes_one_forward_per_curve(shape_ckpt, tmp_path, monkeypatch):
-    """Per image, one backbone pass for its maps and p_orig and one
-    prediction for all its masked copies; one prediction per curve. On two
-    CPUs a 20-step curve's forward spreads as the four 5-image chunks of
-    ``_batch_chunks``, one backbone pass each; the 3 masked copies of an
-    image stay one batch, too small to spread."""
+def test_evaluate_shapes_shares_curve_endpoints(shape_ckpt, tmp_path, monkeypatch):
+    """The images' maps and p_orig come from one ``forward_collect`` per
+    stack, then one prediction per image scores its masked copies. Each
+    curve image's two endpoints, the image and its mean fill, are one
+    2-row prediction for every method; each method's 18 inner steps of
+    both curves are one more. No prediction has fewer than 2 rows. On two
+    CPUs the 36 inner rows spread as eight chunks, one backbone pass each."""
+    collects = _rows_per_call(ResNetModel, "forward_collect", monkeypatch)
     backbones = count_calls(ResNetModel, "_backbone", monkeypatch)
-    predicts = count_calls(ResNetModel, "predict_proba", monkeypatch)
-    n, curve_samples, methods = 5, 3, 3
+    predicts = _rows_per_call(ResNetModel, "predict_proba", monkeypatch)
+    n, curve_samples, methods, steps = 5, 3, 3, 20
     with conv_workers(monkeypatch, 2):
         rc = cli.main(["evaluate", "--dataset", "shapes", "--n-samples", str(n),
-                       "--curve-samples", str(curve_samples), "--steps", "20",
+                       "--curve-samples", str(curve_samples), "--steps", str(steps),
                        "--grad-cam", "--oracle-explainer",
                        "--checkpoint", str(shape_ckpt), "--out", str(tmp_path)])
         assert ad._pool is not None
-        assert [len(part) for part in ad._batch_chunks(20)] == [2, 2]
+        chunks = {rows: len([c for part in ad._batch_chunks(rows) for c in part])
+                  for rows in (n, methods, 2, 2 * (steps - 2))}
     assert rc == 0
+    assert chunks == {n: 2, methods: 1, 2: 1, 2 * (steps - 2): 8}
     assert len(_rows(tmp_path / "summary.csv")) == 1 + methods
-    curves = methods * 2 * curve_samples
-    assert len(predicts) == n + curves
-    assert len(backbones) == n + n + 4 * curves
+    assert collects == [n]
+    assert predicts == [methods] * n + ([2] + [2 * (steps - 2)] * methods) * curve_samples
+    assert len(backbones) == 2 + n + curve_samples * (1 + 8 * methods)
 
 
 def _explain_argv(samples):

@@ -7,7 +7,7 @@ import mhexlab.saliency as S
 from mhexlab.datasets import PAD_ID
 from mhexlab.errors import ConfigurationError, ContractError, DimensionError
 
-from helpers import conv_workers, peak_mb, perturbation_curve_images
+from helpers import conv_workers, peak_mb, perturbation_curve_images, same_bits
 
 
 def _linear_predictor(weight):
@@ -261,6 +261,76 @@ def test_curves_at_any_worker_count_equal_one_prediction(monkeypatch, small_cnn,
             assert np.array_equal(curve.confidences, ref), (insert, workers)
 
 
+def _image_curves_case(model, seed, n_maps):
+    """An image, its label and ``n_maps`` maps: its saliency map, a random
+    one and one full of ties."""
+    img, label, cam = _curve_case(model, seed)
+    rng = np.random.default_rng(seed)
+    cams = [cam, rng.uniform(size=cam.shape), np.round(rng.uniform(size=cam.shape) * 2) / 2]
+    return img, label, cams[:n_maps]
+
+
+def _check_image_curves(predict, img, cams, label, steps, min_rows=2):
+    """``image_curves`` gives each map the bits of ``deletion_curve`` and
+    ``insertion_curve``, with no prediction of fewer than ``min_rows`` rows
+    and the endpoints predicted once for every map."""
+    rows = []
+
+    def recording(x):
+        rows.append(len(x))
+        return predict(x)
+
+    pairs = M.image_curves(recording, img, cams, label, steps=steps)
+    assert len(pairs) == len(cams) and min(rows) >= min_rows
+    for cam, (deletion, insertion) in zip(cams, pairs):
+        for got, curve_fn in ((deletion, M.deletion_curve), (insertion, M.insertion_curve)):
+            want = curve_fn(predict, img, cam, label, steps=steps)
+            assert same_bits(got.confidences, want.confidences), (steps, curve_fn)
+            assert same_bits(got.fractions, want.fractions)
+    return rows
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4, 20, 21, 130])
+@pytest.mark.parametrize("n_maps", [1, 2, 3])
+def test_image_curves_equal_single_curves(small_cnn, steps, n_maps):
+    """On the default CNN, every map's two curves equal the single-curve
+    functions bit for bit; one 2-row prediction scores the endpoints of all
+    maps, and a map's inner steps of both curves are predicted together in
+    chunks of ``EVAL_BATCH_SIZE`` rows."""
+    img, label, cams = _image_curves_case(small_cnn, 36, n_maps)
+    rows = _check_image_curves(small_cnn.predict_proba, img, cams, label, steps)
+    inner = 2 * (steps - 2)
+    per_map = [min(M.EVAL_BATCH_SIZE, inner - lo) for lo in range(0, inner, M.EVAL_BATCH_SIZE)]
+    assert rows == [2] + per_map * n_maps
+
+
+@pytest.mark.parametrize("steps", [3, 20])
+def test_spread_image_curves_equal_single_curves(monkeypatch, small_cnn, steps):
+    """Spread over two workers, the shared-endpoint curves still have the
+    bits of single curves on one worker."""
+    img, label, cams = _image_curves_case(small_cnn, 37, 3)
+    with conv_workers(monkeypatch, 1):
+        want = [(M.deletion_curve(small_cnn.predict_proba, img, cam, label, steps=steps),
+                 M.insertion_curve(small_cnn.predict_proba, img, cam, label, steps=steps))
+                for cam in cams]
+    with conv_workers(monkeypatch, 2):
+        got = M.image_curves(small_cnn.predict_proba, img, cams, label, steps=steps)
+    for pair, ref in zip(got, want):
+        assert all(same_bits(a.confidences, b.confidences) for a, b in zip(pair, ref))
+
+
+@pytest.mark.parametrize("steps", [5, 9])
+def test_image_curves_predict_a_lone_last_step_alone(monkeypatch, small_cnn, steps):
+    """Where a single curve's last chunk is its last step alone (``steps -
+    1`` a multiple of ``EVAL_BATCH_SIZE``, here 4), that batch-1 prediction
+    rounds its own way; the shared curves predict the image and its mean
+    fill alone too, and keep the bits."""
+    monkeypatch.setattr(M, "EVAL_BATCH_SIZE", 4)
+    img, label, cams = _image_curves_case(small_cnn, 38, 2)
+    rows = _check_image_curves(small_cnn.predict_proba, img, cams, label, steps, min_rows=1)
+    assert rows.count(1) == 2 and rows[:3] == [2, 1, 1]
+
+
 def test_spread_curve_holds_under_6_mb(monkeypatch, small_cnn):
     """Spread over two workers in chunks of at most ``_BATCH_CHUNK`` images,
     a 20-step default-CNN curve's tracemalloc peak stays under 6 MB (7.42 MB
@@ -286,7 +356,7 @@ def test_spread_curve_label_outside_classes_raises(monkeypatch, small_cnn, bad):
 
 @pytest.mark.parametrize("bad", ["n_class", -1, -2])
 @pytest.mark.parametrize("entry", ["drop_record", "drop_records", "deletion_curve",
-                                   "insertion_curve", "token_perturb_drop"])
+                                   "insertion_curve", "image_curves", "token_perturb_drop"])
 def test_label_outside_predict_classes_raises(entry, bad, small_cnn, small_transformer):
     """A label outside ``[0, n)`` of ``predict``'s ``n`` columns raises
     ``ConfigurationError``: label ``n`` used to end in a bare ``IndexError``,
@@ -309,6 +379,7 @@ def test_label_outside_predict_classes_raises(entry, bad, small_cnn, small_trans
             "drop_records": lambda: M.drop_records(predict, image, label, [cam], 0.5),
             "deletion_curve": lambda: M.deletion_curve(predict, image, cam, label, steps=3),
             "insertion_curve": lambda: M.insertion_curve(predict, image, cam, label, steps=3),
+            "image_curves": lambda: M.image_curves(predict, image, [cam], label, steps=3),
         }[entry]
     with pytest.raises(ConfigurationError, match=f"label {label} is outside"):
         call()
@@ -318,6 +389,9 @@ def test_curve_contracts():
     with pytest.raises(ConfigurationError):
         M.deletion_curve(lambda x: np.ones((1, 2)), np.zeros((1, 4, 4)),
                          np.zeros((4, 4)), 0, steps=1)
+    with pytest.raises(ConfigurationError):
+        M.image_curves(lambda x: np.ones((len(x), 2)), np.zeros((1, 4, 4)),
+                       [np.zeros((4, 4))], 0, steps=1)
     with pytest.raises(ContractError):
         M.auc(M.Curve(np.array([0.0, 0.5]), np.array([1.0, 1.0])))
     bad = M.Curve(np.array([0.5, 0.0, 1.0]), np.array([1.0, 1.0, 1.0]))
@@ -341,7 +415,8 @@ def test_non_finite_cam_raises_before_predicting(bad):
     checks = [lambda: M.soft_mask(img, cam), lambda: M.hard_mask(img, cam),
               lambda: M.drop_record(predict, img, 0, cam),
               lambda: M.deletion_curve(predict, img, cam, 0, steps=3),
-              lambda: M.insertion_curve(predict, img, cam, 0, steps=3)]
+              lambda: M.insertion_curve(predict, img, cam, 0, steps=3),
+              lambda: M.image_curves(predict, img, [np.zeros((6, 6)), cam], 0, steps=3)]
     for check in checks:
         with pytest.raises(ContractError, match="NaN or an infinity"):
             check()

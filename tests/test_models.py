@@ -497,6 +497,32 @@ def test_forward_without_tape_spreads_in_chunks(monkeypatch, small_cnn, n):
         assert len(calls) == 1 and np.array_equal(calls[0][1], xs)
 
 
+@pytest.mark.parametrize("n", [3, 4, 9, 63, 64])
+def test_forward_collect_without_tape_spreads_below_64(monkeypatch, small_cnn, n):
+    """Without a tape, a CNN ``forward_collect`` of 4 to 63 images on two
+    workers runs one backbone call per chunk of ``_batch_chunks`` and stacks
+    only the site activations; every head and map input equals one
+    whole-batch call on one worker, bit for bit. A batch of 64 or more
+    (``head_accuracies``') runs whole, its ``conv2d`` calls spreading their
+    own chunks, and so does a taped forward."""
+    xs = mx.gen_shapes(n, seed=9).images
+    with conv_workers(monkeypatch, 1), ad.no_grad():
+        ref = small_cnn.forward_collect(xs)
+    calls = count_calls(type(small_cnn), "_backbone", monkeypatch)
+    with conv_workers(monkeypatch, 2):
+        with ad.no_grad():
+            rec = small_cnn.forward_collect(xs)
+        chunks = [c for part in ad._batch_chunks(n) for c in part]
+        assert len(calls) == (len(chunks) if n < 64 else 1)
+        assert (len(calls) > 1) == (4 <= n < 64)
+        calls.clear()
+        taped = small_cnn.forward_collect(xs[:4])
+        assert len(calls) == 1 and taped.final_logits._node is not None
+    pairs = [(rec.final_feats, ref.final_feats)] + list(zip(rec.head_logits(), ref.head_logits()))
+    pairs += [(o.relu_features, r.relu_features) for o, r in zip(rec.site_outputs, ref.site_outputs)]
+    assert all(same_bits(a.data, b.data) for a, b in pairs)
+
+
 def test_threaded_forward_spread_repeats_bit_for_bit(monkeypatch, small_cnn):
     """Ten spread predictions of 23 images on three workers, with the
     interpreter switching threads as often as it can, give the bytes of one

@@ -6,9 +6,10 @@ from mhexlab import autodiff as ad, saliency as S
 from mhexlab.blocks import equivalent_matrix
 from mhexlab.datasets import PAD_ID
 from mhexlab.errors import (ConfigurationError, ContractError, DimensionError)
-from mhexlab.models import EVAL_BATCH_SIZE, clone_model
+from mhexlab.models import COLLAB_ROWS, EVAL_BATCH_SIZE, clone_model
 
-from helpers import adjoints_reference, count_calls, read_pgm, rel_err
+from helpers import (adjoints_reference, conv_workers, count_calls, read_pgm, rel_err,
+                     same_bits)
 
 
 def _w(seed=0, n_class=4, c=8):
@@ -142,12 +143,12 @@ def test_image_map_reads_a_taped_record(small_cnn):
 
 
 def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
-    """One backbone pass gives the MHEX map of a taped record, the Grad-CAM
-    map of the class logit's gradient on the final features, and
-    predict_proba's probabilities, bit for bit, and records no tape, with or
-    without the Grad-CAM map. The reference gradient comes from a sweep of a
-    whole taped backbone, not of ``_head``. gradcam_baseline gives the same
-    Grad-CAM map without running the side chain."""
+    """One tape-free backbone pass gives the MHEX map of a taped record, the
+    Grad-CAM map of the class logit's gradient on the final features, and
+    predict_proba's probabilities, bit for bit, with or without the Grad-CAM
+    map. The reference gradient comes from a sweep of a whole taped
+    backbone, not of ``_head``. gradcam_baseline gives the same Grad-CAM map
+    without running the side chain."""
     ds = mx.gen_shapes(1, seed=24)
     img, label = ds.images[0], int(ds.labels[0])
     (ref_s,) = S.image_map(small_cnn, small_cnn.forward_collect(img), [label])
@@ -164,7 +165,7 @@ def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
 
     monkeypatch.setattr(type(small_cnn), "_backbone", recording)
     for grad_cam in (True, False):
-        smap, gmap, probs = S.image_maps(small_cnn, img, label, grad_cam=grad_cam)
+        ((smap, gmap, probs),) = S.image_maps(small_cnn, [img], [label], grad_cam=grad_cam)
         assert np.array_equal(smap.raw, ref_s.raw) and np.array_equal(smap.grid, ref_s.grid)
         assert np.array_equal(probs, ref_p)
         assert np.array_equal(gmap.raw, ref_g) if grad_cam else gmap is None
@@ -173,6 +174,68 @@ def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
     assert np.array_equal(S.gradcam_baseline(small_cnn, img, label).raw, ref_g)
     assert side == [] and taped == [False] * 3
     assert np.array_equal(S.explain_image(small_cnn, img, label).grid, ref_s.grid)
+
+
+def _per_image_maps(model, images, labels):
+    """Each image's MHEX map from a batch-1 record with the host's single
+    mixers, its batch-1 Grad-CAM map and its batch-1 probabilities."""
+    return [(S.image_map(model, model.forward_collect(img), [c])[0],
+             S.gradcam_baseline(model, img, c), model.predict_proba(img[None])[0])
+            for img, c in zip(images, labels)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17])
+def test_batched_image_maps_equal_per_image_maps(monkeypatch, small_cnn, n):
+    """In stacks of up to ``COLLAB_ROWS`` rows on one worker and spread over
+    two, every image's grid, raw and layer grids, Grad-CAM map and
+    probabilities have the bits of per-image calls; one ``forward_collect``
+    runs per stack, without a tape."""
+    ds = mx.gen_shapes(n, seed=40 + n)
+    labels = [int(c) for c in ds.labels]
+    with conv_workers(monkeypatch, 1):
+        want = _per_image_maps(small_cnn, ds.images, labels)
+    collects, collect = [], type(small_cnn).forward_collect
+
+    def recording(self, x):
+        collects.append((len(x), ad._state.recording))
+        return collect(self, x)
+
+    monkeypatch.setattr(type(small_cnn), "forward_collect", recording)
+    for workers in (1, 2):
+        collects.clear()
+        with conv_workers(monkeypatch, workers):
+            got = S.image_maps(small_cnn, ds.images, labels, grad_cam=True)
+        stacks = [min(COLLAB_ROWS, n - lo) for lo in range(0, n, COLLAB_ROWS)]
+        assert collects == [(rows, False) for rows in stacks]
+        assert len(got) == n
+        for (smap, gmap, probs), (ref_s, ref_g, ref_p) in zip(got, want):
+            assert smap.class_id == ref_s.class_id and gmap.class_id == ref_g.class_id
+            assert same_bits(smap.grid, ref_s.grid) and same_bits(smap.raw, ref_s.raw)
+            assert len(smap.layer_grids) == len(ref_s.layer_grids)
+            assert all(same_bits(a, b) for a, b in zip(smap.layer_grids, ref_s.layer_grids))
+            assert same_bits(gmap.grid, ref_g.grid) and same_bits(gmap.raw, ref_g.raw)
+            assert same_bits(probs, ref_p), workers
+
+
+def test_image_maps_check_every_class_id_before_any_forward(small_cnn, small_transformer,
+                                                             monkeypatch):
+    """A class id out of range anywhere in the batch raises
+    ``ConfigurationError`` before any forward, and so does a class-id count
+    that is not the image count (``DimensionError``); the transformer raises
+    ``ContractError``, with or without Grad-CAM."""
+    ds = mx.gen_shapes(10, seed=26)
+    labels = [int(c) for c in ds.labels]
+    forwards = count_calls(type(small_cnn), "_backbone", monkeypatch)
+    for bad in (-1, small_cnn.cfg.n_class):
+        with pytest.raises(ConfigurationError, match=f"class id {bad}"):
+            S.image_maps(small_cnn, ds.images, labels[:9] + [bad], grad_cam=False)
+    with pytest.raises(DimensionError):
+        S.image_maps(small_cnn, ds.images, labels[:9])
+    assert forwards == []
+    td = mx.gen_tokens(2, seed=26)
+    for grad_cam in (True, False):
+        with pytest.raises(ContractError):
+            S.image_maps(small_transformer, td.ids, [0, 1], grad_cam=grad_cam)
 
 
 def test_explain_tokens_shapes(small_transformer):
@@ -227,7 +290,7 @@ def test_class_id_out_of_range_raises(small_cnn, small_transformer, bad):
     calls = [lambda: S.explain_image(small_cnn, img, bad),
              lambda: S.image_map(small_cnn, small_cnn.forward_collect(img), [bad]),
              lambda: S.gradcam_baseline(small_cnn, img, bad),
-             lambda: S.image_maps(small_cnn, img, bad, grad_cam=True),
+             lambda: S.image_maps(small_cnn, [img], [bad], grad_cam=True),
              lambda: S.explain_tokens(small_transformer, td.ids[0], bad),
              lambda: S.explain_tokens(small_transformer, td.ids, [0, bad])]
     for call in calls:
