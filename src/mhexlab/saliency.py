@@ -149,6 +149,8 @@ def _decayed_sum(grids, layer_decay):
 def _check_class_ids(model, class_ids):
     n_class = model.cfg.n_class
     for c in class_ids:
+        if not isinstance(c, (int, np.integer)):
+            raise ConfigurationError(f"class id {c!r} is not an integer")
         if not 0 <= c < n_class:
             raise ConfigurationError(f"class id {c} is outside [0, {n_class})")
 
@@ -192,7 +194,6 @@ def image_maps(model, images, class_ids, cfg: WeightFilterConfig | None = None,
     Each row's probabilities come from the head at batch 1, and its Grad-CAM
     map differentiates the head alone on its final features; so every output
     has the bits of a batch-1 call."""
-    class_ids = [int(c) for c in class_ids]
     if len(class_ids) != len(images):
         raise DimensionError(
             f"image_maps needs one class id per image, got {len(class_ids)} "
@@ -200,6 +201,7 @@ def image_maps(model, images, class_ids, cfg: WeightFilterConfig | None = None,
     if getattr(model, "kind", None) != "resnet":
         raise ContractError("image maps and Grad-CAM support only the CNN host")
     _check_class_ids(model, class_ids)
+    class_ids = [int(c) for c in class_ids]
     images = np.asarray(images, dtype=np.float64)
     out = []
     for lo in range(0, len(class_ids), COLLAB_ROWS):

@@ -10,9 +10,11 @@ import pytest
 
 import mhexlab  # loads every mhexlab module the tracer patches
 from mhexlab import autodiff as ad
-from mhexlab import models
+from mhexlab import cli, models
 from mhexlab.models import (ResNetConfig, ResNetModel, TransformerConfig,
                             TransformerModel, save_checkpoint)
+
+from helpers import conv_workers
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -98,9 +100,6 @@ def test_perfbench_traced_explain_evaluate_counts_repeat(monkeypatch, tmp_path):
     threads, so a pool task's backbone counts as a forward of its own, at a
     time-dependent count, unless the calling thread holds a traced host
     forward open while the task runs; every spread starts inside one."""
-    from helpers import conv_workers
-
-    from mhexlab import cli
     ckpt = tmp_path / "cnn.ckpt"
     save_checkpoint(ResNetModel(ResNetConfig(), seed=3), ckpt)
     tracer = _load("tracing").Tracer()

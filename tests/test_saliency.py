@@ -219,9 +219,10 @@ def test_batched_image_maps_equal_per_image_maps(monkeypatch, small_cnn, n):
 
 def test_image_maps_check_every_class_id_before_any_forward(small_cnn, small_transformer,
                                                              monkeypatch):
-    """A class id out of range anywhere in the batch raises
-    ``ConfigurationError`` before any forward, and so does a class-id count
-    that is not the image count (``DimensionError``); the transformer raises
+    """A class id out of range or not an integer anywhere in the batch
+    raises ``ConfigurationError`` before any forward (a float was truncated
+    or ended in a bare ``IndexError``), and so does a class-id count that is
+    not the image count (``DimensionError``); the transformer raises
     ``ContractError``, with or without Grad-CAM."""
     ds = mx.gen_shapes(10, seed=26)
     labels = [int(c) for c in ds.labels]
@@ -229,6 +230,8 @@ def test_image_maps_check_every_class_id_before_any_forward(small_cnn, small_tra
     for bad in (-1, small_cnn.cfg.n_class):
         with pytest.raises(ConfigurationError, match=f"class id {bad}"):
             S.image_maps(small_cnn, ds.images, labels[:9] + [bad], grad_cam=False)
+    with pytest.raises(ConfigurationError, match="class id 1.0 is not an integer"):
+        S.image_maps(small_cnn, ds.images, labels[:9] + [1.0])
     with pytest.raises(DimensionError):
         S.image_maps(small_cnn, ds.images, labels[:9])
     assert forwards == []
