@@ -25,7 +25,7 @@ from .datasets import seeded_rng
 from .errors import (ConfigurationError, ContractError,
                      UndefinedCorrelationError)
 from .formats import write_csv
-from .models import COLLAB_ROWS
+from .models import COLLAB_ROWS, batches, check_class_ids
 
 COSINE_EPS = 1e-8
 ENTROPY_BINS = 200          # histogram bins of the ReLU entropy estimate
@@ -101,6 +101,7 @@ def site_gradient_pair(model, x, label, site):
     """Gradients of the two consecutive head losses with respect to the
     measured block's shared mixer w1: (from_own_head, from_next_head)."""
     _check_successor(model, site)
+    check_class_ids(label, model.cfg.n_class, "label")
     with ad.no_grad():      # no backbone node leads to an explainer parameter
         backbone = model._backbone(x)
     g_ds, g_ag = _replay_pairs(model, backbone, [label], [site])[1][site]
@@ -125,6 +126,7 @@ def blockwise_quality(model, x, label, grid=7, site=0):
     if grid < 1:
         raise ConfigurationError("grid must be >= 1")
     _check_successor(model, site)
+    check_class_ids(label, model.cfg.n_class, "label")
     with ad.no_grad():
         backbone = model._backbone(x)
     # the site's block input has the shape of its backbone activation
@@ -251,11 +253,11 @@ def collect_collab_records(model, dataset, n_samples=None):
     """Per-sample collaboration, confidence and soft-mask drop for the
     measured sites, the last three that have a successor.
 
-    Each sample's backbone runs at batch 1, without a tape, and gives
-    ``p_orig``. Up to ``COLLAB_ROWS`` of them are stacked for one side-chain
-    replay, whose rows give the default-filter maps, and two sweeps per site
-    give every row's gradient pair. Only the soft-masked copy needs a second
-    forward."""
+    Each stack, a piece of ``models.batches(n, COLLAB_ROWS)``, runs its
+    backbone once without a tape, cut down to the site activations; a row's
+    ``p_orig`` is the head's at batch 1. A side-chain replay of the stack
+    gives the maps and two sweeps per site the gradient pairs, each row with
+    batch-1 bits. Only the soft-masked copy needs a second forward."""
     check_collab_inputs(model, dataset)
     sites = list(range(len(model.sites) - 1))[-3:]
     if not sites:
@@ -264,18 +266,15 @@ def collect_collab_records(model, dataset, n_samples=None):
     if n < 3:
         raise ContractError("need at least 3 evaluable samples")
     records = []
-    for lo in range(0, n, COLLAB_ROWS):
-        ids = range(lo, min(lo + COLLAB_ROWS, n))
-        labels = [int(dataset.labels[i]) for i in ids]
+    for lo, hi in batches(n, COLLAB_ROWS):
+        labels = [int(c) for c in dataset.labels[lo:hi]]
         with ad.no_grad():
-            backbones = [model._backbone(dataset.images[i]) for i in ids]
-        p_orig = [float(ad.softmax_last(b[2]).data[0, label])
-                  for b, label in zip(backbones, labels)]
-        stacked = model._stack(backbones)
-        del backbones       # the replay reads only the stacked copy
+            stacked = model._stack([model._backbone(dataset.images[lo:hi])])
+            p_orig = [float(ad.softmax_last(model._head(ad.Tensor(f[None]))).data[0, label])
+                      for f, label in zip(stacked[1].data, labels)]
         rec, pairs = _replay_pairs(model, stacked, labels, sites)
         maps = sal_mod.image_map(model, rec, labels)
-        for k, i in enumerate(ids):
+        for k, i in enumerate(range(lo, hi)):
             image, label = dataset.images[i], labels[k]
             cam = sal_mod.resize_map(maps[k].grid, image.shape[-2:])
             p_mask = float(model.predict_proba(met.soft_mask(image, cam)[None])[0, label])

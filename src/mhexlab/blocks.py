@@ -130,6 +130,9 @@ def equivalent_matrix(params):
     return params.w2.data @ params.w1.data
 
 
+LOSS_MODES = ("pretrain", "finetune")
+
+
 def mhex_loss(head_logits, targets, mode):
     """Combined loss over every head (auxiliary heads plus the host's final
     head). ``pretrain`` applies cross-entropy to the elementwise sum of all

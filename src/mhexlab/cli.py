@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, formats, metrics, saliency
+from .blocks import LOSS_MODES
 from .datasets import gen_shapes, gen_tokens, localization_score
 from .errors import ConfigurationError, MhexError
-from .models import (EVAL_BATCH_SIZE, ResNetModel, TransformerModel,
-                     load_checkpoint, save_checkpoint, train)
+from .models import (ResNetModel, TransformerModel, load_checkpoint,
+                     save_checkpoint, train)
 
 # --dataset: its generator, the host class it trains and the default --lr
 _DATASETS = {"shapes": (gen_shapes, ResNetModel, 3e-3),
@@ -120,12 +121,6 @@ def _sample_ids(args, dataset):
     return list(range(min(8, len(dataset))))
 
 
-def _chunks(ids):
-    """Consecutive slices of at most ``EVAL_BATCH_SIZE`` sample ids."""
-    ids = list(ids)
-    return [ids[lo:lo + EVAL_BATCH_SIZE] for lo in range(0, len(ids), EVAL_BATCH_SIZE)]
-
-
 def cmd_explain(args, out):
     if args.dataset == "tokens" and args.grad_cam:
         raise ConfigurationError("--grad-cam needs --dataset shapes")
@@ -135,18 +130,15 @@ def cmd_explain(args, out):
     ids = _sample_ids(args, dataset)
     manifest = []
     if args.dataset == "tokens":
-        for chunk in _chunks(ids):
-            sals = saliency.explain_tokens(model, dataset.ids[chunk],
-                                           dataset.labels[chunk], wf)
-            _made(out)
-            for i, sal in zip(chunk, sals):
-                tokens = [f"tok{t}" for t in dataset.ids[i]]
-                p = out / f"sample{i:04d}_tokens.csv"
-                saliency.export_token_csv(tokens, sal, p)
-                manifest.append((i, "mhex_csv", p.name))
-                p = out / f"sample{i:04d}_tokens.html"
-                saliency.export_token_html(tokens, sal, p)
-                manifest.append((i, "mhex_html", p.name))
+        sals = saliency.explain_tokens(model, dataset.ids[ids], dataset.labels[ids], wf)
+        for i, sal in zip(ids, sals):
+            tokens = [f"tok{t}" for t in dataset.ids[i]]
+            p = _made(out) / f"sample{i:04d}_tokens.csv"
+            saliency.export_token_csv(tokens, sal, p)
+            manifest.append((i, "mhex_csv", p.name))
+            p = out / f"sample{i:04d}_tokens.html"
+            saliency.export_token_html(tokens, sal, p)
+            manifest.append((i, "mhex_html", p.name))
     else:
         maps = saliency.image_maps(model, dataset.images[ids], dataset.labels[ids], wf,
                                    grad_cam=args.grad_cam)
@@ -179,12 +171,10 @@ def cmd_evaluate(args, out):
     n = min(args.n_samples, len(dataset))
 
     if args.dataset == "tokens":
-        records = []
-        for chunk in _chunks(range(n)):
-            ids, labels = dataset.ids[chunk], dataset.labels[chunk]
-            sals = saliency.explain_tokens(model, ids, labels, wf)
-            records += metrics.token_perturb_drop(model.predict_proba, ids, sals, labels,
-                                                  top_frac=args.top_frac, sample_id=chunk[0])
+        ids, labels = dataset.ids[:n], dataset.labels[:n]
+        sals = saliency.explain_tokens(model, ids, labels, wf)
+        records = metrics.token_perturb_drop(model.predict_proba, ids, sals, labels,
+                                             top_frac=args.top_frac)
         metrics.write_drop_csv(records, _made(out) / "token_drop.csv", method="mhex")
         print(f"token mean drop: {np.mean([r.drop for r in records]):.4f}")
         return
@@ -293,7 +283,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train an instrumented host")
     common(p)
-    p.add_argument("--mode", choices=("pretrain", "finetune"), default="finetune")
+    p.add_argument("--mode", choices=LOSS_MODES, default="finetune")
     p.add_argument("--epochs", type=int, default=6)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=64)

@@ -2,15 +2,16 @@
 the area-weighted drop and its weighting function, and insertion/deletion
 curves with trapezoidal AUC. Every metric reads the model through
 ``predict``, a callable that maps a batch to ``(B, n_class)`` probabilities
-(a host's ``predict_proba``), and rejects a label outside ``[0, n_class)``;
-images are ``(C, H, W)``, maps ``(H, W)``. A curve predicts its steps
-together (in batches of ``EVAL_BATCH_SIZE``) and ``drop_records`` an image's
-masked copies together, so a batched row may round its last bits
-differently from a batch-1 call. ``image_curves`` gives an image's deletion
-and insertion curves for several maps with the bits of the single-curve
-functions: every curve of the image starts or ends at the image itself or at
-its mean fill, so one 2-row prediction scores those endpoints for every map,
-and a map's inner steps of both curves are predicted together. The CNN
+(a host's ``predict_proba``), and rejects a label that is not an integer in
+``[0, n_class)``; images are ``(C, H, W)``, maps ``(H, W)``. A curve
+predicts its steps together (in the pieces of ``models.batches``, none a
+lone row) and ``drop_records`` an image's masked copies together, so a
+batched row may round its last bits differently from a batch-1 call.
+``image_curves`` gives an image's deletion and insertion curves for several
+maps with the bits of the single-curve functions: every curve of the image
+starts or ends at the image itself or at its mean fill, so one 2-row
+prediction scores those endpoints for every map, and a map's inner steps of
+both curves are predicted together. The CNN
 host's ``predict_proba`` spreads such a batch over the usable CPUs in chunks
 of at least 2 images (``autodiff._spread_batch``), with the bits of one
 whole-batch call: a 20-step curve runs as four 5-step chunks on two CPUs,
@@ -28,7 +29,7 @@ import numpy as np
 from .datasets import MASK_ID, PAD_ID
 from .errors import ConfigurationError, ContractError, DimensionError
 from .formats import write_csv
-from .models import EVAL_BATCH_SIZE
+from .models import EVAL_BATCH_SIZE, batches, check_class_ids
 
 SALIENT = 0.5     # saliency at which a cell counts as salient and is masked
 
@@ -101,9 +102,7 @@ def saliency_area(cam):
 def _predict(predict, batch, labels):
     """``predict(batch)`` as floats, with every label checked against its columns."""
     p = np.asarray(predict(batch), dtype=np.float64)
-    for c in np.atleast_1d(labels):
-        if not 0 <= c < p.shape[-1]:
-            raise ConfigurationError(f"label {c} is outside [0, {p.shape[-1]})")
+    check_class_ids(labels, p.shape[-1], "label")
     return p
 
 
@@ -190,26 +189,21 @@ def image_curves(predict, image, cams, label, steps=20):
     ``insertion_curve``.
 
     Every curve of the image starts at the image or at its mean fill and ends
-    at the other, whatever the map, so one prediction scores those two
-    endpoints for every map; one prediction per chunk of ``EVAL_BATCH_SIZE``
-    rows scores a map's inner steps of both curves together. So no
-    prediction holds a single row, which would round differently, except
-    where a lone curve's last chunk is its last step alone (``steps - 1`` a
-    multiple of ``EVAL_BATCH_SIZE``): that step is predicted alone here too."""
+    at the other, whatever the map, so one 2-row prediction scores those two
+    endpoints for every map; ``_confidences`` scores a map's inner steps of
+    both curves together. No prediction holds a single row."""
     fractions, ks = _fractions(steps, np.shape(image)[1:])
     ranks = [_rank(_check_cam(image, cam)[1]) for cam in cams]
     image = np.asarray(image, dtype=np.float64)
-    ends = np.stack([image, np.broadcast_to(mean_intensity(image)[:, None, None], image.shape)])
-    first = _predict(predict, ends, label)[:, label]
-    last = first if (steps - 1) % EVAL_BATCH_SIZE else \
-        np.array([_predict(predict, end[None], label)[0, label] for end in ends])
+    fill = np.broadcast_to(mean_intensity(image)[:, None, None], image.shape)
+    ends = _predict(predict, np.stack([image, fill]), label)[:, label]
     inner = steps - 2
     out = []
     for rank in ranks:
         conf = _confidences(predict, image, rank, label, np.tile(ks[1:-1], 2),
                             np.repeat([False, True], inner))
-        out.append((Curve(fractions, np.concatenate([first[:1], conf[:inner], last[1:]])),
-                    Curve(fractions, np.concatenate([first[1:], conf[inner:], last[:1]]))))
+        out.append((Curve(fractions, np.concatenate([ends[:1], conf[:inner], ends[1:]])),
+                    Curve(fractions, np.concatenate([ends[1:], conf[inner:], ends[:1]]))))
     return out
 
 
@@ -231,13 +225,12 @@ def _rank(cam):
 def _confidences(predict, image, rank, label, ks, insert):
     """``label``'s confidence on each row that takes the first ``ks[i]``
     pixels of the saliency order ``rank`` from the image and the rest from
-    its mean fill (``insert[i]``), or the reverse: one prediction per chunk
-    of ``EVAL_BATCH_SIZE`` rows, so a long curve's batch stays bounded."""
+    its mean fill (``insert[i]``), or the reverse: one prediction per piece
+    of ``batches``, so a long curve's batch stays bounded."""
     pixels = image.reshape(image.shape[0], -1)
     mu = mean_intensity(image)[:, None]
     out = np.empty(len(ks))
-    for lo in range(0, len(ks), EVAL_BATCH_SIZE):
-        hi = lo + EVAL_BATCH_SIZE
+    for lo, hi in batches(len(ks), EVAL_BATCH_SIZE):
         batch = np.where((rank < ks[lo:hi, None, None]) == insert[lo:hi, None, None], pixels, mu)
         out[lo:hi] = _predict(predict, batch.reshape((-1,) + image.shape), label)[:, label]
     return out
@@ -257,14 +250,14 @@ def auc(curve: Curve):
 # token perturbation
 
 
-def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10, sample_id=0):
+def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10):
     """Replace the ceil(top_frac * length) highest-saliency tokens (length:
     the tokens other than ``PAD_ID``) with ``MASK_ID`` and record the
     confidence drops, one ``DropRecord`` per row.
 
     ``ids`` is a ``(B, S)`` batch with ``B`` saliencies and labels; one
-    prediction covers the originals and their masked copies, and row ``b``
-    gets ``sample_id + b``."""
+    prediction per piece of ``batches`` covers its originals and their
+    masked copies, and row ``b`` gets sample id ``b``."""
     if not 0.0 < top_frac <= 1.0:
         raise ConfigurationError(f"top_frac must be in (0, 1], got {top_frac}")
     ids = np.asarray(ids, dtype=np.intp)
@@ -284,10 +277,13 @@ def token_perturb_drop(predict, ids, sals, labels, top_frac=0.10, sample_id=0):
         order = np.argsort(-np.asarray(s.scores, dtype=np.float64), kind="stable")
         row[np.asarray(s.positions)[order[:k]]] = MASK_ID
         areas.append(k / n)
-    p = _predict(predict, np.concatenate([ids, masked]), labels)
-    p = p.reshape(2, len(ids), -1)[:, np.arange(len(ids)), labels]
-    return [DropRecord.of(sample_id + b, p_orig, p_mask, areas[b])
-            for b, (p_orig, p_mask) in enumerate(p.T.tolist())]
+    records = []
+    for lo, hi in batches(len(ids), EVAL_BATCH_SIZE):
+        p = _predict(predict, np.concatenate([ids[lo:hi], masked[lo:hi]]), labels[lo:hi])
+        p = p.reshape(2, hi - lo, -1)[:, np.arange(hi - lo), labels[lo:hi]]
+        records += [DropRecord.of(b, p_orig, p_mask, areas[b])
+                    for b, (p_orig, p_mask) in enumerate(p.T.tolist(), start=lo)]
+    return records
 
 
 # ---------------------------------------------------------------------------

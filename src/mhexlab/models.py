@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .blocks import MhexParams, _pool, mhex_loss, run_block
+from .blocks import LOSS_MODES, MhexParams, _pool, mhex_loss, run_block
 from .datasets import (IMAGE_SIZE, MAX_SEQ, PAD_ID, SHAPE_CLASSES,
                        TOKEN_CLASSES, VOCAB_SIZE, seeded_rng)
 from .errors import (CheckpointFormatError, CheckpointShapeError,
@@ -47,16 +47,33 @@ CHECKPOINT_MAGIC = b"MHEXCKPT"
 # <I to <Q, so a seed of 2**32 or more reloads as itself. v1 and v2 files
 # still load.
 CHECKPOINT_VERSION = 3
-# sequences or images per no-grad forward in the accuracy and token passes
+# most rows per no-grad forward of the accuracy, token and curve passes (``batches``)
 EVAL_BATCH_SIZE = 128
-# rows of a side-chain replay on a ``row_view``, the one stack size of its two
-# users, the collaboration records and ``saliency.image_maps``. On the default
+# most rows of a side-chain replay on a ``row_view``, the one stack size of its
+# two users, the collaboration records and ``saliency.image_maps``. On the default
 # CNN `mhex analyze --n-samples 512` runs as fast with 8 rows as with 16 to 64,
 # and 8 is the largest stack that leaves its peak RSS at the per-sample loop's
 # (16 adds 3 MB, 32 adds 18 MB); 16 image maps with Grad-CAM on 2 vCPUs took
 # 1.28 ms an image in 8-row stacks, 1.47 in one 16-row stack, 1.82 in 4-row
 # stacks and 2.52 one at a time
 COLLAB_ROWS = 8
+
+
+def batches(n, size):
+    """``range(n)`` as the fewest contiguous (lo, hi) pieces of at most
+    ``size`` rows, in order, of near-equal length (``autodiff._cut``): the
+    split of every stacked pass. With ``size`` 3 or more no piece is a lone
+    row unless ``n`` is 1, so no pass rounds a row as a 1-row GEMM does."""
+    return ad._cut(0, n, -(-n // size))
+
+
+def check_class_ids(class_ids, n_class, what="class id"):
+    """Raise ``ConfigurationError`` unless each class id is an integer in ``[0, n_class)``."""
+    for c in class_ids if np.ndim(class_ids) else [class_ids]:
+        if not isinstance(c, (int, np.integer)):
+            raise ConfigurationError(f"{what} {c} is not an integer")
+        if not 0 <= c < n_class:
+            raise ConfigurationError(f"{what} {c} is outside [0, {n_class})")
 
 
 # ---------------------------------------------------------------------------
@@ -339,26 +356,27 @@ class ResNetModel(_Host):
             acts.append(h)
         return acts, h, self._head(h), None
 
-    def _spread_backbone(self, x, keep, below=None):
+    def _spread_backbone(self, x, keep):
         """``keep`` of the ``_backbone`` result of each chunk of a batch
         without a tape, in order, spread over the usable CPUs
         (``autodiff._spread_batch``); ``None`` when the batch runs whole: with
-        a tape, not 4-D, as one chunk of ``autodiff._batch_chunks``, or of
-        ``below`` images or more. Every chunk holds at least 2 images, so each
-        row keeps the bits of one whole-batch call. Only the host's forward
-        methods call it, so a chunk's ``_backbone`` runs while its caller's
-        forward is open: ``perfbench``'s tracer counts one forward per
-        outermost open host forward, at a depth all threads share."""
+        a tape, not 4-D, as one chunk of ``autodiff._batch_chunks``, or of 64
+        images or more, left to ``conv2d``'s spread (a whole-backbone one took
+        3 to 7.5 % more peak RSS, no faster). Every chunk holds at least 2
+        images, so each row keeps the bits of one whole-batch call. Only the
+        host's forward methods call it, so a chunk's ``_backbone`` runs while
+        its caller's forward is open: ``perfbench``'s tracer counts one
+        forward per outermost open host forward, at a depth all threads share."""
         xd = x.data if isinstance(x, Tensor) else np.asarray(x)
-        if ad._state.recording or xd.ndim != 4 or (below is not None and len(xd) >= below) \
+        if ad._state.recording or xd.ndim != 4 or len(xd) >= 2 * ad._SPREAD_SAMPLES \
                 or len(chunks := ad._batch_chunks(len(xd))) == 1:
             return None
         return ad._spread_batch(lambda a, b: keep(self._backbone(xd[a:b])), chunks)
 
     def forward_logits(self, x):
         """Backbone-only forward; what the host computes with every explainer
-        block stripped. Without a tape (``predict_proba``) a batch of 4
-        images or more is spread over the usable CPUs in chunks of at least 2
+        block stripped. Without a tape (``predict_proba``) a batch of 4 to 63
+        images is spread over the usable CPUs in chunks of at least 2
         (``_spread_backbone``)."""
         parts = self._spread_backbone(x, lambda out: out[2].data)
         return self._backbone(x)[2] if parts is None else Tensor(np.concatenate(parts))
@@ -369,13 +387,10 @@ class ResNetModel(_Host):
 
     def forward_collect(self, x):
         """``side_chain`` over ``_backbone(x)``. Without a tape a batch of 4
-        to ``2 * autodiff._SPREAD_SAMPLES - 1`` images spreads its backbone
-        as ``forward_logits`` does, keeps of each chunk only what the side
-        chain reads and stacks the chunks (``_stack``); a larger one, such as
-        ``head_accuracies``' batch of 64, runs whole, and its ``conv2d``
-        calls spread their own chunks."""
-        parts = self._spread_backbone(x, lambda out: self._stack([out]),
-                                      below=2 * ad._SPREAD_SAMPLES)
+        to 63 images spreads its backbone as ``forward_logits`` does, keeps of
+        each chunk only what the side chain reads and stacks the chunks
+        (``_stack``)."""
+        parts = self._spread_backbone(x, lambda out: self._stack([out]))
         return self.side_chain(self._backbone(x) if parts is None else self._stack(parts))
 
     def _stack(self, backbones):
@@ -553,15 +568,15 @@ def _dataset_arrays(dataset):
 
 def head_accuracies(model, dataset):
     """Fraction correct per head (auxiliary heads in site order, final head
-    last), in batches of ``EVAL_BATCH_SIZE``; the forwards record no tape."""
+    last), in the pieces of ``batches(n, EVAL_BATCH_SIZE)``; no tape."""
     xs, ys = _dataset_arrays(dataset)
     n = len(ys)
     correct = None
-    for lo in range(0, n, EVAL_BATCH_SIZE):
+    for lo, hi in batches(n, EVAL_BATCH_SIZE):
         with ad.no_grad():
-            rec = model.forward_collect(xs[lo:lo + EVAL_BATCH_SIZE])
+            rec = model.forward_collect(xs[lo:hi])
         preds = [h.data.argmax(axis=1) for h in rec.head_logits()]
-        hits = np.array([(p == ys[lo:lo + EVAL_BATCH_SIZE]).sum() for p in preds], dtype=float)
+        hits = np.array([(p == ys[lo:hi]).sum() for p in preds], dtype=float)
         correct = hits if correct is None else correct + hits
     return (correct / n).tolist()
 
@@ -573,6 +588,8 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
     ``EpochLog`` per epoch. Deterministic for fixed (seed, config, dataset)."""
     if len(dataset) == 0:
         raise ContractError("train: dataset is empty")
+    if mode not in LOSS_MODES:
+        raise ConfigurationError(f"mode must be one of {LOSS_MODES}, got {mode!r}")
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if epochs < 0:

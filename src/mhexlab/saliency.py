@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .blocks import equivalent_matrix
 from .errors import ConfigurationError, ContractError, DimensionError
 from .formats import write_csv
-from .models import COLLAB_ROWS
+from .models import COLLAB_ROWS, EVAL_BATCH_SIZE, batches, check_class_ids
 
 SHARPNESS_EPS = 1e-8        # keeps an all-zero column's sharpness at zero
 
@@ -146,21 +146,12 @@ def _decayed_sum(grids, layer_decay):
     return raw, terms
 
 
-def _check_class_ids(model, class_ids):
-    n_class = model.cfg.n_class
-    for c in class_ids:
-        if not isinstance(c, (int, np.integer)):
-            raise ConfigurationError(f"class id {c!r} is not an integer")
-        if not 0 <= c < n_class:
-            raise ConfigurationError(f"class id {c} is outside [0, {n_class})")
-
-
 def _site_grids(model, rec, class_ids, cfg, n_sites):
     """Per row ``b`` of ``rec``, ``cam_layer`` of its class's filtered
     ``w2·w1`` weights on each of the first ``n_sites`` sites' rectified
     features: a CNN row's ``(C, h, w)`` map, a token row's non-pad tokens as
     a ``(D, 1, J)`` grid."""
-    _check_class_ids(model, class_ids)
+    check_class_ids(class_ids, model.cfg.n_class)
     w_fins = [final_weights(equivalent_matrix(model.mhex_params(s)), cfg)
               for s in range(n_sites)]
     feats = [o.relu_features.data for o in rec.site_outputs[:n_sites]]
@@ -187,7 +178,7 @@ def image_maps(model, images, class_ids, cfg: WeightFilterConfig | None = None,
     map is ``None`` unless ``grad_cam``. Only the CNN host makes them, and a
     bad class id raises before any forward.
 
-    The images run in stacks of up to ``models.COLLAB_ROWS``, each with one
+    Each stack, a piece of ``models.batches(n, COLLAB_ROWS)``, runs one
     tape-free ``forward_collect`` on a ``row_view``: the backbone spreads over
     the usable CPUs in chunks of at least 2 images, and the side chain's
     per-row mixers make each row's block products as a batch-1 call does.
@@ -200,15 +191,15 @@ def image_maps(model, images, class_ids, cfg: WeightFilterConfig | None = None,
             f"for {len(images)} images")
     if getattr(model, "kind", None) != "resnet":
         raise ContractError("image maps and Grad-CAM support only the CNN host")
-    _check_class_ids(model, class_ids)
+    check_class_ids(class_ids, model.cfg.n_class)
     class_ids = [int(c) for c in class_ids]
     images = np.asarray(images, dtype=np.float64)
     out = []
-    for lo in range(0, len(class_ids), COLLAB_ROWS):
-        ids = class_ids[lo:lo + COLLAB_ROWS]
-        view = model.row_view(len(ids), range(len(model.sites)))
+    for lo, hi in batches(len(class_ids), COLLAB_ROWS):
+        ids = class_ids[lo:hi]
+        view = model.row_view(hi - lo, range(len(model.sites)))
         with ad.no_grad():
-            rec = view.forward_collect(images[lo:lo + COLLAB_ROWS])
+            rec = view.forward_collect(images[lo:hi])
             smaps = image_map(model, rec, ids, cfg)
             feats = [ad.Tensor(rec.final_feats.data[b:b + 1]) for b in range(len(ids))]
             probs = [ad.softmax_last(model._head(f)).data[0] for f in feats]
@@ -230,10 +221,11 @@ def image_map(model, rec, class_ids, cfg: WeightFilterConfig | None = None):
 
 def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
     """Token pipeline over a ``(B, S)`` batch with ``B`` class ids: one
-    forward, and one ``TokenSaliency`` per row from its first ``token_layers``
-    sites, scoring that row's non-pad tokens. A ``(S,)`` sequence with an int
-    class id is the batch of one and returns its single ``TokenSaliency``."""
+    forward per piece of ``models.batches``, and one ``TokenSaliency`` per row
+    from its first ``token_layers`` sites, scoring its non-pad tokens. A
+    ``(S,)`` sequence with an int class id returns its single saliency."""
     cfg = cfg or WeightFilterConfig()
+    check_class_ids(class_id, model.cfg.n_class)
     ids = np.asarray(ids, dtype=np.intp)
     single = ids.ndim == 1
     ids = np.atleast_2d(ids)
@@ -245,14 +237,16 @@ def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
     if cfg.token_layers > len(model.sites):
         raise ConfigurationError(
             f"token_layers {cfg.token_layers} exceeds available sites {len(model.sites)}")
-    with ad.no_grad():
-        rec = model.forward_collect(ids)
     out = []
-    for c, pad, grids in zip(class_ids, rec.pad_mask,
-                             _site_grids(model, rec, class_ids, cfg, cfg.token_layers)):
-        raw, terms = _decayed_sum(grids, cfg.layer_decay)
-        out.append(TokenSaliency(class_id=int(c), scores=raw[0], positions=np.flatnonzero(~pad),
-                                 layer_scores=[t[0] for t in terms]))
+    for lo, hi in batches(len(ids), EVAL_BATCH_SIZE):
+        with ad.no_grad():
+            rec = model.forward_collect(ids[lo:hi])
+        for c, pad, grids in zip(class_ids[lo:hi], rec.pad_mask, _site_grids(
+                model, rec, class_ids[lo:hi], cfg, cfg.token_layers)):
+            raw, terms = _decayed_sum(grids, cfg.layer_decay)
+            out.append(TokenSaliency(class_id=int(c), scores=raw[0],
+                                     positions=np.flatnonzero(~pad),
+                                     layer_scores=[t[0] for t in terms]))
     return out[0] if single else out
 
 
@@ -262,7 +256,7 @@ def gradcam_baseline(model, image, class_id):
     the blocks' own saliency path."""
     if getattr(model, "kind", None) != "resnet":
         raise ContractError("Grad-CAM supports only the CNN host")
-    _check_class_ids(model, [class_id])
+    check_class_ids(class_id, model.cfg.n_class)
     with ad.no_grad():
         final_feats = model._backbone(image)[1]
     return _gradcam_map(model, final_feats, class_id)

@@ -327,6 +327,19 @@ def cell_masks(hw, grid):
             yield mask
 
 
+def rows_per_call(owner, name, monkeypatch):
+    """List that gains the row count of each call of method ``name`` of
+    class ``owner``."""
+    rows, fn = [], getattr(owner, name)
+
+    def recording(self, x, *args, **kwargs):
+        rows.append(len(x))
+        return fn(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return rows
+
+
 def count_calls(owner, name, monkeypatch):
     """List that gains one entry per call of attribute ``name`` of a class or
     module ``owner``: a class's method counts the calls of every instance

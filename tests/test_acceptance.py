@@ -17,7 +17,7 @@ import mhexlab.saliency as S
 from mhexlab.autodiff import Tensor
 from mhexlab.blocks import equivalent_matrix
 from mhexlab.datasets import SHAPE_CLASSES
-from mhexlab.models import (EVAL_BATCH_SIZE, ResNetConfig, TransformerConfig,
+from mhexlab.models import (ResNetConfig, TransformerConfig,
                             TransformerModel, clone_model, count_mhex_params,
                             head_accuracies, load_checkpoint, save_checkpoint,
                             strip_mhex)
@@ -325,19 +325,16 @@ def test_criterion_12_token_pipeline(capsys, trained_transformer,
                                      heldout_tokens):
     n = 200
     hits = 0
-    drops = []
-    for lo in range(0, n, EVAL_BATCH_SIZE):
-        rows = slice(lo, min(n, lo + EVAL_BATCH_SIZE))
-        ids, labels = heldout_tokens.ids[rows], heldout_tokens.labels[rows]
-        sals = S.explain_tokens(trained_transformer, ids, labels)
-        for sal, truth_mask in zip(sals, heldout_tokens.truth_masks[rows]):
-            truth = np.flatnonzero(truth_mask)
-            top = sal.positions[np.argsort(-sal.scores, kind="stable")[:len(truth)]]
-            if set(top.tolist()) == set(truth.tolist()):
-                hits += 1
-        recs = M.token_perturb_drop(trained_transformer.predict_proba, ids, sals, labels,
-                                    top_frac=0.10, sample_id=lo)
-        drops += [r.drop for r in recs]
+    ids, labels = heldout_tokens.ids[:n], heldout_tokens.labels[:n]
+    sals = S.explain_tokens(trained_transformer, ids, labels)
+    for sal, truth_mask in zip(sals, heldout_tokens.truth_masks[:n]):
+        truth = np.flatnonzero(truth_mask)
+        top = sal.positions[np.argsort(-sal.scores, kind="stable")[:len(truth)]]
+        if set(top.tolist()) == set(truth.tolist()):
+            hits += 1
+    recs = M.token_perturb_drop(trained_transformer.predict_proba, ids, sals, labels,
+                                top_frac=0.10)
+    drops = [r.drop for r in recs]
     hit_rate = hits / n
     mean_drop = float(np.mean(drops))
     ok = hit_rate >= 0.80 and mean_drop > 0.2

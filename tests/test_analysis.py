@@ -305,6 +305,51 @@ def test_blockwise_last_site_raises_before_forward(small_cnn, monkeypatch):
     assert calls == []
 
 
+# each entry point that takes a label or class id ``c``, on an image ``x``
+# with map ``cam``, or on two token rows ``t`` with saliencies ``sals``
+_LABEL_ENTRIES = {
+    "drop_record": lambda m, c, x, cam, t, sals: M.drop_record(m.predict_proba, x, c, cam),
+    "deletion_curve": lambda m, c, x, cam, t, sals: M.deletion_curve(m.predict_proba, x, cam,
+                                                                     c, steps=3),
+    "image_curves": lambda m, c, x, cam, t, sals: M.image_curves(m.predict_proba, x, [cam], c,
+                                                                 steps=3),
+    "token_perturb_drop": lambda m, c, x, cam, t, sals: M.token_perturb_drop(
+        m.predict_proba, t.ids, sals, [0, c]),
+    "collaboration_cosine": lambda m, c, x, cam, t, sals: A.collaboration_cosine(m, x, c, 0),
+    "site_gradient_pair": lambda m, c, x, cam, t, sals: A.site_gradient_pair(m, x, c, 0),
+    "blockwise_quality": lambda m, c, x, cam, t, sals: A.blockwise_quality(m, x, c, grid=2),
+    "explain_image": lambda m, c, x, cam, t, sals: S.explain_image(m, x, c),
+    "image_maps": lambda m, c, x, cam, t, sals: S.image_maps(m, [x], [c], grad_cam=True),
+    "gradcam_baseline": lambda m, c, x, cam, t, sals: S.gradcam_baseline(m, x, c),
+    "explain_tokens": lambda m, c, x, cam, t, sals: S.explain_tokens(m, t.ids, [0, c]),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, -1, "n_class"])
+@pytest.mark.parametrize("entry", list(_LABEL_ENTRIES))
+def test_every_label_entry_point_checks_integer_and_range(entry, bad, small_cnn,
+                                                          small_transformer, monkeypatch):
+    """Every entry point that takes a label or class id sends it through
+    ``models.check_class_ids``: a float or a value outside ``[0, n_class)``
+    raises ``ConfigurationError``. The metrics check ``predict``'s columns
+    after it runs (a 1.5 ended in a bare ``IndexError``); analysis and
+    saliency check ``cfg.n_class`` before any forward (analysis read a 1.5
+    as class 1)."""
+    model = small_transformer if "token" in entry else small_cnn
+    label = model.cfg.n_class if bad == "n_class" else bad
+    x = mx.gen_shapes(1, seed=47).images[0]
+    cam = np.zeros(x.shape[1:])
+    cam[:4, :4] = 1.0
+    t = mx.gen_tokens(2, seed=47)
+    sals = S.explain_tokens(small_transformer, t.ids, t.labels)
+    forwards = count_calls(type(model), "_backbone", monkeypatch)
+    want = "is not an integer" if bad == 1.5 else "is outside"
+    with pytest.raises(ConfigurationError, match=f"{label} {want}"):
+        _LABEL_ENTRIES[entry](model, label, x, cam, t, sals)
+    metric = entry in ("drop_record", "deletion_curve", "image_curves", "token_perturb_drop")
+    assert (forwards == []) != metric
+
+
 def test_negative_site_raises_before_forward(small_cnn, monkeypatch):
     """Site -1 is not a site: ``collaboration_cosine`` used to end in a bare
     ``KeyError: 'mhex-1.w1'`` after a forward, and so did the block-wise map."""
@@ -349,7 +394,7 @@ def test_blockwise_equals_per_cell_pairs(small_cnn):
 def test_collab_records_equal_collaboration_cosine(small_cnn, monkeypatch):
     """Every record equals the batch-1 cosine and the independent reference
     pair, bit for bit, in a replay of all 5 samples and across the stacks of
-    2, 2 and 1 rows when ``COLLAB_ROWS`` is 2."""
+    1, 2 and 2 rows (``batches(5, 2)``) when ``COLLAB_ROWS`` is 2."""
     ds = mx.gen_shapes(5, seed=45)
     records = A.collect_collab_records(small_cnn, ds, n_samples=5)
     monkeypatch.setattr(A, "COLLAB_ROWS", 2)
@@ -386,13 +431,13 @@ def test_collab_records_need_three_samples(small_cnn, monkeypatch, n, n_samples)
 
 
 def test_collab_records_one_backbone_per_forward(small_cnn, monkeypatch):
-    """One backbone per sample feeds p_orig and the stacked replay of the
-    maps and gradient pairs; the soft-masked copy is the only other
-    forward."""
-    ds = mx.gen_shapes(3, seed=45)
+    """One backbone call per stack feeds p_orig and the stacked replay of
+    the maps and gradient pairs, where each sample ran its own; the
+    soft-masked copy of each sample is the only other forward."""
+    ds = mx.gen_shapes(11, seed=45)
     calls = count_calls(type(small_cnn), "_backbone", monkeypatch)
-    A.collect_collab_records(small_cnn, ds, n_samples=3)
-    assert len(calls) <= 2 * 3
+    A.collect_collab_records(small_cnn, ds)
+    assert len(calls) == len(models.batches(11, models.COLLAB_ROWS)) + 11 == 2 + 11
 
 
 def test_collab_records_drop_equals_explain_and_drop_record(small_cnn):

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhexlab import autodiff as ad, cli
-from mhexlab.models import (COLLAB_ROWS, ResNetModel, TransformerConfig, TransformerModel,
-                            load_checkpoint, save_checkpoint)
+from mhexlab import autodiff as ad, cli, metrics, saliency
+from mhexlab.models import (COLLAB_ROWS, EVAL_BATCH_SIZE, ResNetModel, TransformerConfig,
+                            TransformerModel, batches, load_checkpoint, save_checkpoint)
 
-from helpers import checkpoint_with_config, checkpoint_with_value, conv_workers, count_calls
+from helpers import (checkpoint_with_config, checkpoint_with_value, conv_workers, count_calls,
+                     rows_per_call)
 
 
 def _rows(path):
@@ -99,35 +100,23 @@ def test_explain_shapes_with_gradcam(shape_ckpt, tmp_path):
     assert (tmp_path / "sample0000_gradcam.pgm").exists()
 
 
-def _rows_per_call(owner, name, monkeypatch):
-    """List that gains the row count of each call of method ``name`` of
-    class ``owner``."""
-    rows, fn = [], getattr(owner, name)
-
-    def recording(self, x, *args, **kwargs):
-        rows.append(len(x))
-        return fn(self, x, *args, **kwargs)
-
-    monkeypatch.setattr(owner, name, recording)
-    return rows
-
-
 def test_explain_gradcam_one_backbone_per_stack_chunk(shape_ckpt, tmp_path, monkeypatch):
-    """The MHEX and Grad-CAM maps of up to ``COLLAB_ROWS`` images come from
-    one tape-free ``forward_collect``, whose backbone runs once per chunk of
-    ``_batch_chunks``: on two CPUs 10 images are a stack of 8 in two chunks
-    of 4 and a stack of 2 in one chunk. Nothing else runs a forward."""
-    collects = _rows_per_call(ResNetModel, "forward_collect", monkeypatch)
-    backbones = _rows_per_call(ResNetModel, "_backbone", monkeypatch)
+    """The MHEX and Grad-CAM maps of each stack, a piece of ``batches(n,
+    COLLAB_ROWS)``, come from one tape-free ``forward_collect``, whose
+    backbone runs once per chunk of ``_batch_chunks``: on two CPUs 10 images
+    are two stacks of 5, each in chunks of 2 and 3. Nothing else runs a
+    forward."""
+    collects = rows_per_call(ResNetModel, "forward_collect", monkeypatch)
+    backbones = rows_per_call(ResNetModel, "_backbone", monkeypatch)
     with conv_workers(monkeypatch, 2):
         rc = cli.main(["explain", "--dataset", "shapes", "--n-samples", "12",
                        "--checkpoint", str(shape_ckpt), "--samples", "0,2,5,1,3,4,6,7,8,11",
                        "--grad-cam", "--out", str(tmp_path)])
-        assert [len(part) for part in ad._batch_chunks(8)] == [1, 1]
+        assert ad._batch_chunks(5) == [[(0, 2)], [(2, 5)]]
     assert rc == 0
     assert len(_rows(tmp_path / "manifest.csv")) == 1 + 10 * 3
-    assert collects == [COLLAB_ROWS, 2]
-    assert sorted(backbones) == [2, 4, 4]
+    assert collects == [hi - lo for lo, hi in batches(10, COLLAB_ROWS)] == [5, 5]
+    assert sorted(backbones) == [2, 2, 3, 3]
 
 
 def test_evaluate_shapes_shares_curve_endpoints(shape_ckpt, tmp_path, monkeypatch):
@@ -137,9 +126,9 @@ def test_evaluate_shapes_shares_curve_endpoints(shape_ckpt, tmp_path, monkeypatc
     2-row prediction for every method; each method's 18 inner steps of
     both curves are one more. No prediction has fewer than 2 rows. On two
     CPUs the 36 inner rows spread as eight chunks, one backbone pass each."""
-    collects = _rows_per_call(ResNetModel, "forward_collect", monkeypatch)
+    collects = rows_per_call(ResNetModel, "forward_collect", monkeypatch)
     backbones = count_calls(ResNetModel, "_backbone", monkeypatch)
-    predicts = _rows_per_call(ResNetModel, "predict_proba", monkeypatch)
+    predicts = rows_per_call(ResNetModel, "predict_proba", monkeypatch)
     n, curve_samples, methods, steps = 5, 3, 3, 20
     with conv_workers(monkeypatch, 2):
         rc = cli.main(["evaluate", "--dataset", "shapes", "--n-samples", str(n),
@@ -360,20 +349,24 @@ def test_evaluate_tokens(token_ckpt, tmp_path):
 
 
 def test_evaluate_tokens_forwards_per_chunk(token_ckpt, tmp_path, monkeypatch):
-    """One forward per chunk for the saliencies and one for the drops,
-    instead of three per sequence."""
+    """One ``explain_tokens`` and one ``token_perturb_drop`` call, each with
+    one forward per piece of ``batches(130, EVAL_BATCH_SIZE)``, instead of
+    three per sequence."""
     ckpt, _ = token_ckpt
     calls = count_calls(TransformerModel, "_backbone", monkeypatch)
+    explains = count_calls(saliency, "explain_tokens", monkeypatch)
+    drops = count_calls(metrics, "token_perturb_drop", monkeypatch)
     rc = cli.main(["evaluate", "--dataset", "tokens", "--n-samples", "130",
                    "--checkpoint", str(ckpt), "--out", str(tmp_path)])
     assert rc == 0
     assert len(_rows(tmp_path / "token_drop.csv")) == 132    # header + 130 + summary
-    assert len(calls) <= 2 * math.ceil(130 / cli.EVAL_BATCH_SIZE)
+    assert len(explains) == len(drops) == 1
+    assert len(calls) == 2 * math.ceil(130 / EVAL_BATCH_SIZE)
 
 
 def test_token_chunk_boundary_changes_no_output(token_ckpt, tmp_path, monkeypatch):
-    """130 sequences in chunks of 128 and 2 write the same files as one
-    chunk of 130."""
+    """130 sequences in pieces of 65 write the same files as one piece of
+    130."""
     ckpt, _ = token_ckpt
     samples = ",".join(str(i) for i in range(130))
 
@@ -387,7 +380,8 @@ def test_token_chunk_boundary_changes_no_output(token_ckpt, tmp_path, monkeypatc
                 if p.name != "config.txt"}
 
     chunked = run(tmp_path / "chunked")
-    monkeypatch.setattr(cli, "EVAL_BATCH_SIZE", 130)
+    for module in (saliency, metrics):
+        monkeypatch.setattr(module, "EVAL_BATCH_SIZE", 130)
     whole = run(tmp_path / "whole")
     assert len(chunked) == 1 + 1 + 2 * 130      # token_drop, manifest, csv + html
     assert chunked == whole

@@ -6,6 +6,7 @@ import mhexlab.metrics as M
 import mhexlab.saliency as S
 from mhexlab.datasets import PAD_ID
 from mhexlab.errors import ConfigurationError, ContractError, DimensionError
+from mhexlab.models import batches
 
 from helpers import conv_workers, peak_mb, perturbation_curve_images, same_bits
 
@@ -224,14 +225,14 @@ def test_curves_on_a_model_equal_reference(small_cnn):
 @pytest.mark.parametrize("curve_fn", [M.deletion_curve, M.insertion_curve])
 def test_long_curve_predicts_per_chunk_as_in_one(monkeypatch, small_cnn, curve_fn):
     """A curve with more steps than ``EVAL_BATCH_SIZE`` predicts once per
-    chunk of that size and gives the curve of a single prediction."""
+    piece of ``batches`` and gives the curve of a single prediction."""
     ds = mx.gen_shapes(1, seed=32)
     img, label = ds.images[0], int(ds.labels[0])
     cam = S.resize_map(S.explain_image(small_cnn, img, label).grid, img.shape[-2:])
     monkeypatch.setattr(M, "EVAL_BATCH_SIZE", 4)
     recording, seen = _recorded(small_cnn.predict_proba)
     chunked = curve_fn(recording, img, cam, label, steps=10)
-    assert [len(x) for x in seen] == [4, 4, 2]
+    assert [len(x) for x in seen] == [3, 3, 4]
     monkeypatch.setattr(M, "EVAL_BATCH_SIZE", 10)
     whole = curve_fn(small_cnn.predict_proba, img, cam, label, steps=10)
     assert np.array_equal(chunked.confidences, whole.confidences)
@@ -270,10 +271,10 @@ def _image_curves_case(model, seed, n_maps):
     return img, label, cams[:n_maps]
 
 
-def _check_image_curves(predict, img, cams, label, steps, min_rows=2):
+def _check_image_curves(predict, img, cams, label, steps):
     """``image_curves`` gives each map the bits of ``deletion_curve`` and
-    ``insertion_curve``, with no prediction of fewer than ``min_rows`` rows
-    and the endpoints predicted once for every map."""
+    ``insertion_curve``, with no prediction of fewer than 2 rows and the
+    endpoints predicted once for every map."""
     rows = []
 
     def recording(x):
@@ -281,7 +282,7 @@ def _check_image_curves(predict, img, cams, label, steps, min_rows=2):
         return predict(x)
 
     pairs = M.image_curves(recording, img, cams, label, steps=steps)
-    assert len(pairs) == len(cams) and min(rows) >= min_rows
+    assert len(pairs) == len(cams) and min(rows) >= 2
     for cam, (deletion, insertion) in zip(cams, pairs):
         for got, curve_fn in ((deletion, M.deletion_curve), (insertion, M.insertion_curve)):
             want = curve_fn(predict, img, cam, label, steps=steps)
@@ -296,11 +297,10 @@ def test_image_curves_equal_single_curves(small_cnn, steps, n_maps):
     """On the default CNN, every map's two curves equal the single-curve
     functions bit for bit; one 2-row prediction scores the endpoints of all
     maps, and a map's inner steps of both curves are predicted together in
-    chunks of ``EVAL_BATCH_SIZE`` rows."""
+    the pieces of ``batches(inner, EVAL_BATCH_SIZE)``."""
     img, label, cams = _image_curves_case(small_cnn, 36, n_maps)
     rows = _check_image_curves(small_cnn.predict_proba, img, cams, label, steps)
-    inner = 2 * (steps - 2)
-    per_map = [min(M.EVAL_BATCH_SIZE, inner - lo) for lo in range(0, inner, M.EVAL_BATCH_SIZE)]
+    per_map = [hi - lo for lo, hi in batches(2 * (steps - 2), M.EVAL_BATCH_SIZE)]
     assert rows == [2] + per_map * n_maps
 
 
@@ -320,15 +320,16 @@ def test_spread_image_curves_equal_single_curves(monkeypatch, small_cnn, steps):
 
 
 @pytest.mark.parametrize("steps", [5, 9])
-def test_image_curves_predict_a_lone_last_step_alone(monkeypatch, small_cnn, steps):
-    """Where a single curve's last chunk is its last step alone (``steps -
-    1`` a multiple of ``EVAL_BATCH_SIZE``, here 4), that batch-1 prediction
-    rounds its own way; the shared curves predict the image and its mean
-    fill alone too, and keep the bits."""
+def test_image_curves_at_a_piece_boundary_equal_single_curves(monkeypatch, small_cnn, steps):
+    """With ``EVAL_BATCH_SIZE`` 4, ``steps - 1`` is a multiple of it, where
+    cutting a single curve into slices of 4 left its last step alone, a
+    batch-1 prediction that rounds its own way; in the near-equal pieces of
+    ``batches`` no step is alone, so the shared 2-row endpoints keep the
+    bits of the single curves."""
     monkeypatch.setattr(M, "EVAL_BATCH_SIZE", 4)
     img, label, cams = _image_curves_case(small_cnn, 38, 2)
-    rows = _check_image_curves(small_cnn.predict_proba, img, cams, label, steps, min_rows=1)
-    assert rows.count(1) == 2 and rows[:3] == [2, 1, 1]
+    rows = _check_image_curves(small_cnn.predict_proba, img, cams, label, steps)
+    assert rows == [2] + [hi - lo for lo, hi in batches(2 * (steps - 2), 4)] * 2
 
 
 def test_spread_curve_holds_under_6_mb(monkeypatch, small_cnn):
@@ -479,18 +480,40 @@ def test_token_perturb_drop_rejects_top_frac(top_frac):
 
 def test_token_perturb_drop_batch_matches_rows(small_transformer):
     """One prediction over a batch and its masked copies gives each row's
-    batch-of-one record, numbered from ``sample_id``."""
+    batch-of-one record, numbered from 0."""
     td = mx.gen_tokens(12, seed=26)
     sals = S.explain_tokens(small_transformer, td.ids, td.labels)
     predict = small_transformer.predict_proba
-    batch = M.token_perturb_drop(predict, td.ids, sals, td.labels, top_frac=0.25, sample_id=40)
-    assert [r.sample_id for r in batch] == list(range(40, 52))
+    batch = M.token_perturb_drop(predict, td.ids, sals, td.labels, top_frac=0.25)
+    assert [r.sample_id for r in batch] == list(range(12))
     for b, r in enumerate(batch):
         (one,) = M.token_perturb_drop(predict, td.ids[b:b + 1], sals[b:b + 1],
-                                      td.labels[b:b + 1], top_frac=0.25, sample_id=40 + b)
-        assert r.sample_id == one.sample_id and r.area == one.area
+                                      td.labels[b:b + 1], top_frac=0.25)
+        assert one.sample_id == 0 and r.area == one.area
         for f in ("p_orig", "p_mask", "drop"):
             assert getattr(r, f) == pytest.approx(getattr(one, f), rel=1e-12, abs=0)
+
+
+def test_token_calls_over_300_rows_equal_128_row_slices(small_transformer):
+    """``explain_tokens`` and ``token_perturb_drop`` over 300 rows, three
+    pieces of 100, give the bits of calls over slices of 128, 128 and 44
+    rows, with the sample ids of the whole batch."""
+    td = mx.gen_tokens(300, seed=28)
+    predict = small_transformer.predict_proba
+    sals = S.explain_tokens(small_transformer, td.ids, td.labels)
+    recs = M.token_perturb_drop(predict, td.ids, sals, td.labels)
+    for lo in range(0, 300, 128):
+        rows = slice(lo, lo + 128)
+        part = S.explain_tokens(small_transformer, td.ids[rows], td.labels[rows])
+        for got, want in zip(sals[rows], part, strict=True):
+            assert got.class_id == want.class_id
+            assert same_bits(got.positions, want.positions)
+            assert same_bits(got.scores, want.scores)
+            assert all(same_bits(a, b) for a, b in zip(got.layer_scores, want.layer_scores))
+        part = M.token_perturb_drop(predict, td.ids[rows], part, td.labels[rows])
+        for got, want in zip(recs[rows], part, strict=True):
+            assert got == M.DropRecord(lo + want.sample_id, want.p_orig, want.p_mask,
+                                       want.drop, want.area)
 
 
 def test_token_perturb_drop_batch_contracts(small_transformer):

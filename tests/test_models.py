@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import mhexlab as mx
 import mhexlab.autodiff as ad
+import mhexlab.analysis as A
+import mhexlab.metrics as M
+import mhexlab.saliency as S
 from mhexlab import models
 from mhexlab.analysis import relu_entropy_drop
 from mhexlab.blocks import mhex_loss
@@ -18,12 +21,12 @@ from mhexlab.errors import (CheckpointError, CheckpointFormatError,
                             ConfigurationError, ContractError, DimensionError,
                             TrainingDivergedError)
 from mhexlab.models import (EpochLog, ResNetConfig, ResNetModel, TransformerConfig,
-                            TransformerModel, clone_model,
+                            TransformerModel, batches, clone_model,
                             count_mhex_params, head_accuracies, load_checkpoint,
                             save_checkpoint, strip_mhex, train)
 
 from helpers import (as_format_v1, as_format_v2, checkpoint_with_config, checkpoint_with_value,
-                     conv_workers, count_calls, peak_mb, reseal, same_bits)
+                     conv_workers, count_calls, peak_mb, reseal, rows_per_call, same_bits)
 
 
 def test_resnet_config_validation():
@@ -274,6 +277,19 @@ def test_train_rejects_bad_epochs_and_rates(kwargs):
     assert all(np.array_equal(a, t.data) for a, t in zip(before, m.params.values()))
 
 
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_rejects_unknown_mode(monkeypatch, epochs):
+    """An unknown loss mode is a configuration error raised before any
+    forward: zero epochs returned ``[]``, and one failed only after the first
+    forward, as a ``ContractError`` from ``mhex_loss``."""
+    ds = mx.gen_shapes(8, seed=9)
+    m = ResNetModel(ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1), seed=2)
+    forwards = count_calls(ResNetModel, "_backbone", monkeypatch)
+    with pytest.raises(ConfigurationError, match="'bogus'"):
+        train(m, ds, mode="bogus", epochs=epochs, batch_size=8)
+    assert forwards == []
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_philox_key_range_rejected(seed):
     """Each place that turns a seed into a Philox key raises a
@@ -302,6 +318,64 @@ def test_head_accuracies_reports_all_heads(small_cnn):
     accs = head_accuracies(small_cnn, ds)
     assert len(accs) == 5
     assert all(0.0 <= a <= 1.0 for a in accs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 128, 129, 257])
+@pytest.mark.parametrize("size", [3, 8, 128])
+def test_batches_cut_near_equal_pieces(n, size):
+    """``batches`` covers ``range(n)`` with contiguous pieces in order, the
+    fewest of at most ``size`` rows, whose lengths differ by at most one;
+    none is a lone row unless ``n`` is 1."""
+    pieces = batches(n, size)
+    assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
+    assert pieces[-1][1] == n and len(pieces) == math.ceil(n / size)
+    lengths = [hi - lo for lo, hi in pieces]
+    assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
+    assert min(lengths) >= min(n, 2)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_stacked_passes_forward_no_lone_row(monkeypatch, small_cnn, small_transformer, n):
+    """With ``EVAL_BATCH_SIZE`` 4 and ``COLLAB_ROWS`` 3, every stacked pass
+    of ``n`` rows forwards the pieces of ``batches`` and never a lone row:
+    ``head_accuracies``, ``explain_tokens``, ``token_perturb_drop``,
+    ``image_curves`` (``n`` steps; 5 and 9 predicted the last step alone),
+    ``image_maps`` and ``collect_collab_records``, whose only 1-row
+    forwards are its soft-masked copies, one ``predict_proba`` per sample."""
+    for mod in (models, M, S):
+        monkeypatch.setattr(mod, "EVAL_BATCH_SIZE", 4)
+    for mod in (S, A):
+        monkeypatch.setattr(mod, "COLLAB_ROWS", 3)
+    shapes, tokens = mx.gen_shapes(n, seed=50), mx.gen_tokens(n, seed=50)
+    labels = [int(c) for c in shapes.labels]
+    sals = S.explain_tokens(small_transformer, tokens.ids, tokens.labels)
+    cam = np.random.default_rng(n).uniform(size=shapes.images.shape[-2:])
+    cnn_rows, tfm_rows = (rows_per_call(host, "_backbone", monkeypatch)
+                          for host in (ResNetModel, TransformerModel))
+    evals = [hi - lo for lo, hi in batches(n, 4)]
+    inner = [hi - lo for lo, hi in batches(2 * (n - 2), 4)]
+    for call, want in [
+            (lambda: head_accuracies(small_cnn, shapes), evals),
+            (lambda: S.explain_tokens(small_transformer, tokens.ids, tokens.labels), evals),
+            (lambda: M.token_perturb_drop(small_transformer.predict_proba, tokens.ids, sals,
+                                          tokens.labels), [2 * r for r in evals]),
+            (lambda: M.image_curves(small_cnn.predict_proba, shapes.images[0], [cam],
+                                    labels[0], steps=n), [2] + inner),
+            (lambda: S.image_maps(small_cnn, shapes.images, labels),
+             [hi - lo for lo, hi in batches(n, 3)])]:
+        cnn_rows.clear()
+        tfm_rows.clear()
+        with conv_workers(monkeypatch, 1):
+            call()
+        assert cnn_rows + tfm_rows == want and min(want) >= 2
+    if n >= 3:
+        predicts = count_calls(ResNetModel, "predict_proba", monkeypatch)
+        cnn_rows.clear()
+        with conv_workers(monkeypatch, 1):
+            A.collect_collab_records(small_cnn, shapes)
+        stacks = [hi - lo for lo, hi in batches(n, 3)]
+        assert sorted(cnn_rows) == sorted(stacks + [1] * n) and len(predicts) == n
+        assert min(stacks) >= 2
 
 
 @pytest.mark.parametrize("host", ["small_cnn", "small_transformer"])
@@ -467,12 +541,14 @@ def test_batch1_forward_stays_on_calling_thread(monkeypatch, small_cnn, small_tr
         assert ad._pool is not None and len(set(threads)) == 2
 
 
-@pytest.mark.parametrize("n", [3, 4, 11, 20])
+@pytest.mark.parametrize("n", [3, 4, 11, 20, 63, 64])
 def test_forward_without_tape_spreads_in_chunks(monkeypatch, small_cnn, n):
     """Without a tape, a CNN batch of ``n`` images on two workers runs one
-    backbone call per chunk of ``_batch_chunks``, on both threads from 4
-    images up; the logits equal one whole-batch call on one worker, bit for
-    bit. A taped forward is one call."""
+    backbone call per chunk of ``_batch_chunks``, on both threads, from 4 to
+    63 images, as ``forward_collect`` does; a batch of 64 or more runs whole,
+    its ``conv2d`` calls spreading their own chunks. The logits equal one
+    whole-batch call on one worker, bit for bit. A taped forward is one
+    call."""
     xs = mx.gen_shapes(n, seed=7).images
     with conv_workers(monkeypatch, 1), ad.no_grad():
         ref = small_cnn.forward_logits(xs).data
@@ -486,12 +562,12 @@ def test_forward_without_tape_spreads_in_chunks(monkeypatch, small_cnn, n):
     with conv_workers(monkeypatch, 2):
         with ad.no_grad():
             got = small_cnn.forward_logits(xs).data
-        chunks = [c for part in ad._batch_chunks(n) for c in part]
+        chunks = [c for part in ad._batch_chunks(n) for c in part] if n < 64 else [(0, n)]
         assert np.array_equal(got, ref)
         spans = sorted(next((a, b) for a, b in chunks if np.array_equal(x, xs[a:b]))
                        for _, x in calls)
         assert spans == chunks
-        assert len({t for t, _ in calls}) == (2 if n >= 4 else 1)
+        assert len({t for t, _ in calls}) == (2 if 4 <= n < 64 else 1)
         calls.clear()
         small_cnn.forward_logits(xs)
         assert len(calls) == 1 and np.array_equal(calls[0][1], xs)

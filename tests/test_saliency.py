@@ -6,7 +6,7 @@ from mhexlab import autodiff as ad, saliency as S
 from mhexlab.blocks import equivalent_matrix
 from mhexlab.datasets import PAD_ID
 from mhexlab.errors import (ConfigurationError, ContractError, DimensionError)
-from mhexlab.models import COLLAB_ROWS, EVAL_BATCH_SIZE, clone_model
+from mhexlab.models import COLLAB_ROWS, batches, clone_model
 
 from helpers import (adjoints_reference, conv_workers, count_calls, read_pgm, rel_err,
                      same_bits)
@@ -186,8 +186,8 @@ def _per_image_maps(model, images, labels):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17])
 def test_batched_image_maps_equal_per_image_maps(monkeypatch, small_cnn, n):
-    """In stacks of up to ``COLLAB_ROWS`` rows on one worker and spread over
-    two, every image's grid, raw and layer grids, Grad-CAM map and
+    """In stacks, the pieces of ``batches(n, COLLAB_ROWS)``, on one worker and
+    spread over two, every image's grid, raw and layer grids, Grad-CAM map and
     probabilities have the bits of per-image calls; one ``forward_collect``
     runs per stack, without a tape."""
     ds = mx.gen_shapes(n, seed=40 + n)
@@ -205,7 +205,7 @@ def test_batched_image_maps_equal_per_image_maps(monkeypatch, small_cnn, n):
         collects.clear()
         with conv_workers(monkeypatch, workers):
             got = S.image_maps(small_cnn, ds.images, labels, grad_cam=True)
-        stacks = [min(COLLAB_ROWS, n - lo) for lo in range(0, n, COLLAB_ROWS)]
+        stacks = [hi - lo for lo, hi in batches(n, COLLAB_ROWS)]
         assert collects == [(rows, False) for rows in stacks]
         assert len(got) == n
         for (smap, gmap, probs), (ref_s, ref_g, ref_p) in zip(got, want):
@@ -308,13 +308,11 @@ def test_token_sanity_explainer_redraw_collapses_hit_rate(trained_transformer):
 
     def hit_rate(model):
         hits = 0
-        for lo in range(0, len(held), EVAL_BATCH_SIZE):
-            rows = slice(lo, lo + EVAL_BATCH_SIZE)
-            sals = S.explain_tokens(model, held.ids[rows], held.labels[rows])
-            for sal, truth_mask in zip(sals, held.truth_masks[rows]):
-                truth = np.flatnonzero(truth_mask)
-                top = sal.positions[np.argsort(-sal.scores, kind="stable")[:len(truth)]]
-                hits += set(top.tolist()) == set(truth.tolist())
+        sals = S.explain_tokens(model, held.ids, held.labels)
+        for sal, truth_mask in zip(sals, held.truth_masks):
+            truth = np.flatnonzero(truth_mask)
+            top = sal.positions[np.argsort(-sal.scores, kind="stable")[:len(truth)]]
+            hits += set(top.tolist()) == set(truth.tolist())
         return hits / len(held)
 
     assert hit_rate(trained_transformer) >= 0.80
