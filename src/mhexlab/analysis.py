@@ -29,6 +29,9 @@ from .models import COLLAB_ROWS, batches, check_class_ids
 
 COSINE_EPS = 1e-8
 ENTROPY_BINS = 200          # histogram bins of the ReLU entropy estimate
+# relu_entropy_drop(1_000_000, seed=0); it reads no model or data, so
+# ``mhex analyze`` reports this number instead of estimating it on every run
+RELU_ENTROPY_DROP = 0.3476660347142273
 
 
 @dataclass
@@ -242,11 +245,19 @@ def pearson(x, y):
 # triangle report
 
 
-def check_collab_inputs(model, dataset):
-    """Raise ``ContractError`` unless ``model`` is the CNN host and
-    ``dataset`` holds images, the only pair the collaboration analysis reads."""
+def check_collab_inputs(model, dataset, n_samples=None):
+    """The number of samples the collaboration analysis reads: the first
+    ``n_samples`` of ``dataset`` (all by default). Raise ``ContractError``
+    unless ``model`` is the CNN host, ``dataset`` holds images, a site has a
+    successor block and at least 3 samples are read."""
     if getattr(model, "kind", None) != "resnet" or not hasattr(dataset, "images"):
         raise ContractError("the collaboration analysis supports only the CNN host on images")
+    if len(model.sites) < 2:
+        raise ContractError("the collaboration analysis needs a site with a successor block")
+    n = len(dataset) if n_samples is None else min(n_samples, len(dataset))
+    if n < 3:
+        raise ContractError("need at least 3 evaluable samples")
+    return n
 
 
 def collect_collab_records(model, dataset, n_samples=None):
@@ -258,13 +269,8 @@ def collect_collab_records(model, dataset, n_samples=None):
     ``p_orig`` is the head's at batch 1. A side-chain replay of the stack
     gives the maps and two sweeps per site the gradient pairs, each row with
     batch-1 bits. Only the soft-masked copy needs a second forward."""
-    check_collab_inputs(model, dataset)
+    n = check_collab_inputs(model, dataset, n_samples)
     sites = list(range(len(model.sites) - 1))[-3:]
-    if not sites:
-        raise ContractError("the collaboration analysis needs a site with a successor block")
-    n = len(dataset) if n_samples is None else min(n_samples, len(dataset))
-    if n < 3:
-        raise ContractError("need at least 3 evaluable samples")
     records = []
     for lo, hi in batches(n, COLLAB_ROWS):
         labels = [int(c) for c in dataset.labels[lo:hi]]

@@ -232,12 +232,10 @@ def cmd_analyze(args, out):
         raise ConfigurationError(f"--block-samples must be >= 0, got {args.block_samples}")
     model = load_checkpoint(args.checkpoint)
     dataset = _make_dataset(args)
-    analysis.check_collab_inputs(model, dataset)
-    n = min(args.n_samples, len(dataset))
-    # the parts that check --entropy-n and --grid against the site resolution
+    n = analysis.check_collab_inputs(model, dataset, args.n_samples)
+    # the block-wise maps, which check --grid against the site resolution,
     # run before the collaboration pass, and no file is written until every
     # part has run
-    dh = analysis.relu_entropy_drop(args.entropy_n, seed=args.seed)
     maps = [analysis.blockwise_quality(model, dataset.images[i], int(dataset.labels[i]),
                                        grid=args.grid)
             for i in range(min(n, args.block_samples))]
@@ -250,6 +248,7 @@ def cmd_analyze(args, out):
     for i, bq in enumerate(maps):
         saliency.render_heatmap(saliency.normalize_map(bq),
                                 out / f"sample{i:04d}_blockwise.pgm")
+    dh = analysis.RELU_ENTROPY_DROP
     (out / "entropy.txt").write_text(formats.kv_text([("entropy_drop_estimate", f"{dh:.6f}")]))
     print(f"entropy drop estimate: {dh:.5f} (target 0.34657)")
     print(f"correlation report: {out / 'correlation.csv'}")
@@ -313,12 +312,12 @@ def build_parser():
                    help="samples averaged into the curves (images only)")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("analyze", help="collaboration and entropy analysis")
+    p = sub.add_parser("analyze", help="collaboration analysis and block-wise maps; "
+                                       "entropy.txt holds the fixed ReLU entropy estimate")
     common(p)
     p.add_argument("--checkpoint", help="required unless --config holds it")
     p.add_argument("--grid", type=int, default=7)
     p.add_argument("--block-samples", type=int, default=4)
-    p.add_argument("--entropy-n", type=int, default=1_000_000)
     p.set_defaults(func=cmd_analyze)
     return parser
 

@@ -117,6 +117,7 @@ def test_sign_test_exact_values():
 
 def test_relu_entropy_drop_near_half_log2():
     est = A.relu_entropy_drop(1_000_000, seed=0)
+    assert est == A.RELU_ENTROPY_DROP
     assert abs(est - 0.5 * math.log(2.0)) < 0.02
     with pytest.raises(ConfigurationError):
         A.relu_entropy_drop(10_000)

@@ -5,6 +5,7 @@ lines and last JSON line, a few per-layer metrics kept) and on the committed
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ def tool():
 def record(tool):
     untraced = [tool.parse_run((SAMPLE / f"seed{s}.txt").read_text()) for s in (1, 2)]
     traced = tool.parse_run((SAMPLE / "trace1.txt").read_text())
-    return tool.build_record("sample", [1, 2], 1.0, untraced, traced, SPEED)
+    return tool.build_record("sample", [1, 2], 1.0, untraced, traced, SPEED, False)
 
 
 def test_record_of_stored_runs_has_every_field(tool, record):
@@ -54,7 +55,7 @@ def test_median_and_quartiles_of_the_seeds(tool, record):
     assert m["median"] == pytest.approx((a + b) / 2)
     assert m["q1"] == pytest.approx(min(a, b) + abs(a - b) / 4)
     one = tool.build_record("one", [1], 1.0, [tool.parse_run((SAMPLE / "seed1.txt").read_text())],
-                            tool.parse_run((SAMPLE / "trace1.txt").read_text()), SPEED)
+                            tool.parse_run((SAMPLE / "trace1.txt").read_text()), SPEED, None)
     m = one["end_to_end"]["tokens_pipeline"]["wall_s"]
     assert m["values"] == [m["q1"]] == [m["median"]] == [m["q3"]]
 
@@ -79,7 +80,7 @@ def test_runs_of_two_environments_are_not_mixed(tool):
     run = tool.parse_run(text)
     other = tool.parse_run(text.replace("blas_threads=1", "blas_threads=2"))
     with pytest.raises(ValueError, match="environments"):
-        tool.build_record("mixed", [1], 1.0, [run], other, SPEED)
+        tool.build_record("mixed", [1], 1.0, [run], other, SPEED, None)
 
 
 def test_committed_records_pass_the_check(tool):
@@ -104,10 +105,10 @@ def test_host_speed_of_the_traced_runs(tool, tmp_path):
 
 
 def test_new_records_need_the_host_speed(tool, record):
-    """A schema-2 record without the factor, or with one missing, zero or
-    not a float, fails the check; a schema-1 record (the first two committed
-    ones) needs none."""
-    assert record["schema"] == 2 and record["trace_host_speed"] == SPEED
+    """A record of schema 2 or later without the factor, or with one
+    missing, zero or not a float, fails the check; a schema-1 record (the
+    first two committed ones) needs none."""
+    assert record["schema"] == 3 and record["trace_host_speed"] == SPEED
     broken = {k: v for k, v in record.items() if k != "trace_host_speed"}
     with pytest.raises(ValueError, match="trace_host_speed"):
         tool.check_record(broken)
@@ -116,13 +117,51 @@ def test_new_records_need_the_host_speed(tool, record):
         with pytest.raises(ValueError, match="trace_host_speed"):
             tool.check_record(dict(record, trace_host_speed=speed))
     with pytest.raises(ValueError, match="schema"):
-        tool.check_record(dict(record, schema=3))
+        tool.check_record(dict(record, schema=4))
     old = {k: v for k, v in broken.items() if k != "schema"}
     tool.check_record(old)
     for name in ("pr20", "pr21"):
         rec = json.loads((ROOT / f"BENCH_{name}.json").read_text())
         assert "schema" not in rec and "trace_host_speed" not in rec
         tool.check_record(rec)
+
+
+def _git(root, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                    "-c", "commit.gpgsign=false", *args],
+                   cwd=root, check=True, capture_output=True)
+
+
+def test_git_dirty_of_a_tree(tool, record, tmp_path):
+    """``git_dirty`` is true only while a tracked file under ``src/`` or
+    ``perfbench/`` differs from the commit, and null outside git; schema 3
+    needs the field, as true, false or null, and schema 2 does not."""
+    assert tool.git_dirty(tmp_path) is None
+    for name in ("src/a.py", "perfbench/b.py", "notes.md"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text("x\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", ".")
+    _git(tmp_path, "commit", "-q", "-m", "tree")
+    assert tool.git_dirty(tmp_path) is False
+    (tmp_path / "notes.md").write_text("y\n")
+    (tmp_path / "src" / "new.py").write_text("untracked\n")
+    assert tool.git_dirty(tmp_path) is False
+    for name in ("src/a.py", "perfbench/b.py"):
+        (tmp_path / name).write_text("y\n")
+        assert tool.git_dirty(tmp_path) is True
+        _git(tmp_path, "checkout", "-q", "--", name)
+    assert tool.git_dirty(tmp_path) is False
+    assert record["git_dirty"] is False
+    for dirty in (True, None):
+        tool.check_record(dict(record, git_dirty=dirty))
+    for dirty in (1, "false"):
+        with pytest.raises(ValueError, match="git_dirty"):
+            tool.check_record(dict(record, git_dirty=dirty))
+    no_field = {k: v for k, v in record.items() if k != "git_dirty"}
+    with pytest.raises(ValueError, match="git_dirty"):
+        tool.check_record(no_field)
+    tool.check_record(dict(no_field, schema=2))
 
 
 def test_parent_runs_alternate_seed_by_seed(tool, monkeypatch, tmp_path):
@@ -149,3 +188,4 @@ def test_parent_runs_alternate_seed_by_seed(tool, monkeypatch, tmp_path):
         tool.check_record(rec)
         assert rec["label"] == label and rec["seeds"] == [1, 2, 3]
         assert rec["trace_host_speed"] == SPEED and set(rec["end_to_end"]) == WORKLOADS
+        assert rec["schema"] == 3 and rec["git_dirty"] is None

@@ -10,7 +10,7 @@ from mhexlab.models import (COLLAB_ROWS, EVAL_BATCH_SIZE, ResNetModel, Transform
                             TransformerModel, batches, load_checkpoint, save_checkpoint)
 
 from helpers import (checkpoint_with_config, checkpoint_with_value, conv_workers, count_calls,
-                     rows_per_call)
+                     peak_mb, rows_per_call)
 
 
 def _rows(path):
@@ -189,6 +189,15 @@ def test_config_with_removed_force_area_replays(shape_ckpt, tmp_path):
                              ["evaluate", "--n-samples", "4", "--curve-samples", "2",
                               "--steps", "4"],
                              ["drop_mhex.csv", "summary.csv", "deletion_mhex.csv"])
+
+
+def test_config_with_removed_entropy_n_replays(shape_ckpt, tmp_path):
+    """Configs written while ``analyze`` had an --entropy-n flag hold
+    entropy_n=N; the replay writes the same fixed estimate."""
+    _replay_with_removed_key(shape_ckpt, tmp_path, "entropy_n=100000",
+                             ["analyze", "--n-samples", "4", "--block-samples", "1", "--grid", "4"],
+                             ["correlation.csv", "collab_records.csv",
+                              "sample0000_blockwise.pgm", "entropy.txt"])
 
 
 def test_config_replay_supplies_checkpoint(shape_ckpt, tmp_path):
@@ -404,7 +413,6 @@ def test_evaluate_tokens_rejects_image_flags(token_ckpt, tmp_path, capsys, flag)
 def test_analyze(shape_ckpt, tmp_path):
     rc = cli.main(["analyze", "--dataset", "shapes", "--n-samples", "5",
                    "--block-samples", "1", "--grid", "4",
-                   "--entropy-n", "100000",
                    "--checkpoint", str(shape_ckpt), "--out", str(tmp_path)])
     assert rc == 0
     rows = _rows(tmp_path / "correlation.csv")
@@ -454,7 +462,6 @@ BAD_INPUTS = {
     "grid_0_without_maps": ["analyze", "--grid", "0", "--block-samples", "0"],
     "block_samples_negative": ["analyze", "--block-samples", "-1"],
     "grid_finer_than_site_0": ["analyze", "--grid", "99"],
-    "entropy_n_below_1e5": ["analyze", "--entropy-n", "99999"],
     "top_frac_2": ["evaluate", "--dataset", "tokens", "--top-frac", "2"],
     "top_frac_negative": ["evaluate", "--dataset", "tokens", "--top-frac", "-1"],
     "layers_0": ["explain", "--dataset", "tokens", "--layers", "0"],
@@ -482,9 +489,8 @@ def test_bad_input_exits_1_and_writes_nothing(token_ckpt, shape_ckpt, tmp_path,
 def test_analyze_rejects_grid_0_before_any_work(shape_ckpt, tmp_path, capsys, monkeypatch):
     """``--grid 0`` is refused up front: with no map to draw it used to exit
     0 and record ``grid=0``, and with one it failed only after the
-    one-million-sample entropy estimate."""
-    from mhexlab import analysis
-    calls = count_calls(analysis, "relu_entropy_drop", monkeypatch)
+    one-million-sample entropy estimate that ``analyze`` then ran."""
+    calls = count_calls(ResNetModel, "_backbone", monkeypatch)
     for block_samples in ("0", "1"):
         out = tmp_path / block_samples
         rc = cli.main(["analyze", "--grid", "0", "--block-samples", block_samples,
@@ -493,6 +499,48 @@ def test_analyze_rejects_grid_0_before_any_work(shape_ckpt, tmp_path, capsys, mo
         assert capsys.readouterr().err == "error: --grid must be >= 1, got 0\n"
         assert not out.exists()
     assert calls == []
+
+
+def test_analyze_rejects_under_3_samples_before_any_forward(shape_ckpt, tmp_path, capsys,
+                                                            monkeypatch):
+    """``--n-samples 2`` leaves no correlation to compute: refused before
+    the block-wise maps run a backbone, and no directory is made."""
+    calls = count_calls(ResNetModel, "_backbone", monkeypatch)
+    out = tmp_path / "out"
+    rc = cli.main(["analyze", "--n-samples", "2", "--block-samples", "2",
+                   "--checkpoint", str(shape_ckpt), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need at least 3 evaluable samples\n"
+    assert not out.exists()
+    assert calls == []
+
+
+def test_analyze_writes_the_fixed_entropy_estimate(shape_ckpt, tmp_path, capsys, monkeypatch):
+    """``entropy.txt`` holds ``RELU_ENTROPY_DROP``, the estimate of
+    ``relu_entropy_drop(1_000_000, seed=0)``, at any ``--seed``; no
+    estimate runs."""
+    from mhexlab import analysis
+    calls = count_calls(analysis, "relu_entropy_drop", monkeypatch)
+    texts = []
+    for seed in ("0", "7"):
+        out = tmp_path / seed
+        rc = cli.main(["analyze", "--seed", seed, "--n-samples", "3", "--block-samples", "0",
+                       "--checkpoint", str(shape_ckpt), "--out", str(out)])
+        assert rc == 0
+        assert "entropy drop estimate: 0.34767 (target 0.34657)\n" in capsys.readouterr().out
+        texts.append((out / "entropy.txt").read_text())
+    assert texts == ["entropy_drop_estimate=0.347666\n"] * 2
+    assert calls == []
+
+
+def test_analyze_peak_memory(shape_ckpt, tmp_path):
+    """A default-CNN ``analyze`` of 8 samples and one block-wise map stays
+    under 10 MB of tracemalloc peak (6.1 MB; 15.3 MB while every run drew
+    the estimate's 1e6 normals)."""
+    argv = ["analyze", "--n-samples", "8", "--block-samples", "1",
+            "--checkpoint", str(shape_ckpt), "--out", str(tmp_path / "out")]
+    assert peak_mb(lambda: cli.main(argv)) < 10.0
+    assert (tmp_path / "out" / "correlation.csv").exists()
 
 
 def test_zero_epochs_writes_the_initial_checkpoint(tmp_path):

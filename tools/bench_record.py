@@ -14,6 +14,10 @@ the last JSON line of each run it writes, to ``<out-dir>/BENCH_<label>.json``:
 - ``env``: the run's environment record (its ``env:`` lines, without the
   seed and workload, which are the same for every run and workload);
 - ``git_sha`` of the tree, or null outside a git checkout;
+- ``git_dirty``: whether tracked files under the tree's ``src/`` or
+  ``perfbench/`` differ from that commit (``git status --porcelain
+  --untracked-files=no -- src perfbench`` prints a line), or null outside a
+  git checkout; a dirty record measured code that ``git_sha`` does not hold;
 - ``end_to_end``: per workload and metric, the unit, the value of every
   seed and their median and quartiles;
 - ``per_layer``: per workload, the traced run's metrics, whose times are
@@ -24,8 +28,9 @@ the last JSON line of each run it writes, to ``<out-dir>/BENCH_<label>.json``:
   seconds to the reference host speed of the end-to-end times; so two
   records' per-layer times compare at one host speed;
 - ``correct``, ``attempted`` and ``failed`` summed over all runs;
-- ``schema``: 2. Records without it (``BENCH_pr20.json``,
-  ``BENCH_pr21.json``) are schema 1, which has no ``trace_host_speed``.
+- ``schema``: 3. Records without it (``BENCH_pr20.json``,
+  ``BENCH_pr21.json``) are schema 1, which has no ``trace_host_speed``;
+  schema 2 (up to ``BENCH_pr25.json``) has no ``git_dirty``.
 
 ``--check`` loads a record and exits 1 if a field of its schema is missing.
 Nothing under ``perfbench/`` is changed; each run leaves its outputs in the
@@ -45,8 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("label", "git_sha", "env", "seeds", "seconds", "trace_seed",
           "correct", "attempted", "failed", "end_to_end", "per_layer")
-SCHEMA = 2
-FIELDS_SINCE_2 = ("trace_host_speed",)
+SCHEMA = 3
+FIELDS_SINCE = {2: ("trace_host_speed",), 3: ("git_dirty",)}
 SUMMARY = ("unit", "values", "median", "q1", "q3")
 
 
@@ -93,10 +98,23 @@ def host_speed(root, seed, workloads):
     return speed
 
 
-def build_record(label, seeds, seconds, untraced, traced, trace_host_speed):
+def git_dirty(root):
+    """Whether tracked files under ``root``'s ``src/`` or ``perfbench/``
+    differ from its commit; None unless ``root`` is a git checkout (the rule
+    of ``run.py``'s ``git_sha``)."""
+    if not (root / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no", "--",
+                           "src", "perfbench"], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return None
+    return bool(proc.stdout)
+
+
+def build_record(label, seeds, seconds, untraced, traced, trace_host_speed, dirty):
     """The record of ``untraced`` (one ``parse_run`` result per seed),
-    ``traced`` (one, with ``--trace 1``) and the traced run's
-    ``host_speed``."""
+    ``traced`` (one, with ``--trace 1``), the traced run's ``host_speed``
+    and the tree's ``git_dirty``."""
     runs = untraced + [traced]
     env = runs[0][0]
     if any(e != env for e, _ in runs):
@@ -111,6 +129,7 @@ def build_record(label, seeds, seconds, untraced, traced, trace_host_speed):
         "schema": SCHEMA,
         "label": label,
         "git_sha": None if env.get("git_sha") in (None, "None") else env["git_sha"],
+        "git_dirty": dirty,
         "env": env,
         "seeds": seeds,
         "seconds": seconds,
@@ -128,14 +147,16 @@ def check_record(record):
     """Raise ``ValueError`` naming the first missing or empty field of the
     record's schema."""
     schema = record.get("schema", 1)
-    if schema not in (1, SCHEMA):
+    if schema not in range(1, SCHEMA + 1):
         raise ValueError(f"unknown schema {schema!r}")
-    for field in FIELDS + (FIELDS_SINCE_2 if schema == SCHEMA else ()):
+    for field in FIELDS + tuple(f for s, fs in FIELDS_SINCE.items() if s <= schema for f in fs):
         if field not in record:
             raise ValueError(f"no field {field!r}")
     if not record["end_to_end"] or set(record["end_to_end"]) != set(record["per_layer"]):
         raise ValueError("end_to_end and per_layer must name the same workloads")
-    if schema == SCHEMA:
+    if schema >= 3 and not isinstance(record["git_dirty"], (bool, type(None))):
+        raise ValueError("git_dirty must be true, false or null")
+    if schema >= 2:
         speed = record["trace_host_speed"]
         if set(speed) != set(record["per_layer"]) or \
                 not all(isinstance(v, float) and v > 0 for v in speed.values()):
@@ -175,7 +196,8 @@ def record_trees(trees, seeds, seconds):
     for name, root in trees:
         traced = _run(root, seeds[0], seconds, 1)
         speed = host_speed(root, seeds[0], _by_workload(traced[1]["metrics"]))
-        records[name] = build_record(name, seeds, seconds, untraced[name], traced, speed)
+        records[name] = build_record(name, seeds, seconds, untraced[name], traced, speed,
+                                     git_dirty(root))
         check_record(records[name])
     return records
 
