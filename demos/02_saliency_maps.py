@@ -4,7 +4,10 @@ them against a Grad-CAM baseline and the ground-truth mask.
 The MHEX map is built without any backward pass: each instrumented block owns
 an equivalent matrix W2·W1, one row per class, and the row picks out which
 channels of the block's rectified input vote for that class. Per-layer grids
-are then merged finest-first with a depth decay.
+are then merged finest-first with a depth decay. Grad-CAM needs no backward
+pass here either: the host's head is a global average pool and a linear
+layer, so a class's gradient on the final features is its head row spread
+over the grid.
 
 Run:  python3 demos/02_saliency_maps.py   (writes into /tmp/demo_saliency/)
 """
@@ -31,11 +34,11 @@ cfg = S.WeightFilterConfig()  # alpha=0.25 negative mix, default SS threshold
 held = mx.gen_shapes(12, seed=7)
 
 print(f"{'id':>3} {'label':>5} {'mhex loc':>9} {'gradcam loc':>11}")
-for i in range(6):
-    label = int(held.labels[i])
-    smap = S.explain_image(model, held.images[i], label, cfg)
+labels = [int(c) for c in held.labels[:6]]
+# one batched call: each image's MHEX map, Grad-CAM map and probabilities
+maps = S.image_maps(model, held.images[:6], labels, cfg, grad_cam=True)
+for i, (label, (smap, gc, _)) in enumerate(zip(labels, maps)):
     cam = S.resize_map(smap.grid, held.images[i].shape[-2:])
-    gc = S.gradcam_baseline(model, held.images[i], label)
     gc_cam = S.resize_map(gc.grid, held.images[i].shape[-2:])
 
     loc = localization_score(cam, held.truth_masks[i])

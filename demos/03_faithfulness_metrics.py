@@ -24,15 +24,16 @@ train(model, shapes, mode="finetune", epochs=6, lr=3e-3, seed=0,
 held = mx.gen_shapes(40, seed=7)
 cfg = S.WeightFilterConfig()
 
-records, areas = [], []
-for i in range(len(held)):
-    label = int(held.labels[i])
-    smap = S.explain_image(model, held.images[i], label, cfg)
-    cam = S.resize_map(smap.grid, held.images[i].shape[-2:])
-    rec = M.drop_record(model.predict_proba, held.images[i], label, cam,
-                        sample_id=i)
-    records.append(rec)
-    areas.append(M.saliency_area(cam))
+labels = [int(c) for c in held.labels]
+# one batched call: each image's MHEX map and its class probabilities
+maps = S.image_maps(model, held.images, labels, cfg)
+cams = [S.resize_map(smap.grid, img.shape[-2:])
+        for (smap, _, _), img in zip(maps, held.images)]
+records = []
+for i, (label, cam, (_, _, probs)) in enumerate(zip(labels, cams, maps)):
+    records += M.drop_records(model.predict_proba, held.images[i], label, [cam],
+                              float(probs[label]), sample_id=i)
+areas = [M.saliency_area(cam) for cam in cams]
 
 print(f"AVG Drop            : {M.avg_drop(records):.3f}")
 print(f"EAD (area-weighted) : {M.ead(records):.3f}")
@@ -47,16 +48,13 @@ print("area weight f(a):", ", ".join(
 rng = np.random.Generator(np.random.Philox(key=0))
 del_sal, del_rand, ins_sal = [], [], []
 for i in range(10):
-    label = int(held.labels[i])
-    smap = S.explain_image(model, held.images[i], label, cfg)
-    cam = S.resize_map(smap.grid, held.images[i].shape[-2:])
-    del_sal.append(M.auc(M.deletion_curve(model.predict_proba, held.images[i],
-                                          cam, label, steps=20)))
-    ins_sal.append(M.auc(M.insertion_curve(model.predict_proba, held.images[i],
-                                           cam, label, steps=20)))
     rand_cam = rng.random(held.images[i].shape[-2:])
-    del_rand.append(M.auc(M.deletion_curve(model.predict_proba, held.images[i],
-                                           rand_cam, label, steps=20)))
+    # both maps' deletion and insertion curves, sharing their endpoints
+    (dele, ins), (dele_rand, _) = M.image_curves(
+        model.predict_proba, held.images[i], [cams[i], rand_cam], labels[i], steps=20)
+    del_sal.append(M.auc(dele))
+    ins_sal.append(M.auc(ins))
+    del_rand.append(M.auc(dele_rand))
 print(f"mean deletion AUC : saliency {np.mean(del_sal):.3f} "
       f"vs random {np.mean(del_rand):.3f}  (lower is better)")
 print(f"mean insertion AUC: saliency {np.mean(ins_sal):.3f}")

@@ -25,7 +25,7 @@ from .datasets import seeded_rng
 from .errors import (ConfigurationError, ContractError,
                      UndefinedCorrelationError)
 from .formats import write_csv
-from .models import COLLAB_ROWS, batches, check_class_ids
+from .models import COLLAB_ROWS, batches, check_class_ids, check_cnn
 
 COSINE_EPS = 1e-8
 ENTROPY_BINS = 200          # histogram bins of the ReLU entropy estimate
@@ -124,8 +124,7 @@ def blockwise_quality(model, x, label, grid=7, site=0):
 
     The backbone runs once, without a tape; each grid row of cells is one
     side-chain replay, one mask per row, up to block ``site + 1``."""
-    if getattr(model, "kind", None) != "resnet":
-        raise ContractError("blockwise_quality supports only the CNN host")
+    check_cnn(model, "blockwise_quality")
     if grid < 1:
         raise ConfigurationError("grid must be >= 1")
     _check_successor(model, site)
@@ -250,8 +249,9 @@ def check_collab_inputs(model, dataset, n_samples=None):
     ``n_samples`` of ``dataset`` (all by default). Raise ``ContractError``
     unless ``model`` is the CNN host, ``dataset`` holds images, a site has a
     successor block and at least 3 samples are read."""
-    if getattr(model, "kind", None) != "resnet" or not hasattr(dataset, "images"):
-        raise ContractError("the collaboration analysis supports only the CNN host on images")
+    check_cnn(model, "the collaboration analysis")
+    if not hasattr(dataset, "images"):
+        raise ContractError("the collaboration analysis needs an image dataset")
     if len(model.sites) < 2:
         raise ContractError("the collaboration analysis needs a site with a successor block")
     n = len(dataset) if n_samples is None else min(n_samples, len(dataset))
@@ -266,9 +266,9 @@ def collect_collab_records(model, dataset, n_samples=None):
 
     Each stack, a piece of ``models.batches(n, COLLAB_ROWS)``, runs its
     backbone once without a tape, cut down to the site activations; a row's
-    ``p_orig`` is the head's at batch 1. A side-chain replay of the stack
-    gives the maps and two sweeps per site the gradient pairs, each row with
-    batch-1 bits. Only the soft-masked copy needs a second forward."""
+    ``p_orig`` is ``head_proba``'s. A side-chain replay of the stack gives the
+    maps and two sweeps per site the gradient pairs, each row with batch-1
+    bits. Only the soft-masked copy needs a second forward."""
     n = check_collab_inputs(model, dataset, n_samples)
     sites = list(range(len(model.sites) - 1))[-3:]
     records = []
@@ -276,8 +276,7 @@ def collect_collab_records(model, dataset, n_samples=None):
         labels = [int(c) for c in dataset.labels[lo:hi]]
         with ad.no_grad():
             stacked = model._stack([model._backbone(dataset.images[lo:hi])])
-            p_orig = [float(ad.softmax_last(model._head(ad.Tensor(f[None]))).data[0, label])
-                      for f, label in zip(stacked[1].data, labels)]
+            p_orig = [float(p[c]) for p, c in zip(model.head_proba(stacked[1].data), labels)]
         rec, pairs = _replay_pairs(model, stacked, labels, sites)
         maps = sal_mod.image_map(model, rec, labels)
         for k, i in enumerate(range(lo, hi)):

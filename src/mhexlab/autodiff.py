@@ -241,17 +241,14 @@ def sigmoid(x):
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
-def sum_axis(x, axis=None, keepdims=False):
+def sum_axis(x):
     x = _as_tensor(x)
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
     x_shape = x.data.shape
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x_shape).copy(),)
 
-    return Tensor(out_data, _parents=(x,), _backward=backward)
+    return Tensor(x.data.sum(), _parents=(x,), _backward=backward)
 
 
 def reshape(x, shape):

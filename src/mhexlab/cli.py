@@ -116,7 +116,7 @@ def _sample_ids(args, dataset):
             raise ConfigurationError(f"--samples takes integer ids, got {args.samples!r}") from None
         for i in ids:
             if not 0 <= i < len(dataset):
-                raise MhexError(f"unknown sample id {i} (dataset has {len(dataset)})")
+                raise ConfigurationError(f"unknown sample id {i} (dataset has {len(dataset)})")
         return ids
     return list(range(min(8, len(dataset))))
 

@@ -119,6 +119,8 @@ def drop_records(predict, image, label, cams, p_orig, sample_id=0):
     """``drop_record`` of one (C, H, W) image, whose ``label`` probability is
     ``p_orig``, for each map in ``cams``: one ``predict`` call scores every
     masked copy."""
+    if len(cams) == 0:
+        raise ContractError("drop_records: no maps")
     image = np.asarray(image, dtype=np.float64)
     masked = np.stack([hard_mask(image, cam) for cam in cams])
     p_mask = _predict(predict, masked, label)[:, label]

@@ -19,7 +19,7 @@ the side chain, one backbone result can feed several side-chain passes
 gradient sweep for an explainer parameter never visits a backbone node.
 
 ``train`` is the only caller that tapes a backbone; the analysis tapes only
-the side chain, and Grad-CAM differentiates ``_head`` alone.
+the side chain, and Grad-CAM reads the CNN head's weights without a tape.
 """
 
 from __future__ import annotations
@@ -74,6 +74,12 @@ def check_class_ids(class_ids, n_class, what="class id"):
             raise ConfigurationError(f"{what} {c} is not an integer")
         if not 0 <= c < n_class:
             raise ConfigurationError(f"{what} {c} is outside [0, {n_class})")
+
+
+def check_cnn(model, what):
+    """Raise ``ContractError`` unless ``model`` is the CNN host."""
+    if getattr(model, "kind", None) != "resnet":
+        raise ContractError(f"{what} supports only the CNN host")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +235,10 @@ class _Host:
         p = self.params
         return ad.add(ad.matmul(_pool(feats, pad_mask), ad.transpose(p["head.w"], (1, 0))),
                       ad.reshape(p["head.b"], (1, -1)))
+
+    def head_proba(self, feats):
+        """Each row's batch-1 probabilities from ``_head``; call it under ``no_grad``."""
+        return [ad.softmax_last(self._head(Tensor(f[None]))).data[0] for f in feats]
 
     def mhex_params(self, s):
         p = self.params
@@ -560,7 +570,9 @@ class EpochLog:
     head_accuracy: list   # one entry per auxiliary head, final head last
 
 
-def _dataset_arrays(dataset):
+def _dataset_arrays(dataset, what):
+    if len(dataset) == 0:
+        raise ContractError(f"{what}: dataset is empty")
     if hasattr(dataset, "images"):
         return dataset.images, dataset.labels
     return dataset.ids, dataset.labels
@@ -569,15 +581,14 @@ def _dataset_arrays(dataset):
 def head_accuracies(model, dataset):
     """Fraction correct per head (auxiliary heads in site order, final head
     last), in the pieces of ``batches(n, EVAL_BATCH_SIZE)``; no tape."""
-    xs, ys = _dataset_arrays(dataset)
+    xs, ys = _dataset_arrays(dataset, "head_accuracies")
     n = len(ys)
-    correct = None
+    correct = 0.0
     for lo, hi in batches(n, EVAL_BATCH_SIZE):
         with ad.no_grad():
             rec = model.forward_collect(xs[lo:hi])
         preds = [h.data.argmax(axis=1) for h in rec.head_logits()]
-        hits = np.array([(p == ys[lo:hi]).sum() for p in preds], dtype=float)
-        correct = hits if correct is None else correct + hits
+        correct = correct + np.array([(p == ys[lo:hi]).sum() for p in preds], dtype=float)
     return (correct / n).tolist()
 
 
@@ -586,8 +597,6 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
     """Minimize the combined head loss with a constant-rate AdamW-style
     update of every tensor with ``requires_grad`` and return one
     ``EpochLog`` per epoch. Deterministic for fixed (seed, config, dataset)."""
-    if len(dataset) == 0:
-        raise ContractError("train: dataset is empty")
     if mode not in LOSS_MODES:
         raise ConfigurationError(f"mode must be one of {LOSS_MODES}, got {mode!r}")
     if batch_size < 1:
@@ -596,7 +605,7 @@ def train(model, dataset, mode="finetune", epochs=5, lr=3e-3, seed=0,
         raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
     if not 0 < lr < np.inf:
         raise ConfigurationError(f"lr must be finite and > 0, got {lr}")
-    xs, ys = _dataset_arrays(dataset)
+    xs, ys = _dataset_arrays(dataset, "train")
     n = len(ys)
     beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
     m = {t: np.zeros_like(t.data) for t in model.params.values() if t.requires_grad}

@@ -1,6 +1,6 @@
 """Class-conditional saliency from recorded activations and the blocks'
-class-to-channel matrices, plus a gradient-based CAM baseline and simple
-PGM/PPM rendering.
+class-to-channel matrices, plus a Grad-CAM baseline read from the CNN head's
+weights and simple PGM/PPM rendering.
 
 The weight-filtering machinery works row-wise on the (n_class, C) product
 matrix: split into positive/negative parts, damp negatives by ``neg_mix``,
@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .blocks import equivalent_matrix
 from .errors import ConfigurationError, ContractError, DimensionError
 from .formats import write_csv
-from .models import COLLAB_ROWS, EVAL_BATCH_SIZE, batches, check_class_ids
+from .models import COLLAB_ROWS, EVAL_BATCH_SIZE, batches, check_class_ids, check_cnn
 
 SHARPNESS_EPS = 1e-8        # keeps an all-zero column's sharpness at zero
 
@@ -182,15 +182,14 @@ def image_maps(model, images, class_ids, cfg: WeightFilterConfig | None = None,
     tape-free ``forward_collect`` on a ``row_view``: the backbone spreads over
     the usable CPUs in chunks of at least 2 images, and the side chain's
     per-row mixers make each row's block products as a batch-1 call does.
-    Each row's probabilities come from the head at batch 1, and its Grad-CAM
-    map differentiates the head alone on its final features; so every output
-    has the bits of a batch-1 call."""
+    Each row's probabilities come from the head at batch 1 (``head_proba``),
+    and its Grad-CAM map reads the head's weights on its final features; so
+    every output has the bits of a batch-1 call."""
     if len(class_ids) != len(images):
         raise DimensionError(
             f"image_maps needs one class id per image, got {len(class_ids)} "
             f"for {len(images)} images")
-    if getattr(model, "kind", None) != "resnet":
-        raise ContractError("image maps and Grad-CAM support only the CNN host")
+    check_cnn(model, "image_maps")
     check_class_ids(class_ids, model.cfg.n_class)
     class_ids = [int(c) for c in class_ids]
     images = np.asarray(images, dtype=np.float64)
@@ -200,11 +199,10 @@ def image_maps(model, images, class_ids, cfg: WeightFilterConfig | None = None,
         view = model.row_view(hi - lo, range(len(model.sites)))
         with ad.no_grad():
             rec = view.forward_collect(images[lo:hi])
-            smaps = image_map(model, rec, ids, cfg)
-            feats = [ad.Tensor(rec.final_feats.data[b:b + 1]) for b in range(len(ids))]
-            probs = [ad.softmax_last(model._head(f)).data[0] for f in feats]
-        gmaps = [_gradcam_map(model, f, c) if grad_cam else None for f, c in zip(feats, ids)]
-        out += zip(smaps, gmaps, probs)
+            feats = rec.final_feats.data
+            gmaps = [_gradcam_map(model, f, c) if grad_cam else None
+                     for f, c in zip(feats, ids)]
+            out += zip(image_map(model, rec, ids, cfg), gmaps, model.head_proba(feats))
     return out
 
 
@@ -251,28 +249,22 @@ def explain_tokens(model, ids, class_id, cfg: WeightFilterConfig | None = None):
 
 
 def gradcam_baseline(model, image, class_id):
-    """Gradient-weighted activation map on the last convolutional features
-    of one image, without the side chain; comparison plumbing, not part of
-    the blocks' own saliency path."""
-    if getattr(model, "kind", None) != "resnet":
-        raise ContractError("Grad-CAM supports only the CNN host")
+    """Grad-CAM map on the last convolutional features of one image, without
+    the side chain; comparison plumbing, not part of the blocks' own saliency
+    path."""
+    check_cnn(model, "Grad-CAM")
     check_class_ids(class_id, model.cfg.n_class)
     with ad.no_grad():
-        final_feats = model._backbone(image)[1]
-    return _gradcam_map(model, final_feats, class_id)
+        return _gradcam_map(model, model._backbone(image)[1].data[0], class_id)
 
 
-def _gradcam_map(model, final_feats, class_id):
-    """Grad-CAM of a batch-1 ``(1, C, h, w)`` tensor of final features: the
-    class logit's gradient on them is that of the CNN's ``_head``, run on a
-    ``requires_grad`` leaf that holds them."""
-    feats = ad.Tensor(final_feats.data, requires_grad=True)
-    logits = model._head(feats)
-    onehot = np.zeros(logits.data.shape)
-    onehot[..., class_id] = 1.0
-    target = ad.sum_axis(ad.mul(logits, onehot))
-    weights = ad.grad_wrt(target, feats)[0].mean(axis=(1, 2))
-    raw = np.maximum(cam_layer(weights, final_feats.data[0]), 0.0)
+def _gradcam_map(model, feats, class_id):
+    """Grad-CAM of one image's ``(C, h, w)`` final features without a tape: the
+    gradient through the CNN's pool-and-linear head is the class's head row spread
+    over the grid, averaged as a sweep's is (a mean of equal values may round)."""
+    grad = model.params["head.w"].data[class_id] / (feats.shape[1] * feats.shape[2])
+    grad = np.broadcast_to(grad[:, None, None], feats.shape).copy()
+    raw = np.maximum(cam_layer(grad.mean(axis=(1, 2)), feats), 0.0)
     return SaliencyMap(class_id=class_id, grid=normalize_map(raw), raw=raw,
                        layer_grids=[raw])
 

@@ -92,7 +92,7 @@ def test_criterion_04_gradient_integrity(capsys):
             att = ad.softmax_last(emb, additive_mask=np.where(keep[..., None] > 0, 0.0, -1e9))
             seq = ad.masked_seq_mean(ad.mul(att, emb), keep)      # (2, 4)
             logits = ad.add(ad.matmul(seq, ad.transpose(proj, (1, 0))), pooled)
-            gate = ad.sigmoid(ad.sum_axis(logits, axis=1, keepdims=True))
+            gate = ad.sigmoid(ad.matmul(logits, Tensor(np.ones((3, 1)))))   # row sums
             up = ad.nearest_resize(ad.reshape(conv, (2, 3, 3, 3)), (5, 5))
             return ad.add(ad.softmax_cross_entropy(ad.mul(logits, gate), [0, 2]),
                           mean_all(ad.mul(up, up)))

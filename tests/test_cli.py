@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 from pathlib import Path
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from mhexlab import autodiff as ad, cli, metrics, saliency
+from mhexlab.datasets import gen_tokens
+from mhexlab.errors import ConfigurationError
 from mhexlab.models import (COLLAB_ROWS, EVAL_BATCH_SIZE, ResNetModel, TransformerConfig,
                             TransformerModel, batches, load_checkpoint, save_checkpoint)
 
@@ -484,6 +487,16 @@ def test_bad_input_exits_1_and_writes_nothing(token_ckpt, shape_ckpt, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_sample_ids_outside_the_dataset_are_configuration_errors():
+    """``--samples`` with an id outside the dataset is a bad value, as one that
+    is not an integer is: ``ConfigurationError``, not the base ``MhexError``."""
+    ds = gen_tokens(8, seed=0)
+    assert cli._sample_ids(argparse.Namespace(samples="0,7"), ds) == [0, 7]
+    for samples in ("0,8", "-1", "1,a"):
+        with pytest.raises(ConfigurationError):
+            cli._sample_ids(argparse.Namespace(samples=samples), ds)
 
 
 def test_analyze_rejects_grid_0_before_any_work(shape_ckpt, tmp_path, capsys, monkeypatch):

@@ -121,6 +121,17 @@ def test_drop_records_score_every_map_in_one_prediction(small_cnn):
         assert abs(rec.p_mask - single.p_mask) <= 1e-15
 
 
+def test_drop_records_need_a_map():
+    """No maps raise ``ContractError`` before any prediction; numpy's stack
+    used to raise a bare ``ValueError``."""
+    img = np.zeros((1, 4, 4))
+    recording, seen = _recorded(_linear_predictor(np.ones((1, 4, 4))))
+    for cams in ([], np.zeros((0, 4, 4))):
+        with pytest.raises(ContractError, match="no maps"):
+            M.drop_records(recording, img, 0, cams, 0.5)
+    assert seen == []
+
+
 def test_drop_clamped_at_zero():
     r = M.DropRecord(sample_id=0, p_orig=0.2, p_mask=0.9, drop=0.0, area=0.1)
     assert M.avg_drop([r]) == 0.0

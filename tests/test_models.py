@@ -320,6 +320,39 @@ def test_head_accuracies_reports_all_heads(small_cnn):
     assert all(0.0 <= a <= 1.0 for a in accs)
 
 
+def test_head_accuracies_reject_an_empty_dataset(small_cnn, small_transformer, monkeypatch):
+    """An empty dataset raises ``ContractError`` before any forward, as in
+    ``train``; it used to end in a bare ``TypeError`` from ``None / 0``."""
+    import dataclasses
+    for m, ds in ((small_cnn, mx.gen_shapes(1, seed=10)),
+                  (small_transformer, mx.gen_tokens(1, seed=10))):
+        forwards = count_calls(type(m), "forward_collect", monkeypatch)
+        empty = dataclasses.replace(ds, **{f.name: getattr(ds, f.name)[:0]
+                                           for f in dataclasses.fields(ds)})
+        with pytest.raises(ContractError, match="empty"):
+            head_accuracies(m, empty)
+        assert forwards == []
+
+
+def test_cnn_only_callers_raise_one_message(small_cnn, small_transformer, monkeypatch):
+    """The four CNN-only entry points refuse the transformer with the one
+    ``check_cnn`` message before any forward, and the collaboration analysis
+    refuses a CNN with a token dataset."""
+    td = mx.gen_tokens(3, seed=46)
+    forwards = count_calls(type(small_transformer), "_backbone", monkeypatch)
+    for what, call in (
+            ("image_maps", lambda: S.image_maps(small_transformer, td.ids, [0, 0, 0])),
+            ("Grad-CAM", lambda: S.gradcam_baseline(small_transformer, td.ids[0], 0)),
+            ("blockwise_quality", lambda: A.blockwise_quality(small_transformer, td.ids[0], 0)),
+            ("the collaboration analysis",
+             lambda: A.collect_collab_records(small_transformer, td))):
+        with pytest.raises(ContractError, match=f"^{what} supports only the CNN host$"):
+            call()
+    assert forwards == []
+    with pytest.raises(ContractError, match="needs an image dataset"):
+        A.collect_collab_records(small_cnn, td)
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 128, 129, 257])
 @pytest.mark.parametrize("size", [3, 8, 128])
 def test_batches_cut_near_equal_pieces(n, size):
@@ -399,7 +432,7 @@ def test_no_grad_forward_holds_no_tape(request, host):
 
 def test_forward_only_callers_record_no_tape(monkeypatch, small_cnn, small_transformer):
     """Each forward-only caller runs its backbone under ``no_grad``, and so
-    does Grad-CAM, which differentiates the head alone; ``forward_collect``,
+    does Grad-CAM, which reads the head's weights; ``forward_collect``,
     which ``train`` calls, keeps the tape."""
     taped = []
     for m in (small_cnn, small_transformer):

@@ -6,7 +6,7 @@ from mhexlab import autodiff as ad, saliency as S
 from mhexlab.blocks import equivalent_matrix
 from mhexlab.datasets import PAD_ID
 from mhexlab.errors import (ConfigurationError, ContractError, DimensionError)
-from mhexlab.models import COLLAB_ROWS, batches, clone_model
+from mhexlab.models import COLLAB_ROWS, ResNetConfig, ResNetModel, batches, clone_model
 
 from helpers import (adjoints_reference, conv_workers, count_calls, read_pgm, rel_err,
                      same_bits)
@@ -142,38 +142,61 @@ def test_image_map_reads_a_taped_record(small_cnn):
     assert np.array_equal(smap.raw, ref.raw) and np.array_equal(smap.grid, ref.grid)
 
 
-def test_image_maps_share_one_backbone(small_cnn, monkeypatch):
+# final feature grids of 16x16 (the small host), 4x4 (the default) and 3x3
+FINAL_GRIDS = {"16x16": ResNetConfig(stage_channels=(4, 8), blocks_per_stage=1),
+               "4x4": ResNetConfig(), "3x3": ResNetConfig(image_size=24)}
+
+
+@pytest.mark.parametrize("grid", sorted(FINAL_GRIDS))
+def test_image_maps_share_one_backbone(monkeypatch, grid):
     """One tape-free backbone pass gives the MHEX map of a taped record, the
     Grad-CAM map of the class logit's gradient on the final features, and
     predict_proba's probabilities, bit for bit, with or without the Grad-CAM
     map. The reference gradient comes from a sweep of a whole taped
-    backbone, not of ``_head``. gradcam_baseline gives the same Grad-CAM map
-    without running the side chain."""
+    backbone, not of ``_head``, whose weights the Grad-CAM map reads.
+    gradcam_baseline gives the same Grad-CAM map without running the side
+    chain."""
+    cfg = FINAL_GRIDS[grid]
+    model = ResNetModel(cfg, seed=3)
     ds = mx.gen_shapes(1, seed=24)
-    img, label = ds.images[0], int(ds.labels[0])
-    (ref_s,) = S.image_map(small_cnn, small_cnn.forward_collect(img), [label])
-    _, feats, logits, _ = small_cnn._backbone(img)
+    img, label = ds.images[0][:, :cfg.image_size, :cfg.image_size], int(ds.labels[0])
+    (ref_s,) = S.image_map(model, model.forward_collect(img), [label])
+    _, feats, logits, _ = model._backbone(img)
+    assert "x".join(map(str, feats.shape[-2:])) == grid
     onehot = np.eye(logits.shape[1])[label][None]
     grad = adjoints_reference(ad.sum_axis(ad.mul(logits, onehot)))[id(feats._node)][0]
     ref_g = np.maximum(np.tensordot(grad.mean(axis=(1, 2)), feats.data[0], axes=1), 0.0)
-    ref_p = small_cnn.predict_proba(img[None])[0]
-    taped, backbone = [], type(small_cnn)._backbone
+    ref_p = model.predict_proba(img[None])[0]
+    taped, backbone = [], type(model)._backbone
 
     def recording(self, x):
         taped.append(ad._state.recording)
         return backbone(self, x)
 
-    monkeypatch.setattr(type(small_cnn), "_backbone", recording)
+    monkeypatch.setattr(type(model), "_backbone", recording)
     for grad_cam in (True, False):
-        ((smap, gmap, probs),) = S.image_maps(small_cnn, [img], [label], grad_cam=grad_cam)
+        ((smap, gmap, probs),) = S.image_maps(model, [img], [label], grad_cam=grad_cam)
         assert np.array_equal(smap.raw, ref_s.raw) and np.array_equal(smap.grid, ref_s.grid)
         assert np.array_equal(probs, ref_p)
         assert np.array_equal(gmap.raw, ref_g) if grad_cam else gmap is None
     assert taped == [False, False]
-    side = count_calls(type(small_cnn), "side_chain", monkeypatch)
-    assert np.array_equal(S.gradcam_baseline(small_cnn, img, label).raw, ref_g)
+    side = count_calls(type(model), "side_chain", monkeypatch)
+    assert np.array_equal(S.gradcam_baseline(model, img, label).raw, ref_g)
     assert side == [] and taped == [False] * 3
-    assert np.array_equal(S.explain_image(small_cnn, img, label).grid, ref_s.grid)
+    assert np.array_equal(S.explain_image(model, img, label).grid, ref_s.grid)
+
+
+def test_grad_cam_runs_no_reverse_sweep(small_cnn, monkeypatch):
+    """Neither ``image_maps`` with Grad-CAM nor ``gradcam_baseline`` runs a
+    ``grad_wrt`` call or a reverse sweep: the maps read the head's weights."""
+    ds = mx.gen_shapes(3, seed=25)
+    labels = [int(c) for c in ds.labels]
+    sweeps = count_calls(ad, "grad_wrt", monkeypatch)
+    reverses = count_calls(ad, "_reverse", monkeypatch)
+    gmaps = [g for _, g, _ in S.image_maps(small_cnn, ds.images, labels, grad_cam=True)]
+    gmaps += [S.gradcam_baseline(small_cnn, img, c) for img, c in zip(ds.images, labels)]
+    assert len(gmaps) == 6 and all(g is not None for g in gmaps)
+    assert sweeps == [] and reverses == []
 
 
 def _per_image_maps(model, images, labels):
