@@ -30,18 +30,22 @@ buffer that no backward reads, as in Rota Bulò et al., *In-Place Activated
 BatchNorm*, 2018). The reverse sweep drops each adjoint once the node's
 closure has consumed it.
 
-``conv2d`` spreads a batch's chunks over the usable CPUs (the batch split of
-Hadjis et al., *Caffe con Troll*, 2015): one contiguous range of samples per
-worker, the calling thread included, on a thread pool made by the first call
-that needs it. A worker runs the same per-sample GEMMs into its own rows of
-the output and gradient buffers, using scratch (padded input and columns)
-that the calling thread allocates. The calling thread adds each of its
-samples' kernel gradients into the weight gradient as it goes; a later
-range keeps its own samples' until all have finished, and the calling
-thread then adds them in sample order, so no batch-sized block of them is
-held. So every result is bit-identical whatever the split. A worker gets a
-range only if it holds a chunk's worth of columns and ``_SPREAD_SAMPLES``
-samples; so a ``conv2d`` batch below 64 runs on the calling thread alone.
+``conv2d`` spreads its work over the usable CPUs, the calling thread
+included, on a thread pool made by the first call that needs it. Its
+forward gives each worker one contiguous range of samples (the batch split
+of Hadjis et al., *Caffe con Troll*, 2015), which runs the same per-sample
+GEMMs into its own rows of the output. Its backward splits the work by kind
+instead: the calling thread makes every sample's columns and adds its kernel
+gradient into the weight gradient as it goes, in sample order, so no
+batch-sized block of them is held; the other workers make the input
+gradients, which read no columns, taking chunks of samples in turn, and the
+calling thread takes those still left once its own work is done. Each
+sample's products are the same GEMMs on any thread, so every result is
+bit-identical whatever the split. The calling thread allocates all scratch
+(padded input, columns, and a buffer per input-gradient worker). A call
+spreads only if each of its ranges would hold a chunk's worth of columns and
+``_SPREAD_SAMPLES`` samples; so a ``conv2d`` batch below 64 runs on the
+calling thread alone, and so does a backward that makes no input gradient.
 
 A forward without a tape spreads over the same pool a level up, a batch's
 whole chunks (``_spread_batch``, which ``ResNetModel._spread_backbone`` uses):
@@ -402,11 +406,12 @@ def _sum_rows(acc, rows):
 def _spread(task, ranges):
     """Run ``task(t, lo, hi)`` for each range ``t``: the first on the calling
     thread, the others on the pool, and return once all have finished; the
-    first error of a task is raised then. A task writes only its own rows;
-    what it runs is marked as inside a task (``_state.ranges``), so a
-    ``_spread`` called from inside one, such as a nested ``conv2d``'s, runs
-    all its ranges on the current thread, in order. A ``conv2d`` task calls
-    only numpy and private helpers, whose copies and GEMMs release the GIL."""
+    first error of a task is raised then. No two tasks write the same
+    array elements; what a task runs is marked as inside a task
+    (``_state.ranges``), so a ``_spread`` called from inside one, such as a
+    nested ``conv2d``'s, runs all its ranges on the current thread, in
+    order. A ``conv2d`` task calls only numpy and private helpers, whose
+    copies and GEMMs release the GIL."""
     global _pool
     if len(ranges) == 1 or _state.ranges:
         for t, (lo, hi) in enumerate(ranges):
@@ -443,9 +448,10 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
     op is recorded, the closure returns ``None`` for its gradient and skips
     those GEMMs; the kernel and bias gradients keep their bits. The kernel
     gradient adds the per-sample products in sample order (``_sum_rows``)
-    without holding the batch's: the calling thread holds at most
-    ``_cols_budget()`` of them (or one sample's, if larger), a later worker its
-    range's until the join.
+    without holding the batch's: the calling thread makes them all, holding
+    at most ``_cols_budget()`` of them (or one sample's, if larger), while a
+    spread's other workers make the input gradient (the calling thread
+    helps once its kernel gradients are done).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     bias = None if bias is None else _as_tensor(bias)
@@ -496,43 +502,54 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
         # what outlives the call before the scratch, as in the forward
         gxp = np.zeros((n, c, h + 2 * pad, wd_ + 2 * pad)) if input_grad else None
         gw = np.zeros((o, k))
-        # per-sample kernel gradients: the calling thread's range adds its
-        # own into gw through a buffer of at most _cols_budget(), a later range
-        # keeps its rows until the join (see _sum_rows)
+        # the calling thread adds each sample's kernel gradient into gw through
+        # a buffer of at most _cols_budget() (see _sum_rows)
         part = min(size, max(1, _cols_budget() // (8 * o * k)))
-        gwn = [np.empty((part, o, k))] + [np.empty((hi - lo, o, k)) for lo, hi in ranges[1:]]
+        gwn = np.empty((part, o, k))
         rows = ([wdat[:, :, i].transpose(2, 1, 0).reshape(kw * c, o) for i in range(kh)]
                 if input_grad else None)
-        scratch = [_scratch(size, xd.shape, pad, k, l) for _ in ranges]
+        xp, cols = _scratch(size, xd.shape, pad, k, l)
+        # spread, the work splits by kind: the calling thread makes every
+        # sample's columns and kernel gradient, the other workers the input
+        # gradients (no columns), each into a row buffer of its own; the
+        # calling thread then takes the chunks of input gradients left, into
+        # its spent columns' buffer (an input job can outweigh a kernel job)
+        spread = input_grad and len(ranges) > 1
+        bufs = [cols] + [np.empty((size, kw * c, l)) for _ in ranges[1:] if spread]
+        starts, lock = iter(range(0, n, size)), threading.Lock()
+
+        def input_rows(t, a):
+            # one GEMM per kernel row, not a cols-sized one; per tap, a
+            # 1-channel input would become a matrix-vector product that
+            # rounds differently
+            b = min(a + size, n)
+            drow = bufs[t].reshape(-1)[:(b - a) * kw * c * l].reshape(b - a, kw * c, l)
+            for i in range(kh):
+                np.matmul(rows[i], gm[a:b], out=drow)
+                d = drow.reshape(b - a, kw, c, oh, ow)
+                for j in range(kw):
+                    gxp[a:b, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d[:, j]
 
         def task(t, lo, hi):
-            xp, cols = scratch[t]
-            for a in range(lo, hi, size):
-                b = min(a + size, hi)
-                # one GEMM per sample as in the forward, a stacked call per
-                # buffer (einsum without optimize runs numpy's own loop, not BLAS)
-                cm = _columns(xd[a:b], kh, kw, stride, pad, xp, cols).transpose(0, 2, 1)
-                if t:
-                    np.matmul(gm[a:b], cm, out=gwn[t][a - lo:b - lo])
-                else:
+            if not t:
+                for a in range(0, n, size):
+                    b = min(a + size, n)
+                    # one GEMM per sample as in the forward, a stacked call per
+                    # buffer (einsum without optimize runs numpy's own loop, not BLAS)
+                    cm = _columns(xd[a:b], kh, kw, stride, pad, xp, cols).transpose(0, 2, 1)
                     for s in range(a, b, part):
                         e = min(s + part, b)
-                        _sum_rows(gw, np.matmul(gm[s:e], cm[s - a:e - a], out=gwn[0][:e - s]))
-                if gxp is None:
-                    continue
-                # one GEMM per kernel row, not a cols-sized one; per tap, a
-                # 1-channel input would become a matrix-vector product that
-                # rounds differently. The spent columns' buffer takes each row.
-                drow = cols.reshape(-1)[:(b - a) * kw * c * l].reshape(b - a, kw * c, l)
-                for i in range(kh):
-                    np.matmul(rows[i], gm[a:b], out=drow)
-                    d = drow.reshape(b - a, kw, c, oh, ow)
-                    for j in range(kw):
-                        gxp[a:b, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d[:, j]
+                        _sum_rows(gw, np.matmul(gm[s:e], cm[s - a:e - a], out=gwn[:e - s]))
+                    if input_grad and not spread:
+                        input_rows(0, a)
+            while spread:
+                with lock:
+                    a = next(starts, None)
+                if a is None:
+                    return
+                input_rows(t, a)
 
-        _spread(task, ranges)
-        for kept in gwn[1:]:
-            _sum_rows(gw, kept)
+        _spread(task, ranges if spread else [(0, n)])
         gw = gw.reshape(wdat.shape)
         gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad and input_grad else gxp
         if not biased:

@@ -111,8 +111,9 @@ def cam_layer(w_row, features):
 
 def resize_map(grid, out_hw):
     """Nearest-neighbor resize of a 2-D score grid (``ad.nearest_resize``'s
-    index rule)."""
-    return ad.nearest_resize(grid, out_hw).data
+    index rule); it records no tape node, whether or not the caller does."""
+    with ad.no_grad():
+        return ad.nearest_resize(grid, out_hw).data
 
 
 def normalize_map(raw):

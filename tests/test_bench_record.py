@@ -189,3 +189,70 @@ def test_parent_runs_alternate_seed_by_seed(tool, monkeypatch, tmp_path):
         assert rec["label"] == label and rec["seeds"] == [1, 2, 3]
         assert rec["trace_host_speed"] == SPEED and set(rec["end_to_end"]) == WORKLOADS
         assert rec["schema"] == 3 and rec["git_dirty"] is None
+
+
+BETTER = {"setup_s": "lower", "wall_s": "lower", "samples_per_s": "higher", "peak_rss_mb": "lower"}
+RSS = ("shapes_train", "peak_rss_mb")
+SPEED_METRIC = ("shapes_train", "samples_per_s")
+
+
+def _ten_seeds(tool, record, values):
+    """``record`` with seeds 1..10, every end-to-end metric 1.0 on every
+    seed but those of ``values`` ({(workload, metric): ten values})."""
+    rec = json.loads(json.dumps(record))
+    rec["seeds"] = list(range(1, 11))
+    for workload, names in rec["end_to_end"].items():
+        for name, m in names.items():
+            m.update(tool._summary(list(values.get((workload, name), [1.0] * 10))))
+    tool.check_record(rec)
+    return rec
+
+
+def test_compare_counts_won_pairs_and_the_gain_rule(tool, record):
+    """Pairs go seed by seed in the metric's better direction, a tie wins
+    for neither; the gain rule needs ten pairs or more, nine tenths of them
+    won and a median gain above the parent's interquartile range."""
+    parent_rss = [119.0 + 0.1 * k for k in range(10)]          # IQR 0.45
+    parent = _ten_seeds(tool, record, {RSS: parent_rss, SPEED_METRIC: [100.0] * 10})
+
+    def row(rss, speed, base=parent):
+        change = _ten_seeds(tool, record, {RSS: rss, SPEED_METRIC: speed})
+        rows = {(r["workload"], r["metric"]): r for r in tool.compare(base, change, BETTER)}
+        assert len(rows) == 16 and rows[RSS]["pairs"] == 10
+        return rows
+
+    rows = row([v - 4 for v in parent_rss[:9]] + [parent_rss[9] + 0.5], [110.0] * 10)
+    assert (rows[RSS]["won"], rows[RSS]["claim"]) == (9, True)
+    assert rows[RSS]["gain"] == pytest.approx(4.0) and rows[RSS]["parent_iqr"] == pytest.approx(0.45)
+    assert (rows[SPEED_METRIC]["won"], rows[SPEED_METRIC]["gain"], rows[SPEED_METRIC]["claim"]) \
+        == (10, 10.0, True)
+    tie = rows[("tokens_pipeline", "wall_s")]
+    assert (tie["won"], tie["gain"], tie["claim"]) == (0, 0.0, False)
+    rows = row([v - 4 for v in parent_rss[:8]] + parent_rss[8:], [90.0] * 10)
+    assert (rows[RSS]["won"], rows[RSS]["claim"]) == (8, False)
+    assert (rows[SPEED_METRIC]["won"], rows[SPEED_METRIC]["gain"]) == (0, -10.0)
+    rows = row([v - 0.3 for v in parent_rss], [100.0] * 10)
+    assert (rows[RSS]["won"], rows[RSS]["claim"]) == (10, False)      # 0.3 < IQR
+    few = tool.compare(record, json.loads(json.dumps(record)), BETTER)
+    assert not any(r["claim"] for r in few) and all(r["pairs"] == 2 for r in few)
+    with pytest.raises(ValueError, match="seeds"):
+        tool.compare(record, parent, BETTER)
+
+
+def test_compare_reads_a_record_and_its_parent_twin(tool, record, tmp_path, capsys):
+    """``--compare BENCH_x.json`` reads ``BENCH_x_parent.json`` beside it and
+    prints a header and one line per workload and end-to-end metric; without
+    the twin it exits 1."""
+    parent_rss = [119.0 + 0.1 * k for k in range(10)]
+    parent = _ten_seeds(tool, record, {RSS: parent_rss})
+    change = _ten_seeds(tool, record, {RSS: [v - 4 for v in parent_rss]})
+    (tmp_path / "BENCH_x.json").write_text(json.dumps(change))
+    (tmp_path / "BENCH_x_parent.json").write_text(json.dumps(parent))
+    assert tool.main(["--compare", str(tmp_path / "BENCH_x.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 17 and lines[0].startswith("workload")
+    rss = [ln for ln in lines if ln.startswith("shapes_train") and "peak_rss_mb" in ln]
+    assert len(rss) == 1 and "10/10" in rss[0] and rss[0].endswith("holds")
+    assert sum(ln.endswith("holds") for ln in lines) == 1
+    (tmp_path / "BENCH_x_parent.json").unlink()
+    assert tool.main(["--compare", str(tmp_path / "BENCH_x.json")]) == 1

@@ -105,6 +105,26 @@ def test_resize_map_nearest():
     assert np.array_equal(down, g)
 
 
+def test_resize_map_records_no_tape(monkeypatch):
+    """Outside ``no_grad`` too, resizing a plain grid tapes no node, so no
+    backward closure (``ad.nearest_resize`` itself tapes one there), and the
+    caller's thread records again afterwards."""
+    g = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert ad.nearest_resize(g, (4, 4))._node is not None
+    made = []
+    real = ad.nearest_resize
+
+    def noting(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "nearest_resize", noting)
+    assert np.array_equal(S.resize_map(g, (4, 4)), real(g, (4, 4)).data)
+    S.aggregate_cams([g, np.ones((4, 4))], 0.9)
+    assert len(made) == 3 and all(t._node is None for t in made)
+    assert ad.relu(g)._node is not None
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         S.WeightFilterConfig(neg_mix=-0.1)

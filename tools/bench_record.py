@@ -3,6 +3,7 @@
     python3 tools/bench_record.py --label pr21 --seeds 5 --seconds 24
     python3 tools/bench_record.py --label pr23 --parent ../parent --seeds 5
     python3 tools/bench_record.py --check BENCH_pr21.json
+    python3 tools/bench_record.py --compare BENCH_pr28.json
 
 Runs the tree's own ``perfbench/run.py --workload all --trace 0`` once per
 seed (seeds 1..N), then once with ``--trace 1`` (seed 1). With ``--parent
@@ -33,6 +34,13 @@ the last JSON line of each run it writes, to ``<out-dir>/BENCH_<label>.json``:
   schema 2 (up to ``BENCH_pr25.json``) has no ``git_dirty``.
 
 ``--check`` loads a record and exits 1 if a field of its schema is missing.
+``--compare BENCH_<label>.json`` reads that record and its
+``BENCH_<label>_parent.json`` twin and prints, per workload and end-to-end
+metric: each side's median and quartiles, the seed pairs the change won (by
+the metric's ``better`` in ``BENCHMARK.json``; a tie wins for neither), and
+whether a gain may be claimed: at least ten pairs, the change winning nine
+tenths of them, and its median better than the parent's by more than the
+parent's interquartile range.
 Nothing under ``perfbench/`` is changed; each run leaves its outputs in the
 tree's ``.bench_out/``.
 """
@@ -171,6 +179,40 @@ def check_record(record):
                 raise ValueError(f"{workload}.{name}: per-layer metric needs value and unit")
 
 
+def compare(parent, change, better):
+    """One row per workload and end-to-end metric of the record ``change``
+    against the record ``parent``, seed by seed; ``better`` maps a metric
+    name to ``"lower"`` or ``"higher"``. ``gain`` is how much better the
+    change's median is (negative if worse), ``claim`` whether the gain rule
+    holds (see the module docstring)."""
+    if parent["seeds"] != change["seeds"]:
+        raise ValueError("the two records ran different seeds")
+    rows = []
+    for workload, names in change["end_to_end"].items():
+        for name, m in names.items():
+            p = parent["end_to_end"][workload][name]
+            sign = {"lower": 1, "higher": -1}[better[name]]
+            won = sum(sign * (a - b) > 0 for a, b in zip(p["values"], m["values"]))
+            pairs, gain, iqr = len(m["values"]), sign * (p["median"] - m["median"]), p["q3"] - p["q1"]
+            rows.append({"workload": workload, "metric": name, "unit": m["unit"],
+                         "parent": p, "change": m, "won": won, "pairs": pairs,
+                         "gain": gain, "parent_iqr": iqr,
+                         "claim": pairs >= 10 and 10 * won >= 9 * pairs and gain > iqr})
+    return rows
+
+
+def _print_comparison(rows):
+    def side(m):
+        return f"{m['median']:.4g} [{m['q1']:.4g}, {m['q3']:.4g}]"
+
+    print(f"{'workload':<20} {'metric':<14} {'unit':<4} {'parent median [q1, q3]':<26} "
+          f"{'change median [q1, q3]':<26} {'won':>6} {'gain':>9} {'p. IQR':>8}  gain rule")
+    for r in rows:
+        print(f"{r['workload']:<20} {r['metric']:<14} {r['unit']:<4} {side(r['parent']):<26} "
+              f"{side(r['change']):<26} {r['won']:>3}/{r['pairs']:<2} {r['gain']:>9.4g} "
+              f"{r['parent_iqr']:>8.4g}  {'holds' if r['claim'] else 'no'}")
+
+
 def _run(root, seed, seconds, trace):
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "all",
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -213,7 +255,21 @@ def main(argv=None):
                     help="also record this tree, in alternation, as BENCH_<label>_parent.json")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     ap.add_argument("--check", type=Path, metavar="FILE", help="only check a record")
+    ap.add_argument("--compare", type=Path, metavar="FILE",
+                    help="only compare a record with its _parent twin")
     args = ap.parse_args(argv)
+    if args.compare is not None:
+        twin = args.compare.with_name(args.compare.stem + "_parent.json")
+        try:
+            better = {m["name"]: m["better"] for m in
+                      json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+            rows = compare(json.loads(twin.read_text()), json.loads(args.compare.read_text()),
+                           better)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"error: {args.compare}: {exc!r}", file=sys.stderr)
+            return 1
+        _print_comparison(rows)
+        return 0
     if args.check is not None:
         try:
             check_record(json.loads(args.check.read_text()))
